@@ -2,14 +2,14 @@
 
 Integers are plain Python ints (arbitrary precision); rationals are
 ``fractions.Fraction`` values, which are always reduced, carry a positive
-denominator and compare by value.  The factorial kernel keeps a shared,
-monotonically growing cache so that sweeps touching factorials of several
-thousand stay cheap.
+denominator and compare by value.  The integer kernels delegate to the
+standard library's ``math.factorial`` and ``math.comb`` and keep no state
+between calls, so memory stays bounded by the size of the current answer.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -22,25 +22,12 @@ __all__ = [
 
 Rat = Fraction
 
-# _FACT_CACHE[n] == n!.  The list only ever grows and entries are appended
-# fully computed, so unlocked reads of existing entries are safe.
-_FACT_CACHE: list[int] = [1]
-_FACT_LOCK = threading.Lock()
-
 
 def factorial(n: int) -> int:
     """Return n! for n >= 0.  Negative arguments are a contract violation."""
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
-    cache = _FACT_CACHE
-    if n < len(cache):
-        return cache[n]
-    with _FACT_LOCK:
-        value = cache[-1]
-        for m in range(len(cache), n + 1):
-            value *= m
-            cache.append(value)
-    return cache[n]
+    return math.factorial(n)
 
 
 def recip_factorial(n: int) -> Fraction:
@@ -59,13 +46,7 @@ def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with value 0 whenever k < 0 or k > n."""
     if k < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(k):
-        # Exact at every step: the running product of i+1 consecutive
-        # integers is divisible by (i+1)!.
-        result = result * (n - i) // (i + 1)
-    return result
+    return math.comb(n, k)
 
 
 def format_rat(value: Fraction | int) -> str:

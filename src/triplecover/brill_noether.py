@@ -24,6 +24,7 @@ __all__ = [
     "bn_query",
     "rho",
     "castelnuovo_count",
+    "bn1_terms",
     "bn1_class",
     "cs_max_degree",
     "pencil_dimension_hypothesis",
@@ -71,23 +72,28 @@ def castelnuovo_count(g: int, r: int, d: int) -> int:
     rho_value = rho(g, r, d)
     if rho_value != 0:
         raise ValueError(f"Castelnuovo count requires rho == 0, got rho = {rho_value}")
-    value = Fraction(factorial(g))
+    numerator = factorial(g)
+    denominator = 1
     for i in range(r + 1):
-        value *= Fraction(factorial(i), factorial(g - d + r + i))
-    if value.denominator != 1:
-        raise ArithmeticError(f"Castelnuovo count came out non-integral: {value}")
-    return value.numerator
+        numerator *= factorial(i)
+        denominator *= factorial(g - d + r + i)
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"Castelnuovo count came out non-integral: {Fraction(numerator, denominator)}"
+        )
+    return count
 
 
-def bn1_class(g: int, d: int) -> CohomClass:
-    """Fundamental class of the rank-1 special-divisor locus in the d-th
-    symmetric product of a genus-g curve:
+def bn1_terms(g: int, d: int) -> dict[tuple[int, int], Fraction]:
+    """Term map, keyed by (x power, theta power), of the rank-1
+    special-divisor locus class in the d-th symmetric product of a genus-g
+    curve:
 
         theta^(g-d+1)/(g-d+1)! - x*theta^(g-d)/(g-d)!
 
-    Meaningful for 1 <= d <= g; for d > g the reciprocal-factorial
-    convention kills the out-of-range terms, so e.g. d == g + 1 yields the
-    unit class (every divisor moves) and larger d yields zero.
+    No ambient truncation is applied; the reciprocal-factorial convention
+    drops a term whose factorial argument is negative.
     """
     if d < 1:
         raise ValueError(f"symmetric-product index must be at least 1, got {d}")
@@ -100,7 +106,18 @@ def bn1_class(g: int, d: int) -> CohomClass:
     corr = recip_factorial(g - d)
     if corr != 0:
         terms[(1, g - d)] = -corr
-    return CohomClass(g, d, terms)
+    return terms
+
+
+def bn1_class(g: int, d: int) -> CohomClass:
+    """Fundamental class of the rank-1 special-divisor locus, ``bn1_terms``
+    placed in the ambient (g, d).
+
+    Meaningful for 1 <= d <= g; for d > g the reciprocal-factorial
+    convention kills the out-of-range terms, so e.g. d == g + 1 yields the
+    unit class (every divisor moves) and larger d yields zero.
+    """
+    return CohomClass(g, d, bn1_terms(g, d))
 
 
 def cs_max_degree(g: int, h: int) -> int:

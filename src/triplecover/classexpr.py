@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import recip_factorial
-from .brill_noether import bn1_class
-from .cohomology import CohomClass, monomial, mul_classes, render_class, unit_class
+from .brill_noether import bn1_class, bn1_terms
+from .cohomology import CohomClass, monomial, monomial_text, mul_classes, render_class, unit_class
 
 __all__ = [
     "ClassExprError",
@@ -330,14 +329,7 @@ def _free_eval(node, g: int, d: int) -> _FreePoly:
     if isinstance(node, _Sym):
         return {(1, 0): Fraction(1)} if node.name == "x" else {(0, 1): Fraction(1)}
     if isinstance(node, _Bn1):
-        poly: _FreePoly = {}
-        lead = recip_factorial(g - d + 1)
-        if lead != 0:
-            poly[(0, g - d + 1)] = lead
-        corr = recip_factorial(g - d)
-        if corr != 0:
-            poly[(1, g - d)] = -corr
-        return poly
+        return bn1_terms(g, d)
     if isinstance(node, _Neg):
         return _free_scale(_free_eval(node.operand, g, d), Fraction(-1))
     if isinstance(node, _BinOp):
@@ -371,19 +363,6 @@ def parse(text: str, g: int, d: int) -> CohomClass:
     return _eval(_Parser(text).parse(), g, d)
 
 
-def _monomial_text(a: int, b: int) -> str:
-    parts = []
-    if a == 1:
-        parts.append("x")
-    elif a > 1:
-        parts.append(f"x^{a}")
-    if b == 1:
-        parts.append("theta")
-    elif b > 1:
-        parts.append(f"theta^{b}")
-    return "*".join(parts) if parts else "1"
-
-
 def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[str]]:
     """Like ``parse``, but also report the monomials that the ambient
     annihilated (total degree above d, or theta power above g)."""
@@ -398,7 +377,7 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
         if (a, b) in kept:
             continue
         reason = f"theta power {b} exceeds g = {g}" if b > g else f"codimension {a + b} exceeds d = {d}"
-        notes.append(f"dropped {_monomial_text(a, b)} (coefficient {free[(a, b)]}): {reason}")
+        notes.append(f"dropped {monomial_text(a, b)} (coefficient {free[(a, b)]}): {reason}")
     return result, notes
 
 

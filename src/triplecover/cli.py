@@ -8,7 +8,9 @@ integers as decimal strings, never as floats.  CSV carries a mandatory
 header row.
 
 Exit codes: 0 on success, 1 when a verification subcommand (theorem-a,
-audit) finds a violated inequality, 2 on usage or input errors.
+audit) finds a violated inequality, 2 on usage or input errors.  Integers
+longer than the interpreter's int-to-str digit limit and ``--out`` targets
+that cannot be written are input errors.
 
 The sweep subcommand parallelises across base genera; the worker count is
 taken from the ``TRIPLECOVER_WORKERS`` environment variable and defaults
@@ -504,10 +506,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         keys, rows, violated = _HANDLERS[args.command](args)
-    except ValueError as exc:
+        _write(_render(keys, rows, args.format), args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(_render(keys, rows, args.format), args.out)
     return 1 if violated else 0
 
 

@@ -17,10 +17,11 @@ extended linearly over the exact rational coefficients.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import binomial, factorial, format_rat
+from .arith import binomial, format_rat
 
 __all__ = [
     "AmbientMismatchError",
@@ -35,6 +36,7 @@ __all__ = [
     "evaluate_top",
     "pushforward_B",
     "pair_via_pushforward",
+    "monomial_text",
     "render_class",
 ]
 
@@ -225,7 +227,7 @@ def evaluate_top(cls: CohomClass) -> Fraction:
     total = Fraction(0)
     for (a, b), coeff in cls._terms.items():
         if a + b == d:
-            total += coeff * (factorial(g) // factorial(g - b))
+            total += coeff * math.perm(g, b)
     return total
 
 
@@ -271,6 +273,17 @@ def pair_via_pushforward(small: CohomClass, k: int, x_power: int) -> Fraction:
     return evaluate_top(mul_classes(small, pushforward_B(k, upstairs)))
 
 
+def monomial_text(x_power: int, theta_power: int) -> str:
+    """Canonical text of x^a * theta^b, unit exponents suppressed: e.g.
+    ``x*theta^2``, ``theta``, and ``1`` for the unit monomial."""
+    factors: list[str] = []
+    if x_power:
+        factors.append("x" if x_power == 1 else f"x^{x_power}")
+    if theta_power:
+        factors.append("theta" if theta_power == 1 else f"theta^{theta_power}")
+    return "*".join(factors) or "1"
+
+
 def render_class(cls: CohomClass) -> str:
     """Canonical text form, re-parseable by the expression parser.
 
@@ -279,22 +292,13 @@ def render_class(cls: CohomClass) -> str:
     """
     parts: list[str] = []
     for (a, b), coeff in cls.sorted_terms():
-        mon: list[str] = []
-        if a == 1:
-            mon.append("x")
-        elif a > 1:
-            mon.append(f"x^{a}")
-        if b == 1:
-            mon.append("theta")
-        elif b > 1:
-            mon.append(f"theta^{b}")
         magnitude = abs(coeff)
-        if not mon:
+        if a == b == 0:
             piece = format_rat(magnitude)
         elif magnitude == 1:
-            piece = "*".join(mon)
+            piece = monomial_text(a, b)
         else:
-            piece = format_rat(magnitude) + "*" + "*".join(mon)
+            piece = format_rat(magnitude) + "*" + monomial_text(a, b)
         if not parts:
             parts.append(piece if coeff > 0 else "-" + piece)
         else:

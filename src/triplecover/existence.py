@@ -11,7 +11,7 @@ itself, to one strict intersection-number inequality per parity of h:
   right side), a multiple of a Castelnuovo count.
 
 ``verify_inequality`` computes the left side by two independent routes (a
-factorial closed form and a polynomial expansion evaluated by Poincare's
+binomial closed form and a polynomial expansion evaluated by Poincare's
 formula) and insists they agree exactly.  ``audit_proof_chain`` replays the
 whole chain of auxiliary inequalities leading to the comparison, reporting
 each verdict without judging; near the smallest admissible genus some links
@@ -124,14 +124,14 @@ def critical_degree(h: int, g: int) -> int:
 
 
 def _min_genus_for_arithmetic(parity: str, e: int) -> int:
-    # Below these the factorial arguments in the closed form go negative.
+    # Smallest genus at which the complementary x-power is positive.
     return 6 * e + 4 if parity == "even" else 6 * e + 8
 
 
 def verify_inequality(h: int, g: int) -> InequalityReport:
     """Compute both sides of the critical-degree comparison for (h, g).
 
-    The left side is evaluated twice: once by the factorial closed form and
+    The left side is evaluated twice: once by the binomial closed form and
     once by expanding the rank-1 locus class against the complementary
     x-power.  Disagreement between the two routes is a fatal internal
     error, not a reportable verdict.
@@ -146,16 +146,11 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     x_power = 2 * d - g - 1  # complementary power: g-6e-3 even, g-6e-7 odd
 
     if parity == "even":
-        lhs = Fraction(factorial(g), factorial(3 * e + 2) * factorial(g - 3 * e - 2)) - Fraction(
-            factorial(g), factorial(3 * e + 1) * factorial(g - 3 * e - 1)
-        )
+        lhs = Fraction(binomial(g, 3 * e + 2) - binomial(g, 3 * e + 1))
         s = castelnuovo_count(h, 1, e + 1)
         rhs = Fraction((g - 6 * e - 3) * s)
     else:
-        lhs = Fraction(
-            factorial(g) * (g - 6 * e - 7),
-            factorial(3 * e + 4) * factorial(g - 3 * e - 3),
-        )
+        lhs = Fraction(binomial(g, 3 * e + 3) * (g - 6 * e - 7), 3 * e + 4)
         base_pairing = evaluate_top(
             mul_classes(bn1_class(h, e + 2), monomial(h, e + 2, 2, 0))
         )

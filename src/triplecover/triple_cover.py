@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .existence import _parity_e
+
 __all__ = [
     "DeltaParityError",
     "DeltaWindowError",
@@ -157,14 +159,11 @@ def section_vanishing_margins(g: int, h: int) -> VanishingMargins:
     Vanishing of sections is guaranteed when g > 6h + 4 (h even) or
     g > 6h + 7 (h odd); in that regime both bounds are negative.
     """
-    if h < 1:
-        raise ValueError(f"base genus must be at least 1, got {h}")
-    if h % 2 == 0:
-        parity, e = "even", h // 2
+    parity, e = _parity_e(h)
+    if parity == "even":
         deg_d = e + 1
         guaranteed = g > 6 * h + 4
     else:
-        parity, e = "odd", (h - 1) // 2
         deg_d = e + 2
         guaranteed = g > 6 * h + 7
     bound_m = Fraction(-g + 6 * h + 4, 3)
@@ -204,10 +203,7 @@ def reducedness_genus_bounds(h: int) -> ReducednessBounds:
     pulled-back points: 12e+5 vs 18e+6 for h = 2e, 12e+14 vs 18e+21 for
     h = 2e+1.  The direct bound rewrites as 6h+5 (h even) and 6h+8 (h odd).
     """
-    if h < 1:
-        raise ValueError(f"base genus must be at least 1, got {h}")
-    if h % 2 == 0:
-        e = h // 2
-        return ReducednessBounds(h=h, parity="even", direct=12 * e + 5, alternative=18 * e + 6)
-    e = (h - 1) // 2
-    return ReducednessBounds(h=h, parity="odd", direct=12 * e + 14, alternative=18 * e + 21)
+    parity, e = _parity_e(h)
+    if parity == "even":
+        return ReducednessBounds(h=h, parity=parity, direct=12 * e + 5, alternative=18 * e + 6)
+    return ReducednessBounds(h=h, parity=parity, direct=12 * e + 14, alternative=18 * e + 21)

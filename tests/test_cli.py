@@ -265,3 +265,23 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[1].split() == ["4", "1", "3", "0"]
+
+
+def test_oversized_integer_and_unwritable_out_exit_two(tmp_path):
+    # A 6,000-digit count exceeds the interpreter's int-to-str limit, which
+    # stays in force; a missing --out directory is an I/O fault.  Both are
+    # input errors, never a traceback.
+    for argv in (
+        ["count", "--g", "20000", "--r", "1", "--d", "10001"],
+        ["rho", "--g", "4", "--r", "1", "--d", "3", "--out", str(tmp_path / "missing" / "x")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from triplecover import existence
 from triplecover.arith import binomial, factorial
 from triplecover.brill_noether import bn1_class, castelnuovo_count
 from triplecover.cohomology import evaluate_top, monomial, mul_classes, pair_via_pushforward
@@ -76,6 +78,26 @@ def test_verify_preconditions():
         verify_inequality(2, 9)  # even case needs g >= 6e + 4 = 10
     with pytest.raises(ValueError):
         verify_inequality(1, 7)  # odd case needs g >= 6e + 8 = 8
+
+
+def test_verify_large_genus_memory_stays_bounded():
+    # The closed form needs only binomials of size ~g choose 3e; nothing
+    # may keep factorials up to g alive.
+    tracemalloc.start()
+    try:
+        report = verify_inequality(60, 16471)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.strict is True
+    assert report.lhs.numerator.bit_length() == 817
+    assert peak < 16 * 2**20
+
+
+def test_verify_route_disagreement_is_fatal(monkeypatch):
+    monkeypatch.setattr(existence, "evaluate_top", lambda cls: Fraction(-1))
+    with pytest.raises(ArithmeticError):
+        verify_inequality(2, 28)
 
 
 def test_routes_agree_across_small_sweep():
