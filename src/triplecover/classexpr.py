@@ -16,6 +16,14 @@ Grammar (whitespace between tokens is ignored)::
 
 Errors carry a 1-based character position; syntax errors also carry the set
 of token kinds that would have been accepted.
+
+Limits: ``+``/``-`` and ``*``/``/`` chains of any length parse into flat
+nodes that are evaluated without recursion.  Nesting -- parentheses plus unary
+minus -- is capped at ``_MAX_NESTING`` (100) levels; a deeper expression
+raises ``ClassExprError`` at the first token past the cap.
+``parse_with_diagnostics`` lists dropped monomials only while the
+expression's total degree is at most ``_DIAGNOSTIC_MAX_DEGREE`` (48); past
+that it returns a single note saying the listing was omitted.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brill_noether import bn1_class, bn1_terms
+from .brill_noether import bn1_terms
 from .cohomology import CohomClass, monomial, monomial_text, mul_classes, render_class, unit_class
 
 __all__ = [
@@ -35,6 +43,16 @@ __all__ = [
     "parse_with_diagnostics",
     "format_class",
 ]
+
+
+# Deepest nesting of parentheses and unary minus; keeps the recursive
+# parser and evaluator far inside the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+# Largest total degree for which ``parse_with_diagnostics`` evaluates the
+# expression untruncated to list the dropped monomials; the untruncated
+# ring has (D+1)(D+2)/2 monomials at degree D, so the cost grows as D^4.
+_DIAGNOSTIC_MAX_DEGREE = 48
 
 
 class ClassExprError(ValueError):
@@ -133,16 +151,13 @@ class _Neg:
 
 
 @dataclass(frozen=True)
-class _BinOp:
-    op: str  # "+", "-", "*"
-    left: object
-    right: object
+class _Chain:
+    """``first`` followed by (op, operand) pairs.  A sum chain uses "+" and
+    "-"; a product chain uses "*" and "/", where the operand of "/" is a
+    nonzero integer divisor, and is folded left to right."""
 
-
-@dataclass(frozen=True)
-class _DivInt:
-    left: object
-    divisor: int
+    first: object
+    rest: tuple
 
 
 @dataclass(frozen=True)
@@ -155,6 +170,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -163,6 +179,14 @@ class _Parser:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
+
+    def enter(self, token: _Token) -> None:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ClassExprError(
+                token.position,
+                f"expression nests parentheses and unary minus deeper than {_MAX_NESTING} levels",
+            )
 
     def fail(self, expected: tuple[str, ...]):
         token = self.peek()
@@ -177,33 +201,35 @@ class _Parser:
 
     def parse_expr(self):
         node = self.parse_term()
+        rest = []
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            right = self.parse_term()
-            node = _BinOp(op, node, right)
-        return node
+            rest.append((op, self.parse_term()))
+        return _Chain(node, tuple(rest)) if rest else node
 
     def parse_term(self):
         node = self.parse_factor()
+        rest = []
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            if op == "*":
-                node = _BinOp("*", node, self.parse_factor())
-            else:
-                token = self.peek()
-                if token.kind != "number":
-                    self.fail(("an integer literal divisor",))
-                self.advance()
-                divisor = int(token.text)
-                if divisor == 0:
-                    raise DivisionByZeroLiteral(token.position)
-                node = _DivInt(node, divisor)
-        return node
+            if self.advance().kind == "*":
+                rest.append(("*", self.parse_factor()))
+                continue
+            token = self.peek()
+            if token.kind != "number":
+                self.fail(("an integer literal divisor",))
+            self.advance()
+            divisor = int(token.text)
+            if divisor == 0:
+                raise DivisionByZeroLiteral(token.position)
+            rest.append(("/", divisor))
+        return _Chain(node, tuple(rest)) if rest else node
 
     def parse_factor(self):
         if self.peek().kind == "-":
-            self.advance()
-            return _Neg(self.parse_factor())
+            self.enter(self.advance())
+            node = _Neg(self.parse_factor())
+            self.depth -= 1
+            return node
         node = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
@@ -251,11 +277,12 @@ class _Parser:
                 return _Bn1(sign * int(index_token.text), token.position)
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":
-            self.advance()
+            self.enter(self.advance())
             node = self.parse_expr()
             if self.peek().kind != ")":
                 self.fail(("')'",))
             self.advance()
+            self.depth -= 1
             return node
         self.fail(("a rational literal", "'x'", "'theta'", "'bn1'", "'('"))
 
@@ -263,96 +290,61 @@ class _Parser:
 # ----------------------------------------------------------------------
 # evaluation
 
-def _eval(node, g: int, d: int) -> CohomClass:
+def _eval(node, g: int, d: int, ambient: tuple[int, int]) -> CohomClass:
+    """Evaluate ``node`` for the curve data (g, d) in the ring of ``ambient``:
+    (g, d) itself, or a ring large enough that no monomial vanishes."""
     if isinstance(node, _Num):
-        return unit_class(g, d).scale(node.value)
+        return unit_class(*ambient).scale(node.value)
     if isinstance(node, _Sym):
-        return monomial(g, d, 1, 0) if node.name == "x" else monomial(g, d, 0, 1)
+        return monomial(*ambient, 1, 0) if node.name == "x" else monomial(*ambient, 0, 1)
     if isinstance(node, _Bn1):
         if node.index != d:
             raise Bn1IndexMismatch(node.position, node.index, d)
-        return bn1_class(g, d)
+        return CohomClass(*ambient, bn1_terms(g, d))
     if isinstance(node, _Neg):
-        return -_eval(node.operand, g, d)
-    if isinstance(node, _BinOp):
-        left = _eval(node.left, g, d)
-        right = _eval(node.right, g, d)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return mul_classes(left, right)
-    if isinstance(node, _DivInt):
-        return _eval(node.left, g, d).scale(Fraction(1, node.divisor))
+        return -_eval(node.operand, g, d, ambient)
+    if isinstance(node, _Chain) and node.rest[0][0] in "+-":
+        # One normalisation for the whole sum; folding binary additions
+        # would copy the running sum once per term.
+        signed = [("+", node.first), *node.rest]
+        return CohomClass(*ambient, (
+            (key, coeff if op == "+" else -coeff)
+            for op, operand in signed
+            for key, coeff in _eval(operand, g, d, ambient).terms.items()
+        ))
+    if isinstance(node, _Chain):
+        result = _eval(node.first, g, d, ambient)
+        for op, operand in node.rest:
+            if op == "*":
+                result = mul_classes(result, _eval(operand, g, d, ambient))
+            else:
+                result = result.scale(Fraction(1, operand))
+        return result
     if isinstance(node, _Pow):
-        return _eval(node.base, g, d) ** node.exponent
+        return _eval(node.base, g, d, ambient) ** node.exponent
     raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover
 
 
-# Shadow evaluation in the free polynomial ring (no degree truncation),
-# used only to tell the user which monomials the ambient annihilated.
-
-_FreePoly = dict
-
-
-def _free_scale(p: _FreePoly, scalar: Fraction) -> _FreePoly:
-    return {key: coeff * scalar for key, coeff in p.items() if coeff * scalar != 0}
-
-
-def _free_add(p: _FreePoly, q: _FreePoly) -> _FreePoly:
-    out = dict(p)
-    for key, coeff in q.items():
-        acc = out.get(key, Fraction(0)) + coeff
-        if acc == 0:
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
-
-
-def _free_mul(p: _FreePoly, q: _FreePoly) -> _FreePoly:
-    out: _FreePoly = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            key = (a1 + a2, b1 + b2)
-            acc = out.get(key, Fraction(0)) + c1 * c2
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def _free_eval(node, g: int, d: int) -> _FreePoly:
+def _degree(node, g: int, d: int) -> int:
+    """An upper bound on the total degree of ``node`` evaluated untruncated."""
     if isinstance(node, _Num):
-        return {} if node.value == 0 else {(0, 0): node.value}
+        return 0
     if isinstance(node, _Sym):
-        return {(1, 0): Fraction(1)} if node.name == "x" else {(0, 1): Fraction(1)}
+        return 1
     if isinstance(node, _Bn1):
-        return bn1_terms(g, d)
+        return max(g - d + 1, 0)
     if isinstance(node, _Neg):
-        return _free_scale(_free_eval(node.operand, g, d), Fraction(-1))
-    if isinstance(node, _BinOp):
-        left = _free_eval(node.left, g, d)
-        right = _free_eval(node.right, g, d)
-        if node.op == "+":
-            return _free_add(left, right)
-        if node.op == "-":
-            return _free_add(left, _free_scale(right, Fraction(-1)))
-        return _free_mul(left, right)
-    if isinstance(node, _DivInt):
-        return _free_scale(_free_eval(node.left, g, d), Fraction(1, node.divisor))
+        return _degree(node.operand, g, d)
+    if isinstance(node, _Chain):
+        degree = _degree(node.first, g, d)
+        for op, operand in node.rest:
+            if op == "*":
+                degree += _degree(operand, g, d)
+            elif op != "/":
+                degree = max(degree, _degree(operand, g, d))
+        return degree
     if isinstance(node, _Pow):
-        result: _FreePoly = {(0, 0): Fraction(1)}
-        base = _free_eval(node.base, g, d)
-        e = node.exponent
-        while e:
-            if e & 1:
-                result = _free_mul(result, base)
-            e >>= 1
-            if e:
-                base = _free_mul(base, base)
-        return result
+        return node.exponent * _degree(node.base, g, d)
     raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover
 
 
@@ -360,24 +352,37 @@ def parse(text: str, g: int, d: int) -> CohomClass:
     """Parse and evaluate ``text`` in the ambient (g, d)."""
     if g < 0 or d < 0:
         raise ValueError(f"ambient requires g >= 0 and d >= 0, got ({g}, {d})")
-    return _eval(_Parser(text).parse(), g, d)
+    return _eval(_Parser(text).parse(), g, d, (g, d))
 
 
 def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[str]]:
     """Like ``parse``, but also report the monomials that the ambient
-    annihilated (total degree above d, or theta power above g)."""
+    annihilated (total degree above d, or theta power above g).
+
+    The dropped monomials come from evaluating the expression again in an
+    ambient (D, D), D an upper bound on its total degree, where nothing
+    vanishes.  Above degree ``_DIAGNOSTIC_MAX_DEGREE`` that evaluation is
+    skipped and a single note says so.
+    """
     if g < 0 or d < 0:
         raise ValueError(f"ambient requires g >= 0 and d >= 0, got ({g}, {d})")
     ast = _Parser(text).parse()
-    result = _eval(ast, g, d)
-    free = _free_eval(ast, g, d)
+    result = _eval(ast, g, d, (g, d))
+    degree = _degree(ast, g, d)
+    if degree <= min(g, d):
+        return result, []  # no monomial can vanish
+    if degree > _DIAGNOSTIC_MAX_DEGREE:
+        return result, [
+            f"dropped-monomial listing omitted: the expression's degree can reach {degree}, "
+            f"above the listing limit of {_DIAGNOSTIC_MAX_DEGREE}"
+        ]
     kept = result.terms
     notes = []
-    for (a, b) in sorted(free, key=lambda key: (-key[1], -key[0])):
+    for (a, b), coeff in _eval(ast, g, d, (degree, degree)).sorted_terms():
         if (a, b) in kept:
             continue
         reason = f"theta power {b} exceeds g = {g}" if b > g else f"codimension {a + b} exceeds d = {d}"
-        notes.append(f"dropped {monomial_text(a, b)} (coefficient {free[(a, b)]}): {reason}")
+        notes.append(f"dropped {monomial_text(a, b)} (coefficient {coeff}): {reason}")
     return result, notes
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -33,9 +34,19 @@ from .arith import format_rat
 from .brill_noether import bn_query, cs_max_degree, pencil_dimension_hypothesis, rho
 from .classexpr import format_class, parse, parse_with_diagnostics
 from .cohomology import evaluate_top, pushforward_B
-from .cyclic_cover import construction_feasible, derive_profile, pencil_gap_report
-from .existence import audit_proof_chain, sweep, verify_inequality
+from .cyclic_cover import (
+    CyclicCoverProfile,
+    Feasibility,
+    PencilGapReport,
+    construction_feasible,
+    derive_profile,
+    pencil_gap_report,
+)
+from .existence import InequalityReport, audit_proof_chain, sweep, verify_inequality
 from .triple_cover import (
+    ReducednessBounds,
+    TripleCoverGeometry,
+    VanishingMargins,
     admissible_deltas,
     derive_geometry,
     reducedness_genus_bounds,
@@ -85,6 +96,25 @@ def _json_value(value):
 
 
 def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
+    try:
+        return _format(keys, rows, fmt)
+    except ValueError:
+        # The int-to-str digit limit (CVE-2020-10735) stays in force; name
+        # the column instead of repeating CPython's advice to raise it.
+        for key in keys:
+            for row in rows:
+                try:
+                    _cell(row[key])
+                except ValueError:
+                    raise ValueError(
+                        f"column {key!r} holds an integer of more than "
+                        f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+                        "limit for converting integers to text"
+                    ) from None
+        raise
+
+
+def _format(keys: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         payload = [{key: _json_value(row[key]) for key in keys} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
@@ -129,17 +159,25 @@ def _write(text: str, out: str | None) -> None:
 # ----------------------------------------------------------------------
 # handlers: each returns (keys, rows, violated)
 
-def _cmd_rho(args) -> tuple[list[str], list[dict], bool]:
-    value = rho(args.g, args.r, args.d)
-    return ["g", "r", "d", "rho"], [{"g": args.g, "r": args.r, "d": args.d, "rho": value}], False
+def _records(cls, records, violated: bool = False) -> tuple[list[str], list[dict], bool]:
+    """Rows whose columns are the fields of the dataclass ``cls``, in field order."""
+    keys = [field.name for field in dataclasses.fields(cls)]
+    return keys, [{key: getattr(record, key) for key in keys} for record in records], violated
+
+
+def _echo(args, **computed) -> tuple[list[str], list[dict], bool]:
+    """One row: the subcommand's required flags in declaration order, then ``computed``."""
+    flags = _COMMANDS[args.command][1]
+    row = {flag[2:]: getattr(args, flag[2:]) for flag, _, kwargs in flags if kwargs.get("required")}
+    row.update(computed)
+    return list(row), [row], False
 
 
 def _cmd_count(args):
     query = bn_query(args.g, args.r, args.d)
     if query.count is None:
         raise ValueError(f"Castelnuovo count requires rho == 0, got rho = {query.rho}")
-    row = {"g": args.g, "r": args.r, "d": args.d, "rho": query.rho, "count": query.count}
-    return ["g", "r", "d", "rho", "count"], [row], False
+    return _echo(args, rho=query.rho, count=query.count)
 
 
 def _cmd_eval(args):
@@ -149,65 +187,12 @@ def _cmd_eval(args):
             print(f"note: {note}", file=sys.stderr)
     else:
         cls = parse(args.expr, args.g, args.d)
-    row = {
-        "g": args.g,
-        "d": args.d,
-        "expr": args.expr,
-        "canonical": format_class(cls),
-        "value": evaluate_top(cls),
-    }
-    return ["g", "d", "expr", "canonical", "value"], [row], False
+    return _echo(args, canonical=format_class(cls), value=evaluate_top(cls))
 
 
 def _cmd_pushpull(args):
-    cls = parse(args.expr, args.g, args.d)
-    pushed = pushforward_B(args.k, cls)
-    row = {
-        "g": args.g,
-        "d": args.d,
-        "k": args.k,
-        "expr": args.expr,
-        "result": format_class(pushed),
-        "result_sym_index": pushed.sym_index,
-    }
-    return ["g", "d", "k", "expr", "result", "result_sym_index"], [row], False
-
-
-def _cmd_cs_bound(args):
-    row = {"g": args.g, "h": args.h, "max_degree": cs_max_degree(args.g, args.h)}
-    return ["g", "h", "max_degree"], [row], False
-
-
-def _cmd_lemma11(args):
-    row = {"g": args.g, "n": args.n, "satisfied": pencil_dimension_hypothesis(args.g, args.n)}
-    return ["g", "n", "satisfied"], [row], False
-
-
-_THEOREM_A_KEYS = [
-    "h",
-    "g",
-    "e",
-    "parity",
-    "critical_degree",
-    "lhs",
-    "rhs",
-    "lhs_via_expansion",
-    "strict",
-]
-
-
-def _theorem_a_row(report) -> dict:
-    return {
-        "h": report.h,
-        "g": report.g,
-        "e": report.e,
-        "parity": report.parity,
-        "critical_degree": report.critical_degree,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "lhs_via_expansion": report.lhs_via_expansion,
-        "strict": report.strict,
-    }
+    pushed = pushforward_B(args.k, parse(args.expr, args.g, args.d))
+    return _echo(args, result=format_class(pushed), result_sym_index=pushed.sym_index)
 
 
 def _cmd_theorem_a(args):
@@ -219,191 +204,147 @@ def _cmd_theorem_a(args):
         if args.h is None or args.g is None:
             raise ValueError("theorem-a needs either --h and --g, or --h-range")
         reports = [verify_inequality(args.h, args.g)]
-    rows = [_theorem_a_row(report) for report in reports]
-    violated = any(not report.strict for report in reports)
-    return _THEOREM_A_KEYS, rows, violated
+    return _records(InequalityReport, reports, any(not report.strict for report in reports))
 
 
 def _cmd_audit(args):
+    # AuditStep puts detail second; the CLI prints it last.
     audit = audit_proof_chain(args.h, args.g)
+    keys = ["h", "g", "e", "parity", "step", "lhs", "relation", "rhs", "holds", "detail"]
+    head = {"h": audit.h, "g": audit.g, "e": audit.e, "parity": audit.parity}
     rows = [
-        {
-            "h": audit.h,
-            "g": audit.g,
-            "e": audit.e,
-            "parity": audit.parity,
-            "step": step.name,
-            "lhs": step.lhs,
-            "relation": step.relation,
-            "rhs": step.rhs,
-            "holds": step.holds,
-            "detail": step.detail,
-        }
+        {**head, "step": step.name, "lhs": step.lhs, "relation": step.relation,
+         "rhs": step.rhs, "holds": step.holds, "detail": step.detail}
         for step in audit.steps
     ]
-    keys = ["h", "g", "e", "parity", "step", "lhs", "relation", "rhs", "holds", "detail"]
     return keys, rows, not audit.all_hold
-
-
-_MIRANDA_KEYS = ["g", "h", "delta", "det_e_degree", "n", "deg_m", "deg_l", "fx_fiber_coeff"]
 
 
 def _cmd_miranda(args):
     if args.all == (args.delta is not None):
         raise ValueError("miranda needs exactly one of --delta or --all")
     deltas = admissible_deltas(args.g, args.h) if args.all else [args.delta]
-    rows = []
-    for delta in deltas:
-        geom = derive_geometry(args.g, args.h, delta)
-        rows.append(
-            {
-                "g": geom.g,
-                "h": geom.h,
-                "delta": geom.delta,
-                "det_e_degree": geom.det_e_degree,
-                "n": geom.n,
-                "deg_m": geom.deg_m,
-                "deg_l": geom.deg_l,
-                "fx_fiber_coeff": geom.fx_fiber_coeff,
-            }
-        )
-    return _MIRANDA_KEYS, rows, False
+    return _records(TripleCoverGeometry, [derive_geometry(args.g, args.h, delta) for delta in deltas])
 
 
 def _cmd_lemma21(args):
     margins = section_vanishing_margins(args.g, args.h)
-    if args.per_delta:
-        rows = [
-            {
-                "g": args.g,
-                "h": args.h,
-                "delta": entry.delta,
-                "twist_degree_2d": margins.twist_degree_2d,
-                "deg_m_twisted": entry.deg_m_twisted,
-                "deg_l_twisted": entry.deg_l_twisted,
-                "bound_m": margins.bound_m,
-                "bound_l": margins.bound_l,
-            }
-            for entry in twisted_degrees(args.g, args.h)
-        ]
-        keys = [
-            "g",
-            "h",
-            "delta",
-            "twist_degree_2d",
-            "deg_m_twisted",
-            "deg_l_twisted",
-            "bound_m",
-            "bound_l",
-        ]
-        return keys, rows, False
-    row = {
-        "g": margins.g,
-        "h": margins.h,
-        "parity": margins.parity,
-        "twist_degree_2d": margins.twist_degree_2d,
-        "bound_m": margins.bound_m,
-        "bound_l": margins.bound_l,
-        "vanishing_guaranteed": margins.vanishing_guaranteed,
-    }
-    keys = ["g", "h", "parity", "twist_degree_2d", "bound_m", "bound_l", "vanishing_guaranteed"]
-    return keys, [row], False
-
-
-def _cmd_reducedness(args):
-    bounds = reducedness_genus_bounds(args.h)
-    row = {
-        "h": bounds.h,
-        "parity": bounds.parity,
-        "direct": bounds.direct,
-        "alternative": bounds.alternative,
-    }
-    return ["h", "parity", "direct", "alternative"], [row], False
-
-
-def _cmd_cyclic(args):
-    profile = derive_profile(args.g, args.h, args.t)
-    row = {
-        "g": profile.g,
-        "h": profile.h,
-        "t": profile.t,
-        "branch_count": profile.branch_count,
-        "k1": profile.k1,
-        "k2": profile.k2,
-        "dim_h0": profile.dim_h0,
-        "dim_h1": profile.dim_h1,
-        "dim_h2": profile.dim_h2,
-        "n1_lower": profile.n1_lower,
-        "n2_lower": profile.n2_lower,
-    }
-    keys = [
-        "g",
-        "h",
-        "t",
-        "branch_count",
-        "k1",
-        "k2",
-        "dim_h0",
-        "dim_h1",
-        "dim_h2",
-        "n1_lower",
-        "n2_lower",
+    if not args.per_delta:
+        return _records(VanishingMargins, [margins])
+    # One row per admissible delta, interleaving its twisted degrees with
+    # the shared margins.
+    keys = ["g", "h", "delta", "twist_degree_2d", "deg_m_twisted", "deg_l_twisted", "bound_m", "bound_l"]
+    shared = {"g": args.g, "h": args.h, "twist_degree_2d": margins.twist_degree_2d,
+              "bound_m": margins.bound_m, "bound_l": margins.bound_l}
+    rows = [
+        {**shared, "delta": entry.delta, "deg_m_twisted": entry.deg_m_twisted,
+         "deg_l_twisted": entry.deg_l_twisted}
+        for entry in twisted_degrees(args.g, args.h)
     ]
-    return keys, [row], False
+    return keys, rows, False
 
 
 def _cmd_gap(args):
     report = pencil_gap_report(args.g, args.h, args.t)
-    row = {
-        "g": report.g,
-        "h": report.h,
-        "t": report.t,
-        "cs_bound": report.cs_bound,
-        "composed_below": report.composed_below,
-        "largest_excluded": math.ceil(report.composed_below) - 1,
-        "exists_at_most": report.exists_at_most,
-        "theorem_a_degree": report.theorem_a_degree,
-    }
-    keys = [
-        "g",
-        "h",
-        "t",
-        "cs_bound",
-        "composed_below",
-        "largest_excluded",
-        "exists_at_most",
-        "theorem_a_degree",
-    ]
-    return keys, [row], False
+    keys, rows, violated = _records(PencilGapReport, [report])
+    keys.insert(keys.index("composed_below") + 1, "largest_excluded")
+    rows[0]["largest_excluded"] = math.ceil(report.composed_below) - 1
+    return keys, rows, violated
 
 
-def _cmd_feasible(args):
-    result = construction_feasible(args.g, args.h, args.t)
-    row = {
-        "g": result.g,
-        "h": result.h,
-        "t": result.t,
-        "feasible": result.feasible,
-        "ell": result.ell,
-    }
-    return ["g", "h", "t", "feasible", "ell"], [row], False
+# ----------------------------------------------------------------------
+# subcommand table: name -> (help, flags, handler); each flag is
+# (name, help, add_argument keyword arguments), in declaration order.
 
+_REQUIRED = {"type": int, "required": True}
+_OPTIONAL = {"type": int, "default": None}
+_SWITCH = {"action": "store_true"}
 
-_HANDLERS = {
-    "rho": _cmd_rho,
-    "count": _cmd_count,
-    "eval": _cmd_eval,
-    "pushpull": _cmd_pushpull,
-    "cs-bound": _cmd_cs_bound,
-    "lemma11": _cmd_lemma11,
-    "theorem-a": _cmd_theorem_a,
-    "audit": _cmd_audit,
-    "miranda": _cmd_miranda,
-    "lemma21": _cmd_lemma21,
-    "reducedness": _cmd_reducedness,
-    "cyclic": _cmd_cyclic,
-    "gap": _cmd_gap,
-    "feasible": _cmd_feasible,
+_GENUS_RANK_DEGREE = (("--g", "genus", _REQUIRED), ("--r", "rank", _REQUIRED), ("--d", "degree", _REQUIRED))
+_AMBIENT = (("--g", "genus of the ambient", _REQUIRED), ("--d", "symmetric-product index", _REQUIRED))
+_COVER_G = ("--g", "cover genus", _REQUIRED)
+_BASE_H = ("--h", "base genus", _REQUIRED)
+_SPLIT = ("--t", "branch split", _REQUIRED)
+
+_COMMANDS = {
+    "rho": (
+        "Brill-Noether number", _GENUS_RANK_DEGREE, lambda a: _echo(a, rho=rho(a.g, a.r, a.d))
+    ),
+    "count": ("Castelnuovo count at rho = 0", _GENUS_RANK_DEGREE, _cmd_count),
+    "eval": (
+        "evaluate a class expression in top degree",
+        (
+            *_AMBIENT,
+            ("--expr", "expression in x, theta, bn1(d)", {"required": True}),
+            ("--verbose", "report monomials dropped by the ambient", _SWITCH),
+        ),
+        _cmd_eval,
+    ),
+    "pushpull": (
+        "push an x-polynomial down k steps",
+        (
+            *_AMBIENT,
+            ("--k", "number of steps down", _REQUIRED),
+            ("--expr", "polynomial in x", {"required": True}),
+        ),
+        _cmd_pushpull,
+    ),
+    "cs-bound": (
+        "Castelnuovo-Severi forced degree",
+        (("--g", "genus of the cover", _REQUIRED), ("--h", "genus of the base", _REQUIRED)),
+        lambda a: _echo(a, max_degree=cs_max_degree(a.g, a.h)),
+    ),
+    "lemma11": (
+        "equi-dimensionality genus hypothesis",
+        (("--g", "genus", _REQUIRED), ("--n", "pencil degree parameter", _REQUIRED)),
+        lambda a: _echo(a, satisfied=pencil_dimension_hypothesis(a.g, a.n)),
+    ),
+    "theorem-a": (
+        "verify the critical-degree comparison",
+        (
+            ("--h", "base genus", _OPTIONAL),
+            ("--g", "cover genus", _OPTIONAL),
+            ("--h-range", "sweep base genera", {"type": int, "nargs": 2, "metavar": ("LO", "HI"), "default": None}),
+            ("--g-margin", "sweep genus margin above the bound", {"type": int, "default": 0}),
+        ),
+        _cmd_theorem_a,
+    ),
+    "audit": ("replay the inequality chain", (_BASE_H, _COVER_G), _cmd_audit),
+    "miranda": (
+        "ruled-surface degree ledger",
+        (
+            _COVER_G,
+            _BASE_H,
+            ("--delta", "minimal-section invariant", _OPTIONAL),
+            ("--all", "all admissible delta values", _SWITCH),
+        ),
+        _cmd_miranda,
+    ),
+    "lemma21": (
+        "section-vanishing margins",
+        (_COVER_G, _BASE_H, ("--per-delta", "actual twisted degrees for each admissible delta", _SWITCH)),
+        _cmd_lemma21,
+    ),
+    "reducedness": (
+        "reducedness genus bounds",
+        (_BASE_H,),
+        lambda a: _records(ReducednessBounds, [reducedness_genus_bounds(a.h)]),
+    ),
+    "cyclic": (
+        "cyclic-cover eigenspace ledger",
+        (_COVER_G, _BASE_H, _SPLIT),
+        lambda a: _records(CyclicCoverProfile, [derive_profile(a.g, a.h, a.t)]),
+    ),
+    "gap": (
+        "pencil-degree threshold comparison",
+        (_COVER_G, _BASE_H, ("--t", "normalized branch split", _REQUIRED)),
+        _cmd_gap,
+    ),
+    "feasible": (
+        "cyclic-cover construction feasibility",
+        (_COVER_G, _BASE_H, _SPLIT),
+        lambda a: _records(Feasibility, [construction_feasible(a.g, a.h, a.t)]),
+    ),
 }
 
 
@@ -419,82 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic enumerative checks for pencils on triple covers of curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    p = sub.add_parser("rho", parents=[common], help="Brill-Noether number")
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--r", type=int, required=True, help="rank")
-    p.add_argument("--d", type=int, required=True, help="degree")
-
-    p = sub.add_parser("count", parents=[common], help="Castelnuovo count at rho = 0")
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--r", type=int, required=True, help="rank")
-    p.add_argument("--d", type=int, required=True, help="degree")
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a class expression in top degree")
-    p.add_argument("--g", type=int, required=True, help="genus of the ambient")
-    p.add_argument("--d", type=int, required=True, help="symmetric-product index")
-    p.add_argument("--expr", required=True, help="expression in x, theta, bn1(d)")
-    p.add_argument("--verbose", action="store_true", help="report monomials dropped by the ambient")
-
-    p = sub.add_parser("pushpull", parents=[common], help="push an x-polynomial down k steps")
-    p.add_argument("--g", type=int, required=True, help="genus of the ambient")
-    p.add_argument("--d", type=int, required=True, help="symmetric-product index")
-    p.add_argument("--k", type=int, required=True, help="number of steps down")
-    p.add_argument("--expr", required=True, help="polynomial in x")
-
-    p = sub.add_parser("cs-bound", parents=[common], help="Castelnuovo-Severi forced degree")
-    p.add_argument("--g", type=int, required=True, help="genus of the cover")
-    p.add_argument("--h", type=int, required=True, help="genus of the base")
-
-    p = sub.add_parser("lemma11", parents=[common], help="equi-dimensionality genus hypothesis")
-    p.add_argument("--g", type=int, required=True, help="genus")
-    p.add_argument("--n", type=int, required=True, help="pencil degree parameter")
-
-    p = sub.add_parser(
-        "theorem-a", parents=[common], help="verify the critical-degree comparison"
-    )
-    p.add_argument("--h", type=int, default=None, help="base genus")
-    p.add_argument("--g", type=int, default=None, help="cover genus")
-    p.add_argument(
-        "--h-range", type=int, nargs=2, metavar=("LO", "HI"), default=None, help="sweep base genera"
-    )
-    p.add_argument("--g-margin", type=int, default=0, help="sweep genus margin above the bound")
-
-    p = sub.add_parser("audit", parents=[common], help="replay the inequality chain")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-    p.add_argument("--g", type=int, required=True, help="cover genus")
-
-    p = sub.add_parser("miranda", parents=[common], help="ruled-surface degree ledger")
-    p.add_argument("--g", type=int, required=True, help="cover genus")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-    p.add_argument("--delta", type=int, default=None, help="minimal-section invariant")
-    p.add_argument("--all", action="store_true", help="all admissible delta values")
-
-    p = sub.add_parser("lemma21", parents=[common], help="section-vanishing margins")
-    p.add_argument("--g", type=int, required=True, help="cover genus")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-    p.add_argument(
-        "--per-delta", action="store_true", help="actual twisted degrees for each admissible delta"
-    )
-
-    p = sub.add_parser("reducedness", parents=[common], help="reducedness genus bounds")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-
-    p = sub.add_parser("cyclic", parents=[common], help="cyclic-cover eigenspace ledger")
-    p.add_argument("--g", type=int, required=True, help="cover genus")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-    p.add_argument("--t", type=int, required=True, help="branch split")
-
-    p = sub.add_parser("gap", parents=[common], help="pencil-degree threshold comparison")
-    p.add_argument("--g", type=int, required=True, help="cover genus")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-    p.add_argument("--t", type=int, required=True, help="normalized branch split")
-
-    p = sub.add_parser("feasible", parents=[common], help="cyclic-cover construction feasibility")
-    p.add_argument("--g", type=int, required=True, help="cover genus")
-    p.add_argument("--h", type=int, required=True, help="base genus")
-    p.add_argument("--t", type=int, required=True, help="branch split")
-
+    for name, (summary, flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=summary)
+        for flag, flag_help, kwargs in flags:
+            command.add_argument(flag, help=flag_help, **kwargs)
     return parser
 
 
@@ -505,7 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        keys, rows, violated = _HANDLERS[args.command](args)
+        keys, rows, violated = _COMMANDS[args.command][2](args)
         _write(_render(keys, rows, args.format), args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

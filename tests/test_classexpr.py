@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ from hypothesis import given, strategies as st
 
 from triplecover.brill_noether import bn1_class
 from triplecover.classexpr import (
+    _DIAGNOSTIC_MAX_DEGREE,
+    _MAX_NESTING,
     Bn1IndexMismatch,
+    ClassExprError,
     DivisionByZeroLiteral,
     ExprSyntaxError,
     format_class,
@@ -181,3 +185,51 @@ def test_diagnostics_track_bn1_collapse():
     result, notes = parse_with_diagnostics("bn1(3)", 10, 3)
     assert not result
     assert len(notes) == 2
+
+
+def test_nesting_is_capped_with_a_position():
+    # Parentheses and unary minus share one budget; the first token past it
+    # is reported, never a RecursionError.
+    assert parse("(" * _MAX_NESTING + "x" + ")" * _MAX_NESTING, 4, 3) == monomial(4, 3, 1, 0)
+    assert parse("-(" * (_MAX_NESTING // 2) + "x" + ")" * (_MAX_NESTING // 2), 4, 3) == monomial(4, 3, 1, 0)
+    for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x", "(-" * 51 + "x" + ")" * 51):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == _MAX_NESTING + 1
+        assert "deeper than" in str(info.value)
+
+
+def test_long_chains_parse_flat():
+    g, d = 4, 3
+    assert parse("+".join(["x"] * 5000), g, d) == monomial(g, d, 1, 0, 5000)
+    assert parse("x" + "-x" * 3000, g, d) == monomial(g, d, 1, 0, -2999)
+    assert parse("*".join(["x"] * 3000), g, d) == zero_class(g, d)
+    assert parse("theta" + "*2/3" * 2000, g, d) == monomial(g, d, 0, 1, Fraction(2, 3) ** 2000)
+
+
+def test_dense_round_trip_on_a_large_ambient():
+    rng = random.Random(60)
+    terms = {
+        (a, b): Fraction(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 9))
+        for a in range(61)
+        for b in range(61 - a)
+    }
+    cls = CohomClass(60, 60, terms)
+    assert len(cls.terms) == 1891
+    assert parse(format_class(cls), 60, 60) == cls
+
+
+def test_diagnostics_omitted_past_the_degree_limit():
+    # At the limit every dropped monomial is listed; past it, one note.
+    limit = _DIAGNOSTIC_MAX_DEGREE
+    result, notes = parse_with_diagnostics(f"(x+theta+1)^{limit}", 4, 3)
+    assert result == parse(f"(x+theta+1)^{limit}", 4, 3)
+    assert len(notes) == (limit + 1) * (limit + 2) // 2 - 10
+    result, notes = parse_with_diagnostics("(x+theta+1)^300", 4, 3)
+    assert result == parse("(x+theta+1)^300", 4, 3)
+    assert notes == [
+        "dropped-monomial listing omitted: the expression's degree can reach 300, "
+        f"above the listing limit of {limit}"
+    ]
+    # Nothing can vanish when the degree fits the ambient, however large.
+    assert parse_with_diagnostics("(x+1)^60", 80, 70)[1] == []

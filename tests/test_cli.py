@@ -285,3 +285,40 @@ def test_oversized_integer_and_unwritable_out_exit_two(tmp_path):
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+
+def test_oversized_integer_message_names_column_and_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run(capsys, "count", "--g", "20000", "--r", "1", "--d", "10001", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: column 'count' holds an integer of more than {limit} digits, "
+            "the interpreter's limit for converting integers to text\n"
+        )
+        assert "set_int_max_str_digits" not in err
+
+
+def test_deep_or_long_expressions_never_crash():
+    # Over-deep nesting is an input error; long flat chains evaluate; the
+    # --verbose listing is skipped for a high-degree expression.
+    cases = [
+        (["--expr", "(" * 2000 + "x" + ")" * 2000], 2),
+        (["--expr=" + "-" * 2000 + "x"], 2),
+        (["--expr", "+".join(["x"] * 2000)], 0),
+        (["--verbose", "--expr", "(x+theta+1)^300"], 0),
+    ]
+    for extra, expected in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", "eval", "--g", "4", "--d", "3", *extra],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert proc.returncode == expected, extra[-1][:20]
+        assert "Traceback" not in proc.stderr
+        if expected == 2:
+            assert proc.stdout == ""
+            assert "deeper than 100 levels" in proc.stderr
