@@ -10,136 +10,24 @@ Python integers and ``fractions.Fraction``, no floating point anywhere.
 
 from __future__ import annotations
 
-from .arith import Rat, binomial, factorial, format_rat, recip_factorial
-from .brill_noether import (
-    BNQuery,
-    bn1_class,
-    bn_query,
-    castelnuovo_count,
-    cs_max_degree,
-    pencil_dimension_hypothesis,
-    rho,
-)
-from .classexpr import (
-    Bn1IndexMismatch,
-    ClassExprError,
-    DivisionByZeroLiteral,
-    ExprSyntaxError,
-    format_class,
-    parse,
-    parse_with_diagnostics,
-)
-from .cohomology import (
-    AmbientMismatchError,
-    CohomClass,
-    MixedMonomialError,
-    evaluate_top,
-    monomial,
-    mul_classes,
-    pair_via_pushforward,
-    pushforward_B,
-    render_class,
-    theta_class,
-    unit_class,
-    x_class,
-    zero_class,
-)
-from .cyclic_cover import (
-    BranchRangeError,
-    CongruenceError,
-    CyclicCoverProfile,
-    Feasibility,
-    PencilGapReport,
-    construction_feasible,
-    derive_profile,
-    normalize_t,
-    pencil_gap_report,
-)
-from .existence import (
-    AuditStep,
-    InequalityReport,
-    ProofAudit,
-    audit_proof_chain,
-    critical_degree,
-    genus_bound,
-    sweep,
-    verify_inequality,
-)
-from .triple_cover import (
-    DeltaParityError,
-    DeltaWindowError,
-    ReducednessBounds,
-    TripleCoverGeometry,
-    TwistedDegrees,
-    VanishingMargins,
-    admissible_deltas,
-    derive_geometry,
-    reducedness_genus_bounds,
-    section_vanishing_margins,
-    twisted_degrees,
-)
+from . import arith, brill_noether, classexpr, cohomology, cyclic_cover, existence, triple_cover
+from .arith import *
+from .brill_noether import *
+from .classexpr import *
+from .cohomology import *
+from .cyclic_cover import *
+from .existence import *
+from .triple_cover import *
 
 __version__ = "0.1.0"
 
+# The command-line front end (``triplecover.cli``) is not re-exported.
 __all__ = [
-    "Rat",
-    "factorial",
-    "recip_factorial",
-    "binomial",
-    "format_rat",
-    "CohomClass",
-    "AmbientMismatchError",
-    "MixedMonomialError",
-    "monomial",
-    "unit_class",
-    "zero_class",
-    "x_class",
-    "theta_class",
-    "mul_classes",
-    "evaluate_top",
-    "pushforward_B",
-    "pair_via_pushforward",
-    "render_class",
-    "BNQuery",
-    "bn_query",
-    "rho",
-    "castelnuovo_count",
-    "bn1_class",
-    "cs_max_degree",
-    "pencil_dimension_hypothesis",
-    "InequalityReport",
-    "AuditStep",
-    "ProofAudit",
-    "genus_bound",
-    "critical_degree",
-    "verify_inequality",
-    "audit_proof_chain",
-    "sweep",
-    "TripleCoverGeometry",
-    "VanishingMargins",
-    "TwistedDegrees",
-    "ReducednessBounds",
-    "DeltaParityError",
-    "DeltaWindowError",
-    "derive_geometry",
-    "admissible_deltas",
-    "section_vanishing_margins",
-    "twisted_degrees",
-    "reducedness_genus_bounds",
-    "CyclicCoverProfile",
-    "PencilGapReport",
-    "Feasibility",
-    "CongruenceError",
-    "BranchRangeError",
-    "derive_profile",
-    "normalize_t",
-    "pencil_gap_report",
-    "construction_feasible",
-    "ClassExprError",
-    "ExprSyntaxError",
-    "DivisionByZeroLiteral",
-    "Bn1IndexMismatch",
-    "parse",
-    "parse_with_diagnostics",
-    "format_class",
+    *arith.__all__,
+    *cohomology.__all__,
+    *brill_noether.__all__,
+    *existence.__all__,
+    *triple_cover.__all__,
+    *cyclic_cover.__all__,
+    *classexpr.__all__,
 ]

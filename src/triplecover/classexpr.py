@@ -23,16 +23,23 @@ minus -- is capped at ``_MAX_NESTING`` (100) levels; a deeper expression
 raises ``ClassExprError`` at the first token past the cap.
 ``parse_with_diagnostics`` lists dropped monomials only while the
 expression's total degree is at most ``_DIAGNOSTIC_MAX_DEGREE`` (48); past
-that it returns a single note saying the listing was omitted.
+that it returns a single note saying the listing was omitted.  Under the
+interpreter's int-to-str digit limit L (``sys.get_int_max_str_digits()``, 0
+meaning none), a number literal longer than L digits is rejected, and so is
+a power ``base^N`` whose base has a constant term p/q with max(|p|, q)^N
+certainly above L digits: that term of the result could not be printed.
+Powers of bases with constant term 0, 1 or -1 grow polynomially in N and are
+never rejected.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .brill_noether import bn1_terms
-from .cohomology import CohomClass, monomial, monomial_text, mul_classes, render_class, unit_class
+from .cohomology import CohomClass, monomial, monomial_text, mul_classes, unit_class
 
 __all__ = [
     "ClassExprError",
@@ -41,7 +48,6 @@ __all__ = [
     "Bn1IndexMismatch",
     "parse",
     "parse_with_diagnostics",
-    "format_class",
 ]
 
 
@@ -112,6 +118,12 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isdigit():
             while i < n and text[i].isdigit():
                 i += 1
+            limit = sys.get_int_max_str_digits()
+            if limit and i - start > limit:
+                raise ClassExprError(
+                    start + 1, f"number has more than {limit} digits, the interpreter's "
+                    "limit for converting text to integers"
+                )
             tokens.append(_Token("number", text[start:i], start + 1))
         elif ch.isalpha() or ch == "_":
             while i < n and (text[i].isalnum() or text[i] == "_"):
@@ -164,6 +176,7 @@ class _Chain:
 class _Pow:
     base: object
     exponent: int
+    position: int  # of the '^'
 
 
 class _Parser:
@@ -232,12 +245,12 @@ class _Parser:
             return node
         node = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
+            caret = self.advance()
             token = self.peek()
             if token.kind != "number":
                 self.fail(("a nonnegative integer exponent",))
             self.advance()
-            node = _Pow(node, int(token.text))
+            node = _Pow(node, int(token.text), caret.position)
         return node
 
     def parse_atom(self):
@@ -321,7 +334,20 @@ def _eval(node, g: int, d: int, ambient: tuple[int, int]) -> CohomClass:
                 result = result.scale(Fraction(1, operand))
         return result
     if isinstance(node, _Pow):
-        return _eval(node.base, g, d, ambient) ** node.exponent
+        base = _eval(node.base, g, d, ambient)
+        # The constant term of base^N is c^N.  With m = max(|p|, q) for
+        # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1, and 2^j has
+        # more than L decimal digits once 3j >= 10L, since 2^10 > 10^3.
+        limit = sys.get_int_max_str_digits()
+        constant = base.terms.get((0, 0), Fraction(0))
+        bits = max(abs(constant.numerator), constant.denominator).bit_length() - 1
+        if limit and 3 * bits * node.exponent >= 10 * limit:
+            raise ClassExprError(
+                node.position,
+                f"the power's constant term would have more than {limit} digits, "
+                "the interpreter's limit for converting integers to text",
+            )
+        return base ** node.exponent
     raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover
 
 
@@ -385,8 +411,3 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
         notes.append(f"dropped {monomial_text(a, b)} (coefficient {coeff}): {reason}")
     return result, notes
 
-
-def format_class(cls: CohomClass) -> str:
-    """Canonical rendering; ``parse(format_class(c), c.genus, c.sym_index)``
-    returns a class equal to ``c``."""
-    return render_class(cls)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .arith import format_rat
 from .brill_noether import bn_query, cs_max_degree, pencil_dimension_hypothesis, rho
-from .classexpr import format_class, parse, parse_with_diagnostics
+from .classexpr import parse, parse_with_diagnostics
 from .cohomology import evaluate_top, pushforward_B
 from .cyclic_cover import (
     CyclicCoverProfile,
@@ -75,58 +75,41 @@ def _workers_from_env() -> int | None:
 # ----------------------------------------------------------------------
 # rendering
 
-def _cell(value) -> str:
+def _cell(key: str, value) -> str:
+    """The text of one value in column ``key``; classes render canonically."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rat(value)
-    return str(value)
-
-
-def _json_value(value):
-    if value is None or isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        return format_rat(value)
-    if isinstance(value, int):
-        return str(value)
-    return value
-
-
-def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
     try:
-        return _format(keys, rows, fmt)
+        return format_rat(value) if isinstance(value, Fraction) else str(value)
     except ValueError:
         # The int-to-str digit limit (CVE-2020-10735) stays in force; name
         # the column instead of repeating CPython's advice to raise it.
-        for key in keys:
-            for row in rows:
-                try:
-                    _cell(row[key])
-                except ValueError:
-                    raise ValueError(
-                        f"column {key!r} holds an integer of more than "
-                        f"{sys.get_int_max_str_digits()} digits, the interpreter's "
-                        "limit for converting integers to text"
-                    ) from None
-        raise
+        raise ValueError(
+            f"column {key!r} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+            "limit for converting integers to text"
+        ) from None
 
 
-def _format(keys: list[str], rows: list[dict], fmt: str) -> str:
+def _json_value(key: str, value):
+    return value if value is None or isinstance(value, bool) else _cell(key, value)
+
+
+def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        payload = [{key: _json_value(row[key]) for key in keys} for row in rows]
+        payload = [{key: _json_value(key, row[key]) for key in keys} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(keys)
         for row in rows:
-            writer.writerow([_cell(row[key]) for key in keys])
+            writer.writerow([_cell(key, row[key]) for key in keys])
         return buffer.getvalue()
     # table
-    cells = [[_cell(row[key]) for key in keys] for row in rows]
+    cells = [[_cell(key, row[key]) for key in keys] for row in rows]
     widths = [
         max(len(keys[i]), *(len(line[i]) for line in cells)) if cells else len(keys[i])
         for i in range(len(keys))
@@ -187,12 +170,12 @@ def _cmd_eval(args):
             print(f"note: {note}", file=sys.stderr)
     else:
         cls = parse(args.expr, args.g, args.d)
-    return _echo(args, canonical=format_class(cls), value=evaluate_top(cls))
+    return _echo(args, canonical=cls, value=evaluate_top(cls))
 
 
 def _cmd_pushpull(args):
     pushed = pushforward_B(args.k, parse(args.expr, args.g, args.d))
-    return _echo(args, result=format_class(pushed), result_sym_index=pushed.sym_index)
+    return _echo(args, result=pushed, result_sym_index=pushed.sym_index)
 
 
 def _cmd_theorem_a(args):

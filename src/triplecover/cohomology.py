@@ -6,9 +6,11 @@ symmetric product of a genus-g curve:
 * ``x``     -- the divisor class obtained by adding a fixed point,
 * ``theta`` -- the pullback of the theta divisor under the abelian sum map.
 
-Monomials x^a * theta^b with a + b > d or b > g vanish and are dropped on
-normalisation, so equality of classes is structural equality of the stored
-term maps.  Top-degree evaluation uses Poincare's formula
+The ``CohomClass`` constructor is the ring's only normaliser: it sums repeated
+monomials exactly and drops zero sums and the vanishing monomials x^a * theta^b
+with a + b > d or b > g.  Products, sums, scalings and push-forwards hand it
+raw terms, so equality of classes is structural equality of the stored term
+maps.  Top-degree evaluation uses Poincare's formula
 
     (x^(d-b) * theta^b) = g! / (g-b)!
 
@@ -54,8 +56,8 @@ class MixedMonomialError(ValueError):
 class CohomClass:
     """An exact-rational polynomial in x and theta on a fixed ambient (g, d).
 
-    Instances are immutable; every constructor normalises eagerly, dropping
-    zero coefficients and monomials that vanish for degree reasons.
+    Instances are immutable.  ``terms`` maps or lists ((x power, theta power),
+    coefficient) pairs; coefficients must be ``int`` or ``Fraction``.
     """
 
     __slots__ = ("genus", "sym_index", "_terms")
@@ -68,25 +70,25 @@ class CohomClass:
     ):
         if genus < 0 or sym_index < 0:
             raise ValueError(f"ambient requires genus >= 0 and sym_index >= 0, got ({genus}, {sym_index})")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        normalized: dict[tuple[int, int], Fraction] = {}
-        for (a, b), coeff in items:
+        sums: dict[tuple[int, int], Fraction | int] = {}
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            a, b = key
             if a < 0 or b < 0:
                 raise ValueError(f"monomial exponents must be nonnegative, got x^{a}*theta^{b}")
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
             if a + b > sym_index or b > genus:
                 continue  # vanishing monomial
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            key = (a, b)
-            acc = normalized.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                normalized.pop(key, None)
+            if key in sums:
+                sums[key] += coeff
             else:
-                normalized[key] = acc
+                sums[key] = coeff
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "sym_index", sym_index)
-        object.__setattr__(self, "_terms", normalized)
+        object.__setattr__(self, "_terms", {
+            key: coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            for key, coeff in sums.items() if coeff
+        })
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CohomClass is immutable")
@@ -119,10 +121,7 @@ class CohomClass:
         if not isinstance(other, CohomClass):
             return NotImplemented
         _check_ambient(self, other)
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return CohomClass(self.genus, self.sym_index, merged)
+        return CohomClass(self.genus, self.sym_index, [*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "CohomClass") -> "CohomClass":
         if not isinstance(other, CohomClass):
@@ -145,8 +144,7 @@ class CohomClass:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"class exponent must be a nonnegative integer, got {exponent!r}")
         result = unit_class(self.genus, self.sym_index)
-        base = self
-        e = exponent
+        base, e = self, exponent
         while e:
             if e & 1:
                 result = mul_classes(result, base)
@@ -156,9 +154,8 @@ class CohomClass:
         return result
 
     def scale(self, scalar: Fraction | int) -> "CohomClass":
-        scalar = Fraction(scalar)
         return CohomClass(
-            self.genus, self.sym_index, {key: coeff * scalar for key, coeff in self._terms.items()}
+            self.genus, self.sym_index, ((key, coeff * scalar) for key, coeff in self._terms.items())
         )
 
     def __repr__(self) -> str:
@@ -200,20 +197,11 @@ def theta_class(genus: int, sym_index: int) -> CohomClass:
 def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
     """Product in the truncated ring; both factors must share the ambient."""
     _check_ambient(lhs, rhs)
-    d, g = lhs.sym_index, lhs.genus
-    product: dict[tuple[int, int], Fraction] = {}
-    for (a1, b1), c1 in lhs._terms.items():
-        for (a2, b2), c2 in rhs._terms.items():
-            a, b = a1 + a2, b1 + b2
-            if a + b > d or b > g:
-                continue
-            key = (a, b)
-            acc = product.get(key, Fraction(0)) + c1 * c2
-            if acc == 0:
-                product.pop(key, None)
-            else:
-                product[key] = acc
-    return CohomClass(g, d, product)
+    return CohomClass(lhs.genus, lhs.sym_index, (
+        ((a1 + a2, b1 + b2), c1 * c2)
+        for (a1, b1), c1 in lhs._terms.items()
+        for (a2, b2), c2 in rhs._terms.items()
+    ))
 
 
 def evaluate_top(cls: CohomClass) -> Fraction:
@@ -224,11 +212,7 @@ def evaluate_top(cls: CohomClass) -> Fraction:
     already satisfy b <= g, so the falling factorial is well defined.
     """
     g, d = cls.genus, cls.sym_index
-    total = Fraction(0)
-    for (a, b), coeff in cls._terms.items():
-        if a + b == d:
-            total += coeff * math.perm(g, b)
-    return total
+    return sum((coeff * math.perm(g, b) for (a, b), coeff in cls._terms.items() if a + b == d), Fraction(0))
 
 
 def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
@@ -245,18 +229,14 @@ def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
         raise ValueError(
             f"push-forward index {k} exceeds the symmetric-product index {cls.sym_index}"
         )
-    pushed: dict[tuple[int, int], Fraction] = {}
-    for (a, b), coeff in cls._terms.items():
+    for a, b in cls._terms:
         if b != 0:
             raise MixedMonomialError(
                 f"push-forward is only defined on polynomials in x; found x^{a}*theta^{b}"
             )
-        c = binomial(a, k)
-        if c == 0:
-            continue
-        key = (a - k, 0)
-        pushed[key] = pushed.get(key, Fraction(0)) + coeff * c
-    return CohomClass(cls.genus, cls.sym_index - k, pushed)
+    return CohomClass(cls.genus, cls.sym_index - k, (
+        ((a - k, 0), coeff * binomial(a, k)) for (a, _), coeff in cls._terms.items() if a >= k
+    ))
 
 
 def pair_via_pushforward(small: CohomClass, k: int, x_power: int) -> Fraction:
@@ -303,6 +283,4 @@ def render_class(cls: CohomClass) -> str:
             parts.append(piece if coeff > 0 else "-" + piece)
         else:
             parts.append((" + " if coeff > 0 else " - ") + piece)
-    if not parts:
-        return "0"
-    return "".join(parts)
+    return "".join(parts) or "0"

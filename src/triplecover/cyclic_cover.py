@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brill_noether import cs_max_degree
-from .existence import critical_degree
+from .existence import _require_base_genus, critical_degree
 
 __all__ = [
     "CongruenceError",
@@ -96,8 +96,7 @@ class Feasibility:
 
 
 def _validate_t(g: int, h: int, t: int) -> int:
-    if h < 1:
-        raise ValueError(f"base genus must be at least 1, got {h}")
+    _require_base_genus(h)
     if g < 3 * h - 1:
         raise ValueError(f"cyclic-cover numerology needs g >= 3h - 1, got g = {g}, h = {h}")
     branch_count = g - 3 * h + 2
@@ -167,8 +166,7 @@ def construction_feasible(g: int, h: int, t: int) -> Feasibility:
     every base curve: g >= 7h - 4, (g - 3h + 2)/2 <= t <= g - 3h + 2 and
     t congruent to 2g - 2 mod 3.  Infeasibility is a result, not an error.
     """
-    if h < 1:
-        raise ValueError(f"base genus must be at least 1, got {h}")
+    _require_base_genus(h)
     branch_count = g - 3 * h + 2
     feasible = (
         g >= 7 * h - 4

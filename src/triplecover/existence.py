@@ -22,6 +22,7 @@ results assembled in a deterministic order regardless of worker count.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,18 +89,16 @@ class ProofAudit:
         return [step for step in self.steps if not step.holds]
 
 
-_RELATIONS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
+def _require_base_genus(h: int) -> None:
+    if h < 1:
+        raise ValueError(f"base genus must be at least 1, got {h}")
 
 
 def _parity_e(h: int) -> tuple[str, int]:
-    if h < 1:
-        raise ValueError(f"base genus must be at least 1, got {h}")
+    _require_base_genus(h)
     if h % 2 == 0:
         return "even", h // 2
     return "odd", (h - 1) // 2
@@ -121,6 +120,12 @@ def critical_degree(h: int, g: int) -> int:
     """The last degree the statement must handle: g - floor((3h+1)/2) - 1."""
     _parity_e(h)
     return g - _half_bracket(h) - 1
+
+
+def _bn1_pairing(genus: int, m: int, x_power: int) -> Fraction:
+    """The rank-1 locus class on the m-th symmetric product of a curve of
+    the given genus, paired against x^x_power in top degree."""
+    return evaluate_top(mul_classes(bn1_class(genus, m), monomial(genus, m, x_power, 0)))
 
 
 def _min_genus_for_arithmetic(parity: str, e: int) -> int:
@@ -151,12 +156,9 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
         rhs = Fraction((g - 6 * e - 3) * s)
     else:
         lhs = Fraction(binomial(g, 3 * e + 3) * (g - 6 * e - 7), 3 * e + 4)
-        base_pairing = evaluate_top(
-            mul_classes(bn1_class(h, e + 2), monomial(h, e + 2, 2, 0))
-        )
-        rhs = binomial(g - 6 * e - 7, 2) * base_pairing
+        rhs = binomial(g - 6 * e - 7, 2) * _bn1_pairing(h, e + 2, 2)
 
-    expansion = evaluate_top(mul_classes(bn1_class(g, d), monomial(g, d, x_power, 0)))
+    expansion = _bn1_pairing(g, d, x_power)
     if expansion != lhs:
         raise ArithmeticError(
             f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
@@ -327,14 +329,10 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     )
 
     if even:
-        pairing = evaluate_top(
-            mul_classes(bn1_class(h, e + 1), monomial(h, e + 1, 1, 0))
-        )
+        pairing = _bn1_pairing(h, e + 1, 1)
         expected = Fraction(castelnuovo_count(h, 1, e + 1))
     else:
-        pairing = evaluate_top(
-            mul_classes(bn1_class(h, e + 2), monomial(h, e + 2, 2, 0))
-        )
+        pairing = _bn1_pairing(h, e + 2, 2)
         expected = factorial(2 * e + 1) * (
             recip_factorial(e) * recip_factorial(e + 1)
             - recip_factorial(e - 1) * recip_factorial(e + 2)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .existence import _parity_e
+from .existence import _parity_e, _require_base_genus
 
 __all__ = [
     "DeltaParityError",
@@ -101,8 +101,7 @@ class ReducednessBounds:
 
 
 def _require_cover(g: int, h: int) -> None:
-    if h < 1:
-        raise ValueError(f"base genus must be at least 1, got {h}")
+    _require_base_genus(h)
     if g < 3 * h:
         raise ValueError(f"triple-cover numerology needs g >= 3h, got g = {g}, h = {h}")
 

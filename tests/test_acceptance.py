@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from triplecover.arith import binomial
 from triplecover.brill_noether import bn1_class, castelnuovo_count, rho
-from triplecover.classexpr import format_class, parse
+from triplecover.classexpr import parse
 from triplecover.cli import main
-from triplecover.cohomology import CohomClass, evaluate_top, monomial, mul_classes, x_class
+from triplecover.cohomology import CohomClass, evaluate_top, monomial, mul_classes, render_class, x_class
 from triplecover.cyclic_cover import derive_profile, normalize_t, pencil_gap_report
 from triplecover.existence import audit_proof_chain, genus_bound, sweep, verify_inequality
 from triplecover.triple_cover import admissible_deltas, derive_geometry, section_vanishing_margins
@@ -187,7 +187,7 @@ def test_criterion_09_parser_round_trip_and_error_exits(capsys):
                 coeff = Fraction(rng.randint(-30, 30), rng.randint(1, 16))
                 terms[(a, b)] = terms.get((a, b), Fraction(0)) + coeff
             cls = CohomClass(g, d, terms)
-            assert parse(format_class(cls), g, d) == cls
+            assert parse(render_class(cls), g, d) == cls
         assert parse("theta^2/2 - x*theta", 4, 3) == bn1_class(4, 3)
         for expr in ("x + * theta", "1/0", "bn1(2)"):
             code = main(["eval", "--g", "4", "--d", "3", "--expr", expr])

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from triplecover.arith import binomial
 from triplecover.brill_noether import bn1_class
 from triplecover.classexpr import (
     _DIAGNOSTIC_MAX_DEGREE,
@@ -15,11 +17,10 @@ from triplecover.classexpr import (
     ClassExprError,
     DivisionByZeroLiteral,
     ExprSyntaxError,
-    format_class,
     parse,
     parse_with_diagnostics,
 )
-from triplecover.cohomology import CohomClass, monomial, unit_class, zero_class
+from triplecover.cohomology import CohomClass, monomial, render_class, unit_class, zero_class
 
 
 @st.composite
@@ -138,9 +139,9 @@ def test_ambient_validation():
 
 
 def test_format_examples():
-    assert format_class(bn1_class(4, 3)) == "1/2*theta^2 - x*theta"
-    assert format_class(zero_class(4, 3)) == "0"
-    assert format_class(monomial(4, 3, 3, 0)) == "x^3"
+    assert render_class(bn1_class(4, 3)) == "1/2*theta^2 - x*theta"
+    assert render_class(zero_class(4, 3)) == "0"
+    assert render_class(monomial(4, 3, 3, 0)) == "x^3"
 
 
 def test_whitespace_insensitivity():
@@ -155,13 +156,13 @@ def test_whitespace_insensitivity():
 
 @given(classes())
 def test_round_trip(cls):
-    assert parse(format_class(cls), cls.genus, cls.sym_index) == cls
+    assert parse(render_class(cls), cls.genus, cls.sym_index) == cls
 
 
 @given(classes())
 def test_format_is_idempotent(cls):
-    text = format_class(cls)
-    assert format_class(parse(text, cls.genus, cls.sym_index)) == text
+    text = render_class(cls)
+    assert render_class(parse(text, cls.genus, cls.sym_index)) == text
 
 
 def test_diagnostics_report_annihilated_monomials():
@@ -216,7 +217,7 @@ def test_dense_round_trip_on_a_large_ambient():
     }
     cls = CohomClass(60, 60, terms)
     assert len(cls.terms) == 1891
-    assert parse(format_class(cls), 60, 60) == cls
+    assert parse(render_class(cls), 60, 60) == cls
 
 
 def test_diagnostics_omitted_past_the_degree_limit():
@@ -233,3 +234,43 @@ def test_diagnostics_omitted_past_the_degree_limit():
     ]
     # Nothing can vanish when the degree fits the ambient, however large.
     assert parse_with_diagnostics("(x+1)^60", 80, 70)[1] == []
+
+
+@pytest.fixture
+def digit_limit():
+    """Pin the int-to-str digit limit at CPython's default for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_oversized_number_literals_are_positioned_errors(digit_limit):
+    assert parse("x + " + "0" * (digit_limit - 1) + "7", 4, 3) == parse("x + 7", 4, 3)
+    for text, position in (("x + " + "7" * (digit_limit + 1), 5), ("x^" + "9" * 5000, 3)):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == position
+        assert f"more than {digit_limit} digits" in str(info.value)
+
+
+def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
+    # 2^n has more than 4300 digits for certain once 3n >= 43000.
+    first = -(-10 * digit_limit // 3)
+    assert parse(f"2^{first - 1}", 4, 3) == unit_class(4, 3).scale(2 ** (first - 1))
+    for text, position in ((f"2^{first}", 2), ("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == position
+        assert "constant term" in str(info.value)
+    with pytest.raises(ClassExprError):
+        parse_with_diagnostics("(2*x+2)^100000000", 4, 3)
+    # Constant term 0 or +-1: coefficients grow polynomially, no bound.
+    assert parse("(x+theta)^1000000000", 4, 3) == zero_class(4, 3)
+    assert parse("(-1)^1000000001", 4, 3) == unit_class(4, 3).scale(-1)
+    assert parse("(x-1)^1000000000", 4, 3) == CohomClass(
+        4, 3, {(k, 0): (-1) ** k * binomial(10**9, k) for k in range(4)}
+    )
+    # A limit of 0 disables the bound.
+    sys.set_int_max_str_digits(0)
+    assert parse(f"(2*x+2)^{first}", 4, 3).terms[(0, 0)] == 2**first

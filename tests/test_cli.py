@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from triplecover.cli import main
 
@@ -322,3 +328,87 @@ def test_deep_or_long_expressions_never_crash():
         if expected == 2:
             assert proc.stdout == ""
             assert "deeper than 100 levels" in proc.stderr
+
+
+def test_oversized_class_coefficient_names_the_canonical_column(capsys):
+    # 2^28000 has about 8,400 digits; the class itself reaches the renderer,
+    # which names the first column it cannot print.
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "2^14000*2^14000", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: column 'canonical' holds an integer of more than {limit} digits, "
+            "the interpreter's limit for converting integers to text\n"
+        )
+
+
+def test_oversized_literals_and_constant_powers_exit_two_quickly(capsys):
+    for expr in ("x + " + "7" * 5000, "x^" + "9" * 5000, "(2*x+2)^100000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", expr)
+        assert time.perf_counter() - start < 2, expr[:12]
+        assert code == 2, expr[:12]
+        assert out == ""
+        assert err.startswith("error: at position ")
+        assert "set_int_max_str_digits" not in err
+
+
+# Flags per subcommand for the fuzz test.
+_FUZZ_FLAGS = {
+    "rho": ("--g", "--r", "--d"),
+    "count": ("--g", "--r", "--d"),
+    "eval": ("--g", "--d", "--expr", "--verbose"),
+    "pushpull": ("--g", "--d", "--k", "--expr"),
+    "cs-bound": ("--g", "--h"),
+    "lemma11": ("--g", "--n"),
+    "theorem-a": ("--h", "--g"),
+    "audit": ("--h", "--g"),
+    "miranda": ("--g", "--h", "--delta", "--all"),
+    "lemma21": ("--g", "--h", "--per-delta"),
+    "reducedness": ("--h",),
+    "cyclic": ("--g", "--h", "--t"),
+    "gap": ("--g", "--h", "--t"),
+    "feasible": ("--g", "--h", "--t"),
+}
+_SWITCHES = {"--verbose", "--all", "--per-delta"}
+_FUZZ_EXPRS = (
+    "bn1(3)*x", "x^4 + x", "(x+theta+1)^5 - 3/2*theta^5", "2^14000*2^14000", "1" * 5000,
+    "x^" + "9" * 5000, "(2*x+2)^100000000", "(1/2*x-1)^100000", "(x-1)^1000000", "(x+theta+1)^300",
+    "(" * 200 + "x" + ")" * 200, "x/0", "x/theta", "bn1(-1)", "theta^", "", ")", "3/4*theta - 7",
+)
+# Small or negative ints: the ambients stay small, so every call is quick.
+_ints = st.integers(min_value=-3, max_value=12).map(str)
+_exprs = st.one_of(
+    st.sampled_from(_FUZZ_EXPRS),
+    st.lists(st.sampled_from(_FUZZ_EXPRS[:3] + ("x", "theta", "2", "-", "^3", "*", "(", ")")), max_size=6).map("".join),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag in _FUZZ_FLAGS[command]:
+        if flag in _SWITCHES:
+            if draw(st.booleans()):
+                argv.append(flag)
+        elif draw(st.integers(0, 9)):  # occasionally leave a flag out
+            argv += [flag, draw(_exprs if flag == "--expr" else _ints)]
+    if command == "theorem-a" and draw(st.booleans()):
+        argv += ["--h-range", draw(_ints), draw(_ints), "--g-margin", draw(_ints)]
+    return argv + ["--format", draw(st.sampled_from(("table", "csv", "json")))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"TRIPLECOVER_WORKERS": "1"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+    assert "set_int_max_str_digits" not in err.getvalue()

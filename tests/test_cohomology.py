@@ -55,6 +55,27 @@ def test_negative_exponents_rejected():
         CohomClass(4, 3, {(-1, 0): 1})
 
 
+def test_repeated_monomials_sum_exactly_and_cancel():
+    pairs = [((1, 0), Fraction(1, 3)), ((0, 1), 2), ((1, 0), Fraction(2, 3)), ((0, 1), -2), ((4, 0), 9)]
+    cls = CohomClass(4, 3, pairs)
+    assert cls.terms == {(1, 0): Fraction(1)}
+    assert all(type(coeff) is Fraction for coeff in cls.terms.values())
+    assert cls == CohomClass(4, 3, {(1, 0): 1})
+
+
+def test_only_int_and_fraction_coefficients_accepted():
+    for bad in (0.5, 1.0, "1", complex(1, 0)):
+        with pytest.raises(TypeError):
+            CohomClass(4, 3, {(1, 0): bad})
+        with pytest.raises(TypeError):
+            x_class(4, 3).scale(bad)
+    # Rejected even where the monomial vanishes or the sum would cancel.
+    with pytest.raises(TypeError):
+        CohomClass(4, 3, [((0, 9), 0.25)])
+    with pytest.raises(TypeError):
+        CohomClass(4, 3, [((1, 0), 0.5), ((1, 0), -0.5)])
+
+
 def test_equality_is_structural_on_normalized_maps():
     lhs = CohomClass(4, 3, {(1, 1): Fraction(2, 4), (3, 3): 5})
     rhs = CohomClass(4, 3, {(1, 1): Fraction(1, 2)})
