@@ -7,16 +7,18 @@ from fractions import Fraction
 import pytest
 
 from triplecover import existence
-from triplecover.arith import binomial, factorial
-from triplecover.brill_noether import bn1_class, castelnuovo_count
+from triplecover.arith import binomial, factorial, recip_factorial
+from triplecover.brill_noether import bn1_class, castelnuovo_count, rho
 from triplecover.cohomology import evaluate_top, monomial, mul_classes, pair_via_pushforward
 from triplecover.existence import (
+    InequalityReport,
     audit_proof_chain,
     critical_degree,
     genus_bound,
     sweep,
     verify_inequality,
 )
+from triplecover.triple_cover import VanishingMargins, section_vanishing_margins
 
 _RELATIONS = {
     "<": operator.lt,
@@ -251,3 +253,124 @@ def test_sweep_order_and_worker_independence():
 def test_sweep_rejects_negative_margin():
     with pytest.raises(ValueError):
         sweep((1, 2), -1)
+
+
+# ----------------------------------------------------------------------
+# Per-parity reference.  The formulas below are written separately for
+# h = 2e and h = 2e + 1, in e, as the argument is usually stated; the
+# library may compute the same quantities any other way, but every report,
+# audit step (sides and detail text) and vanishing margin must match them.
+
+
+def _base_pairing(h: int, m: int, x_power: int) -> Fraction:
+    return evaluate_top(mul_classes(bn1_class(h, m), monomial(h, m, x_power, 0)))
+
+
+def _reference_odd_count(e: int) -> Fraction:
+    return factorial(2 * e + 1) * (
+        recip_factorial(e) * recip_factorial(e + 1) - recip_factorial(e - 1) * recip_factorial(e + 2)
+    )
+
+
+def _reference_min_genus(h: int) -> int:
+    e = h // 2
+    return 6 * e + 4 if h % 2 == 0 else 6 * e + 8
+
+
+def _reference_report(h: int, g: int) -> InequalityReport:
+    e = h // 2
+    if h % 2 == 0:
+        lhs = Fraction(binomial(g, 3 * e + 2) - binomial(g, 3 * e + 1))
+        rhs = Fraction((g - 6 * e - 3) * castelnuovo_count(h, 1, e + 1))
+        d = g - 3 * e - 1
+    else:
+        lhs = Fraction(binomial(g, 3 * e + 3) * (g - 6 * e - 7), 3 * e + 4)
+        rhs = binomial(g - 6 * e - 7, 2) * _reference_odd_count(e)
+        d = g - 3 * e - 3
+    parity = "even" if h % 2 == 0 else "odd"
+    return InequalityReport(
+        h=h, g=g, e=e, parity=parity, critical_degree=d, lhs=lhs, rhs=rhs, lhs_via_expansion=lhs, strict=lhs > rhs
+    )
+
+
+def _reference_steps(h: int, g: int) -> list[tuple]:
+    e = h // 2
+    even = h % 2 == 0
+    sfx = "" if even else "_odd"
+    n = 3 * e + 2 if even else 3 * e + 4
+    m_pull = e + 1 if even else e + 2
+    m_lo = -(-(h + 2) // 2)
+    composed_dim = n - m_lo - h - 1 if m_lo <= (n + 1) // 3 else -1
+    beta_min = 3 * e + 3 if even else 3 * e + 5
+    slack = beta_min - 3 * e if even else beta_min - 3 * e - 2
+    residual_cap = g - 7 if even else g - 15
+    beta_cap = 9 * e + 4 if even else 9 * e + 10
+    if even:
+        doubling_lower, mm_upper = 2 * (beta_cap - 3 * e) - 5, beta_cap + 3 * e - 1
+        pairing, expected = _base_pairing(h, e + 1, 1), castelnuovo_count(h, 1, e + 1)
+    else:
+        doubling_lower, mm_upper = 2 * (beta_cap - 3 * e) - 9, beta_cap + 3 * e + 1
+        pairing, expected = _base_pairing(h, e + 2, 2), _reference_odd_count(e)
+    report = _reference_report(h, g)
+    window = Fraction(g - 3 * h, 2)
+    steps = [
+        ("cs_window", f"pencils of degree n+1 = {n + 1} fall inside the Castelnuovo-Severi "
+         "window: n+1 <= (g-3h)/2", n + 1, "<=", window),
+        ("pullback_rho", f"pulled-back pencils of base degree {m_pull} move in a family of "
+         f"nonnegative dimension: rho({h}, 1, {m_pull}) >= 0", rho(h, 1, m_pull), ">=", 0),
+        ("composed_dim", "the locus of degree-(n+1) pencils composed with the cover has "
+         "dimension < 1 (empty locus reported as -1)", composed_dim, "<", 1),
+        ("equidim_genus", "genus hypothesis for equi-dimensionality of the pencil loci: "
+         f"g >= (2n-3)(n-1) at n = {n}", g, ">=", (2 * n - 3) * (n - 1)),
+        ("bpfpt_chain", "base-point-free pencil trick at the minimal base-free degree "
+         f"beta = {beta_min}: h0(L^2) >= {slack} >= 3", slack, ">=", 3),
+        ("residual_case", "the residual-series case is ruled out by the genus hypothesis: "
+         f"12e < {'g-7' if even else 'g-15'}", 12 * e, "<", residual_cap),
+        ("martens_mumford", "the doubling dimension bound meets the Martens-Mumford cap "
+         f"exactly at beta = {beta_cap}", doubling_lower, "<=", mm_upper),
+        ("mm_vs_cs", "the Martens-Mumford cap fits inside the Castelnuovo-Severi "
+         f"window: {beta_cap} <= (g-3h)/2", beta_cap, "<=", window),
+        ("castelnuovo_pairing", "pairing the rank-1 locus class on the base curve reproduces the "
+         "Castelnuovo count", pairing, "==", expected),
+        ("final_strict", "the rank-1 locus pairs strictly above the pulled-back pencil "
+         "contribution at the critical degree", report.lhs, ">", report.rhs),
+    ]
+    return [
+        (name + sfx, detail, Fraction(lhs), relation, Fraction(rhs), _RELATIONS[relation](lhs, rhs))
+        for name, detail, lhs, relation, rhs in steps
+    ]
+
+
+def test_verifier_and_audit_match_the_per_parity_reference():
+    for h in range(1, 41):
+        low, bound = _reference_min_genus(h), genus_bound(h)
+        parity = "even" if h % 2 == 0 else "odd"
+        for g in sorted({*range(low - 3, low + 4), *range(bound - 2, bound + 3)}):
+            if g < low:
+                message = f"genus {g} too small for the {parity}-case arithmetic (needs g >= {low})"
+                for check in (verify_inequality, audit_proof_chain):
+                    with pytest.raises(ValueError) as info:
+                        check(h, g)
+                    assert str(info.value) == message
+                continue
+            assert verify_inequality(h, g) == _reference_report(h, g)
+            audit = audit_proof_chain(h, g)
+            assert (audit.h, audit.g, audit.e, audit.parity) == (h, g, h // 2, parity)
+            assert [
+                (s.name, s.detail, s.lhs, s.relation, s.rhs, s.holds) for s in audit.steps
+            ] == _reference_steps(h, g)
+
+
+def test_vanishing_margins_match_the_per_parity_reference():
+    for h in range(1, 41):
+        e, even = h // 2, h % 2 == 0
+        for g in range(3 * h - 2, 12 * h + 60):
+            assert section_vanishing_margins(g, h) == VanishingMargins(
+                g=g,
+                h=h,
+                parity="even" if even else "odd",
+                twist_degree_2d=2 * (e + 1 if even else e + 2),
+                bound_m=Fraction(-g + 6 * h + 4, 3),
+                bound_l=Fraction(-g + 6 * h + 2, 2),
+                vanishing_guaranteed=g > 6 * h + 4 if even else g > 6 * h + 7,
+            )
