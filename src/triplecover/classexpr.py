@@ -23,13 +23,14 @@ minus -- is capped at ``_MAX_NESTING`` (100) levels; a deeper expression
 raises ``ClassExprError`` at the first token past the cap.
 ``parse_with_diagnostics`` lists dropped monomials only while the
 expression's total degree is at most ``_DIAGNOSTIC_MAX_DEGREE`` (48); past
-that it returns a single note saying the listing was omitted.  Under the
-interpreter's int-to-str digit limit L (``sys.get_int_max_str_digits()``, 0
-meaning none), a number literal longer than L digits is rejected, and so is
-a power ``base^N`` whose base has a constant term p/q with max(|p|, q)^N
-certainly above L digits: that term of the result could not be printed.
-Powers of bases with constant term 0, 1 or -1 grow polynomially in N and are
-never rejected.
+that it returns a single note saying the listing was omitted and naming the
+degree bound, or saying that the bound has more than L digits when it is
+past the limit L below.  Under the interpreter's int-to-str digit limit L
+(``sys.get_int_max_str_digits()``, 0 meaning none), a number literal longer
+than L digits is rejected, and so is a power ``base^N`` whose base has a
+constant term p/q with max(|p|, q)^N certainly above L digits: that term of
+the result could not be printed.  Powers of bases with constant term 0, 1 or
+-1 grow polynomially in N and are never rejected.
 """
 
 from __future__ import annotations
@@ -398,8 +399,12 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
     if degree <= min(g, d):
         return result, []  # no monomial can vanish
     if degree > _DIAGNOSTIC_MAX_DEGREE:
+        try:
+            reach = str(degree)
+        except ValueError:  # more digits than the interpreter's int-to-str limit
+            reach = f"a number with more than {sys.get_int_max_str_digits()} digits"
         return result, [
-            f"dropped-monomial listing omitted: the expression's degree can reach {degree}, "
+            f"dropped-monomial listing omitted: the expression's degree can reach {reach}, "
             f"above the listing limit of {_DIAGNOSTIC_MAX_DEGREE}"
         ]
     kept = result.terms

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import format_rat
-from .brill_noether import bn_query, cs_max_degree, pencil_dimension_hypothesis, rho
+from .brill_noether import castelnuovo_count, cs_max_degree, pencil_dimension_hypothesis, rho
 from .classexpr import parse, parse_with_diagnostics
 from .cohomology import evaluate_top, pushforward_B
 from .cyclic_cover import (
@@ -156,13 +156,6 @@ def _echo(args, **computed) -> tuple[list[str], list[dict], bool]:
     return list(row), [row], False
 
 
-def _cmd_count(args):
-    query = bn_query(args.g, args.r, args.d)
-    if query.count is None:
-        raise ValueError(f"Castelnuovo count requires rho == 0, got rho = {query.rho}")
-    return _echo(args, rho=query.rho, count=query.count)
-
-
 def _cmd_eval(args):
     if args.verbose:
         cls, notes = parse_with_diagnostics(args.expr, args.g, args.d)
@@ -253,7 +246,11 @@ _COMMANDS = {
     "rho": (
         "Brill-Noether number", _GENUS_RANK_DEGREE, lambda a: _echo(a, rho=rho(a.g, a.r, a.d))
     ),
-    "count": ("Castelnuovo count at rho = 0", _GENUS_RANK_DEGREE, _cmd_count),
+    "count": (
+        "Castelnuovo count at rho = 0",
+        _GENUS_RANK_DEGREE,
+        lambda a: _echo(a, rho=rho(a.g, a.r, a.d), count=castelnuovo_count(a.g, a.r, a.d)),
+    ),
     "eval": (
         "evaluate a class expression in top degree",
         (

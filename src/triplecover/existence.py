@@ -2,15 +2,22 @@
 
 For a curve of genus g carrying a degree-3 cover of a general genus-h curve,
 the existence of base-point-free pencils of every degree down to the
-critical degree g - floor((3h+1)/2) - 1 reduces, at the critical degree
-itself, to one strict intersection-number inequality per parity of h:
+critical degree g - m - 1, m = floor((3h+1)/2), reduces at the critical
+degree itself to one strict intersection-number inequality:
 
-* the class of the rank-1 special-divisor locus, paired against the right
-  power of x (the left side), must strictly exceed
+* the class of the rank-1 special-divisor locus, paired against the
+  complementary power x^(g-2m-3) (the left side), must strictly exceed
 * the contribution of the pencils pulled back from the base curve (the
-  right side), a multiple of a Castelnuovo count.
+  right side).
 
-``verify_inequality`` computes the left side by two independent routes (a
+Written in m, the left side has one closed form for both parities of h,
+C(g, m+2) - C(g, m+1), which equals the odd case's C(g, m+1)(g-2m-3)/(m+2).
+Parity still matters in four places: the right side (the Castelnuovo count
+for h even, the base-curve class pairing for h odd), the audit's
+``residual_case`` step, the value the audit's ``castelnuovo_pairing`` step
+expects, and the ``_odd`` suffix of the odd-case audit step names.
+
+``verify_inequality`` computes the left side by two independent routes (the
 binomial closed form and a polynomial expansion evaluated by Poincare's
 formula) and insists they agree exactly.  ``audit_proof_chain`` replays the
 whole chain of auxiliary inequalities leading to the comparison, reporting
@@ -128,35 +135,39 @@ def _bn1_pairing(genus: int, m: int, x_power: int) -> Fraction:
     return evaluate_top(mul_classes(bn1_class(genus, m), monomial(genus, m, x_power, 0)))
 
 
-def _min_genus_for_arithmetic(parity: str, e: int) -> int:
-    # Smallest genus at which the complementary x-power is positive.
-    return 6 * e + 4 if parity == "even" else 6 * e + 8
+def _pullback_degree(h: int) -> int:
+    """Degree of the base-curve pencils pulled back at the critical degree
+    (e+1 for h = 2e, e+2 for h = 2e+1): the smallest d with rho(h, 1, d) >= 0."""
+    return (h + 3) // 2
 
 
 def verify_inequality(h: int, g: int) -> InequalityReport:
     """Compute both sides of the critical-degree comparison for (h, g).
 
-    The left side is evaluated twice: once by the binomial closed form and
+    With m = floor((3h+1)/2), the left side is evaluated twice: once by the
+    binomial closed form C(g, m+2) - C(g, m+1), the same number as
+    C(g, m+1)(g-2m-3)/(m+2) and so one expression for both parities, and
     once by expanding the rank-1 locus class against the complementary
-    x-power.  Disagreement between the two routes is a fatal internal
-    error, not a reportable verdict.
+    x-power g-2m-3.  Disagreement between the two routes is a fatal
+    internal error, not a reportable verdict.  Only the right side depends
+    on the parity of h: a multiple of the Castelnuovo count for h even, of
+    the base-curve class pairing for h odd.
     """
     parity, e = _parity_e(h)
-    if g < _min_genus_for_arithmetic(parity, e):
+    m = _half_bracket(h)
+    if g < 2 * m + 4:  # the complementary x-power g-2m-3 must be at least 1
         raise ValueError(
-            f"genus {g} too small for the {parity}-case arithmetic "
-            f"(needs g >= {_min_genus_for_arithmetic(parity, e)})"
+            f"genus {g} too small for the {parity}-case arithmetic (needs g >= {2 * m + 4})"
         )
     d = critical_degree(h, g)
-    x_power = 2 * d - g - 1  # complementary power: g-6e-3 even, g-6e-7 odd
+    x_power = 2 * d - g - 1
+    pullback = _pullback_degree(h)
 
+    lhs = Fraction(binomial(g, m + 2) - binomial(g, m + 1))
     if parity == "even":
-        lhs = Fraction(binomial(g, 3 * e + 2) - binomial(g, 3 * e + 1))
-        s = castelnuovo_count(h, 1, e + 1)
-        rhs = Fraction((g - 6 * e - 3) * s)
+        rhs = Fraction(x_power * castelnuovo_count(h, 1, pullback))
     else:
-        lhs = Fraction(binomial(g, 3 * e + 3) * (g - 6 * e - 7), 3 * e + 4)
-        rhs = binomial(g - 6 * e - 7, 2) * _bn1_pairing(h, e + 2, 2)
+        rhs = binomial(x_power, 2) * _bn1_pairing(h, pullback, 2)
 
     expansion = _bn1_pairing(g, d, x_power)
     if expansion != lhs:
@@ -194,8 +205,8 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     """Replay every inequality in the chain behind the existence bound.
 
     Each step is recorded with its exact sides and a verdict; a failed step
-    is reported, never raised.  The chain, per parity of h (odd-case steps
-    carry an ``_odd`` suffix):
+    is reported, never raised.  The chain, with m = floor((3h+1)/2) and
+    n = m + 2 (odd-case steps carry an ``_odd`` suffix):
 
     1. cs_window            the auxiliary pencil degree n+1 sits inside the
                             Castelnuovo-Severi window (g-3h)/2
@@ -221,146 +232,50 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     """
     parity, e = _parity_e(h)
     even = parity == "even"
-    sfx = "" if even else "_odd"
     m = _half_bracket(h)
     n = m + 2
-    steps: list[AuditStep] = []
-
-    steps.append(
-        _step(
-            "cs_window" + sfx,
-            f"pencils of degree n+1 = {n + 1} fall inside the Castelnuovo-Severi "
-            f"window: n+1 <= (g-3h)/2",
-            n + 1,
-            "<=",
-            Fraction(g - 3 * h, 2),
-        )
-    )
-
-    m_pull = e + 1 if even else e + 2
-    steps.append(
-        _step(
-            "pullback_rho" + sfx,
-            f"pulled-back pencils of base degree {m_pull} move in a family of "
-            f"nonnegative dimension: rho({h}, 1, {m_pull}) >= 0",
-            rho(h, 1, m_pull),
-            ">=",
-            0,
-        )
-    )
-
-    m_lo = -(-(h + 2) // 2)  # smallest base degree with rho >= 0
+    pullback = _pullback_degree(h)
+    window = Fraction(g - 3 * h, 2)
     m_hi = (n + 1) // 3  # largest base degree a composed pencil allows
-    composed_dim = (n - m_lo - h - 1) if m_lo <= m_hi else -1
-    steps.append(
-        _step(
-            "composed_dim" + sfx,
-            "the locus of degree-(n+1) pencils composed with the cover has "
-            "dimension < 1 (empty locus reported as -1)",
-            composed_dim,
-            "<",
-            1,
-        )
-    )
-
-    steps.append(
-        _step(
-            "equidim_genus" + sfx,
-            f"genus hypothesis for equi-dimensionality of the pencil loci: "
-            f"g >= (2n-3)(n-1) at n = {n}",
-            g,
-            ">=",
-            (2 * n - 3) * (n - 1),
-        )
-    )
-
-    beta_min = 3 * e + 3 if even else 3 * e + 5
-    slack = beta_min - 3 * e if even else beta_min - 3 * e - 2
-    steps.append(
-        _step(
-            "bpfpt_chain" + sfx,
-            f"base-point-free pencil trick at the minimal base-free degree "
-            f"beta = {beta_min}: h0(L^2) >= {slack} >= 3",
-            slack,
-            ">=",
-            3,
-        )
-    )
-
-    residual_cap = g - 7 if even else g - 15
-    steps.append(
-        _step(
-            "residual_case" + sfx,
-            "the residual-series case is ruled out by the genus hypothesis: "
-            f"12e < {'g-7' if even else 'g-15'}",
-            12 * e,
-            "<",
-            residual_cap,
-        )
-    )
-
-    beta_cap = 9 * e + 4 if even else 9 * e + 10
+    composed_dim = (n - pullback - h - 1) if pullback <= m_hi else -1
+    beta_min = m + 3
+    slack = beta_min - m
+    residual_cap, residual_text = (g - 7, "g-7") if even else (g - 15, "g-15")
+    beta_cap = 3 * m + 4
     if even:
-        doubling_lower = 2 * (beta_cap - 3 * e) - 5
-        mm_upper = beta_cap + 3 * e - 1
+        expected_count = Fraction(castelnuovo_count(h, 1, pullback))
     else:
-        doubling_lower = 2 * (beta_cap - 3 * e) - 9
-        mm_upper = beta_cap + 3 * e + 1
-    steps.append(
-        _step(
-            "martens_mumford" + sfx,
-            f"the doubling dimension bound meets the Martens-Mumford cap "
-            f"exactly at beta = {beta_cap}",
-            doubling_lower,
-            "<=",
-            mm_upper,
-        )
-    )
-
-    steps.append(
-        _step(
-            "mm_vs_cs" + sfx,
-            f"the Martens-Mumford cap fits inside the Castelnuovo-Severi "
-            f"window: {beta_cap} <= (g-3h)/2",
-            beta_cap,
-            "<=",
-            Fraction(g - 3 * h, 2),
-        )
-    )
-
-    if even:
-        pairing = _bn1_pairing(h, e + 1, 1)
-        expected = Fraction(castelnuovo_count(h, 1, e + 1))
-    else:
-        pairing = _bn1_pairing(h, e + 2, 2)
-        expected = factorial(2 * e + 1) * (
+        expected_count = factorial(2 * e + 1) * (
             recip_factorial(e) * recip_factorial(e + 1)
             - recip_factorial(e - 1) * recip_factorial(e + 2)
         )
-    steps.append(
-        _step(
-            "castelnuovo_pairing" + sfx,
-            "pairing the rank-1 locus class on the base curve reproduces the "
-            "Castelnuovo count",
-            pairing,
-            "==",
-            expected,
-        )
-    )
-
     report = verify_inequality(h, g)
-    steps.append(
-        _step(
-            "final_strict" + sfx,
-            "the rank-1 locus pairs strictly above the pulled-back pencil "
-            "contribution at the critical degree",
-            report.lhs,
-            ">",
-            report.rhs,
-        )
-    )
 
-    return ProofAudit(h=h, g=g, e=e, parity=parity, steps=tuple(steps))
+    chain = [
+        ("cs_window", f"pencils of degree n+1 = {n + 1} fall inside the Castelnuovo-Severi "
+         "window: n+1 <= (g-3h)/2", n + 1, "<=", window),
+        ("pullback_rho", f"pulled-back pencils of base degree {pullback} move in a family of "
+         f"nonnegative dimension: rho({h}, 1, {pullback}) >= 0", rho(h, 1, pullback), ">=", 0),
+        ("composed_dim", "the locus of degree-(n+1) pencils composed with the cover has "
+         "dimension < 1 (empty locus reported as -1)", composed_dim, "<", 1),
+        ("equidim_genus", "genus hypothesis for equi-dimensionality of the pencil loci: "
+         f"g >= (2n-3)(n-1) at n = {n}", g, ">=", (2 * n - 3) * (n - 1)),
+        ("bpfpt_chain", "base-point-free pencil trick at the minimal base-free degree "
+         f"beta = {beta_min}: h0(L^2) >= {slack} >= 3", slack, ">=", 3),
+        ("residual_case", "the residual-series case is ruled out by the genus hypothesis: "
+         f"12e < {residual_text}", 12 * e, "<", residual_cap),
+        ("martens_mumford", "the doubling dimension bound meets the Martens-Mumford cap "
+         f"exactly at beta = {beta_cap}", 2 * (beta_cap - m) - 5, "<=", beta_cap + m - 1),
+        ("mm_vs_cs", "the Martens-Mumford cap fits inside the Castelnuovo-Severi "
+         f"window: {beta_cap} <= (g-3h)/2", beta_cap, "<=", window),
+        ("castelnuovo_pairing", "pairing the rank-1 locus class on the base curve reproduces the "
+         "Castelnuovo count", _bn1_pairing(h, pullback, 2 * pullback - h - 1), "==", expected_count),
+        ("final_strict", "the rank-1 locus pairs strictly above the pulled-back pencil "
+         "contribution at the critical degree", report.lhs, ">", report.rhs),
+    ]
+    sfx = "" if even else "_odd"
+    steps = tuple(_step(name + sfx, *sides) for name, *sides in chain)
+    return ProofAudit(h=h, g=g, e=e, parity=parity, steps=steps)
 
 
 def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .existence import _parity_e, _require_base_genus
+from .existence import _parity_e, _pullback_degree, _require_base_genus
 
 __all__ = [
     "DeltaParityError",
@@ -150,21 +150,17 @@ def admissible_deltas(g: int, h: int) -> list[int]:
 
 def section_vanishing_margins(g: int, h: int) -> VanishingMargins:
     """Degree bounds for the twisted sub- and quotient bundles after adding
-    twice the auxiliary base-curve pencil divisor (degree e+1 for h = 2e,
-    e+2 for h = 2e+1):
+    twice the auxiliary base-curve pencil divisor (degree floor((h+3)/2):
+    e+1 for h = 2e, e+2 for h = 2e+1):
 
         bound_m = (-g + 6h + 4)/3,    bound_l = (-g + 6h + 2)/2.
 
-    Vanishing of sections is guaranteed when g > 6h + 4 (h even) or
-    g > 6h + 7 (h odd); in that regime both bounds are negative.
+    Vanishing of sections is guaranteed from the direct bound of
+    ``reducedness_genus_bounds`` on (g > 6h + 4 for h even, g > 6h + 7 for
+    h odd); in that regime both bounds are negative.
     """
-    parity, e = _parity_e(h)
-    if parity == "even":
-        deg_d = e + 1
-        guaranteed = g > 6 * h + 4
-    else:
-        deg_d = e + 2
-        guaranteed = g > 6 * h + 7
+    bounds = reducedness_genus_bounds(h)
+    guaranteed = g >= bounds.direct
     bound_m = Fraction(-g + 6 * h + 4, 3)
     bound_l = Fraction(-g + 6 * h + 2, 2)
     if guaranteed:
@@ -172,8 +168,8 @@ def section_vanishing_margins(g: int, h: int) -> VanishingMargins:
     return VanishingMargins(
         g=g,
         h=h,
-        parity=parity,
-        twist_degree_2d=2 * deg_d,
+        parity=bounds.parity,
+        twist_degree_2d=2 * _pullback_degree(h),
         bound_m=bound_m,
         bound_l=bound_l,
         vanishing_guaranteed=guaranteed,

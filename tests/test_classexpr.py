@@ -236,15 +236,6 @@ def test_diagnostics_omitted_past_the_degree_limit():
     assert parse_with_diagnostics("(x+1)^60", 80, 70)[1] == []
 
 
-@pytest.fixture
-def digit_limit():
-    """Pin the int-to-str digit limit at CPython's default for one test."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(saved)
-
-
 def test_oversized_number_literals_are_positioned_errors(digit_limit):
     assert parse("x + " + "0" * (digit_limit - 1) + "7", 4, 3) == parse("x + 7", 4, 3)
     for text, position in (("x + " + "7" * (digit_limit + 1), 5), ("x^" + "9" * 5000, 3)):

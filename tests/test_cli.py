@@ -355,6 +355,20 @@ def test_oversized_literals_and_constant_powers_exit_two_quickly(capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_verbose_degree_note_past_the_digit_limit(capsys, digit_limit):
+    # x^N*x^N with N = 10^L - 1 has the degree bound 2N, one digit past the
+    # limit L; the listing-omitted note must not try to print it.
+    nines = "9" * digit_limit
+    argv = ["eval", "--g", "4", "--d", "3", "--expr", f"x^{nines}*x^{nines}"]
+    code, out, err = run(capsys, *argv, "--verbose")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+    assert err == (
+        "note: dropped-monomial listing omitted: the expression's degree can reach a number "
+        f"with more than {digit_limit} digits, above the listing limit of 48\n"
+    )
+    assert "set_int_max_str_digits" not in err
+
 # Flags per subcommand for the fuzz test.
 _FUZZ_FLAGS = {
     "rho": ("--g", "--r", "--d"),
