@@ -12,9 +12,9 @@ audit) finds a violated inequality, 2 on usage or input errors.  Integers
 longer than the interpreter's int-to-str digit limit and ``--out`` targets
 that cannot be written are input errors.
 
-The sweep subcommand parallelises across base genera; the worker count is
-taken from the ``TRIPLECOVER_WORKERS`` environment variable and defaults
-to the number of available processors.
+``theorem-a --h-range`` sweeps the base genera in parallel, one worker task
+per base genus; the worker count is taken from the ``TRIPLECOVER_WORKERS``
+environment variable and defaults to the number of available processors.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ extended linearly over the exact rational coefficients.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .arith import binomial, format_rat
 

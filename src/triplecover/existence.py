@@ -10,12 +10,12 @@ degree itself to one strict intersection-number inequality:
 * the contribution of the pencils pulled back from the base curve (the
   right side).
 
-Written in m, the left side has one closed form for both parities of h,
-C(g, m+2) - C(g, m+1), which equals the odd case's C(g, m+1)(g-2m-3)/(m+2).
-Parity still matters in four places: the right side (the Castelnuovo count
-for h even, the base-curve class pairing for h odd), the audit's
-``residual_case`` step, the value the audit's ``castelnuovo_pairing`` step
-expects, and the ``_odd`` suffix of the odd-case audit step names.
+Both sides are built from one pairing: on the d-th symmetric product of a
+genus-G curve, the rank-1 locus class against x^(2d-G-1) is
+C(G, d-1) - C(G, d).  The left side is this at (g, g-m-1); the right side
+is C(g-2m-3, 2p-h-1) times this at (h, p), p = floor((h+3)/2).  Parity
+only sets the reported parity and e, the audit's ``residual_case`` step and
+the ``_odd`` suffix of the odd-case audit step names.
 
 ``verify_inequality`` computes the left side by two independent routes (the
 binomial closed form and a polynomial expansion evaluated by Poincare's
@@ -35,8 +35,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binomial, factorial, recip_factorial
-from .brill_noether import bn1_class, castelnuovo_count, rho
+from .arith import binomial
+from .brill_noether import bn1_class, rho
 from .cohomology import evaluate_top, monomial, mul_classes
 
 __all__ = [
@@ -118,21 +118,27 @@ def _half_bracket(h: int) -> int:
 
 def genus_bound(h: int) -> int:
     """Smallest genus the existence statement covers for base genus h."""
-    _parity_e(h)
+    _require_base_genus(h)
     m = _half_bracket(h)
     return (2 * m + 1) * (m + 1)
 
 
 def critical_degree(h: int, g: int) -> int:
     """The last degree the statement must handle: g - floor((3h+1)/2) - 1."""
-    _parity_e(h)
+    _require_base_genus(h)
     return g - _half_bracket(h) - 1
 
 
-def _bn1_pairing(genus: int, m: int, x_power: int) -> Fraction:
-    """The rank-1 locus class on the m-th symmetric product of a curve of
-    the given genus, paired against x^x_power in top degree."""
-    return evaluate_top(mul_classes(bn1_class(genus, m), monomial(genus, m, x_power, 0)))
+def _bn1_closed_form(genus: int, d: int) -> int:
+    """The rank-1 locus class on the d-th symmetric product of a genus-G
+    curve paired against x^(2d-G-1): C(G, d-1) - C(G, d), G = genus."""
+    return binomial(genus, d - 1) - binomial(genus, d)
+
+
+def _bn1_pairing(genus: int, d: int) -> Fraction:
+    """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
+    ring and evaluated by Poincare's formula."""
+    return evaluate_top(mul_classes(bn1_class(genus, d), monomial(genus, d, 2 * d - genus - 1, 0)))
 
 
 def _pullback_degree(h: int) -> int:
@@ -144,14 +150,14 @@ def _pullback_degree(h: int) -> int:
 def verify_inequality(h: int, g: int) -> InequalityReport:
     """Compute both sides of the critical-degree comparison for (h, g).
 
-    With m = floor((3h+1)/2), the left side is evaluated twice: once by the
-    binomial closed form C(g, m+2) - C(g, m+1), the same number as
-    C(g, m+1)(g-2m-3)/(m+2) and so one expression for both parities, and
-    once by expanding the rank-1 locus class against the complementary
-    x-power g-2m-3.  Disagreement between the two routes is a fatal
-    internal error, not a reportable verdict.  Only the right side depends
-    on the parity of h: a multiple of the Castelnuovo count for h even, of
-    the base-curve class pairing for h odd.
+    With m = floor((3h+1)/2) and d = g-m-1, the left side pairs the rank-1
+    locus class at (g, d) against x^(g-2m-3), evaluated twice: by the
+    binomial closed form C(g, d-1) - C(g, d) = C(g, m+2) - C(g, m+1) and by
+    expanding the class in the x/theta ring.  Disagreement between the two
+    routes is a fatal internal error, not a reportable verdict.  The right
+    side is C(g-2m-3, 2p-h-1) times the same closed form on the base curve
+    at the pull-back degree p = floor((h+3)/2), the Castelnuovo count of the
+    pulled-back pencils; no formula depends on the parity of h.
     """
     parity, e = _parity_e(h)
     m = _half_bracket(h)
@@ -160,16 +166,11 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
             f"genus {g} too small for the {parity}-case arithmetic (needs g >= {2 * m + 4})"
         )
     d = critical_degree(h, g)
-    x_power = 2 * d - g - 1
     pullback = _pullback_degree(h)
 
-    lhs = Fraction(binomial(g, m + 2) - binomial(g, m + 1))
-    if parity == "even":
-        rhs = Fraction(x_power * castelnuovo_count(h, 1, pullback))
-    else:
-        rhs = binomial(x_power, 2) * _bn1_pairing(h, pullback, 2)
-
-    expansion = _bn1_pairing(g, d, x_power)
+    lhs = Fraction(_bn1_closed_form(g, d))
+    rhs = Fraction(binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback))
+    expansion = _bn1_pairing(g, d)
     if expansion != lhs:
         raise ArithmeticError(
             f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
@@ -226,12 +227,11 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
                             Martens-Mumford cap exactly at the cap
     8. mm_vs_cs             the Martens-Mumford cap fits back inside the
                             Castelnuovo-Severi window
-    9. castelnuovo_pairing  the base-curve class pairing reproduces the
-                            Castelnuovo count
+    9. castelnuovo_pairing  the expanded base-curve class pairing
+                            reproduces its closed form, the Castelnuovo count
     10. final_strict        the critical-degree comparison itself
     """
     parity, e = _parity_e(h)
-    even = parity == "even"
     m = _half_bracket(h)
     n = m + 2
     pullback = _pullback_degree(h)
@@ -240,15 +240,8 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     composed_dim = (n - pullback - h - 1) if pullback <= m_hi else -1
     beta_min = m + 3
     slack = beta_min - m
-    residual_cap, residual_text = (g - 7, "g-7") if even else (g - 15, "g-15")
+    residual_cap, residual_text, sfx = (g - 7, "g-7", "") if parity == "even" else (g - 15, "g-15", "_odd")
     beta_cap = 3 * m + 4
-    if even:
-        expected_count = Fraction(castelnuovo_count(h, 1, pullback))
-    else:
-        expected_count = factorial(2 * e + 1) * (
-            recip_factorial(e) * recip_factorial(e + 1)
-            - recip_factorial(e - 1) * recip_factorial(e + 2)
-        )
     report = verify_inequality(h, g)
 
     chain = [
@@ -259,7 +252,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
         ("composed_dim", "the locus of degree-(n+1) pencils composed with the cover has "
          "dimension < 1 (empty locus reported as -1)", composed_dim, "<", 1),
         ("equidim_genus", "genus hypothesis for equi-dimensionality of the pencil loci: "
-         f"g >= (2n-3)(n-1) at n = {n}", g, ">=", (2 * n - 3) * (n - 1)),
+         f"g >= (2n-3)(n-1) at n = {n}", g, ">=", genus_bound(h)),
         ("bpfpt_chain", "base-point-free pencil trick at the minimal base-free degree "
          f"beta = {beta_min}: h0(L^2) >= {slack} >= 3", slack, ">=", 3),
         ("residual_case", "the residual-series case is ruled out by the genus hypothesis: "
@@ -269,11 +262,10 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
         ("mm_vs_cs", "the Martens-Mumford cap fits inside the Castelnuovo-Severi "
          f"window: {beta_cap} <= (g-3h)/2", beta_cap, "<=", window),
         ("castelnuovo_pairing", "pairing the rank-1 locus class on the base curve reproduces the "
-         "Castelnuovo count", _bn1_pairing(h, pullback, 2 * pullback - h - 1), "==", expected_count),
+         "Castelnuovo count", _bn1_pairing(h, pullback), "==", _bn1_closed_form(h, pullback)),
         ("final_strict", "the rank-1 locus pairs strictly above the pulled-back pencil "
          "contribution at the critical degree", report.lhs, ">", report.rhs),
     ]
-    sfx = "" if even else "_odd"
     steps = tuple(_step(name + sfx, *sides) for name, *sides in chain)
     return ProofAudit(h=h, g=g, e=e, parity=parity, steps=steps)
 

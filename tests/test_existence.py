@@ -374,3 +374,25 @@ def test_vanishing_margins_match_the_per_parity_reference():
                 bound_l=Fraction(-g + 6 * h + 2, 2),
                 vanishing_guaranteed=g > 6 * h + 4 if even else g > 6 * h + 7,
             )
+
+
+def test_bn1_pairing_closed_form_for_every_genus():
+    # On the d-th symmetric product of a genus-G curve, the rank-1 locus
+    # class paired against the complementary power x^(2d-G-1) is
+    # C(G, d-1) - C(G, d): the left side at (g, g-m-1) and, at the
+    # pull-back degree, the base-curve count on the right side.
+    cases = 0
+    for genus in range(61):
+        for d in range(max(1, (genus + 2) // 2), genus + 4):
+            x_power = 2 * d - genus - 1
+            pairing = evaluate_top(mul_classes(bn1_class(genus, d), monomial(genus, d, x_power, 0)))
+            assert pairing == binomial(genus, d - 1) - binomial(genus, d), (genus, d)
+            cases += 1
+    assert cases == 1113
+
+
+def test_castelnuovo_pairing_holds_at_the_genus_bound():
+    for h in range(1, 201):
+        audit = audit_proof_chain(h, genus_bound(h))
+        (step,) = [s for s in audit.steps if s.name.startswith("castelnuovo_pairing")]
+        assert step.holds and step.lhs == step.rhs > 0, h
