@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -328,7 +329,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process and
+    reused: ``parse_args`` keeps no state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "csv", "json"), default="table", help="output format"

@@ -15,6 +15,11 @@ maps.  Top-degree evaluation uses Poincare's formula
     (x^(d-b) * theta^b) = g! / (g-b)!
 
 extended linearly over the exact rational coefficients.
+
+Products of two dense classes, each with at least ``_DENSE_TERMS`` (16)
+terms, are one big-integer multiplication by Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 2009); sparser products multiply term pairs.
 """
 
 from __future__ import annotations
@@ -194,14 +199,92 @@ def theta_class(genus: int, sym_index: int) -> CohomClass:
     return monomial(genus, sym_index, 0, 1)
 
 
+# Both factors need this many terms before ``mul_classes`` packs them into
+# integers.  Packing starts to pay at about 8 terms per factor (CPython 3.11);
+# the margin keeps small products, the verifier's among them, on term pairs.
+_DENSE_TERMS = 16
+
+
 def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
-    """Product in the truncated ring; both factors must share the ambient."""
+    """Product in the truncated ring; both factors must share the ambient.
+
+    When both factors have at least ``_DENSE_TERMS`` (16) terms the product
+    is one big-integer multiplication by Kronecker substitution
+    (``_dense_product``; Harvey, J. Symbolic Comput. 2009).  Smaller factors,
+    such as the verifier's bn1 times a one-term x-power, take the schoolbook
+    product of term pairs.
+    """
     _check_ambient(lhs, rhs)
-    return CohomClass(lhs.genus, lhs.sym_index, (
-        ((a1 + a2, b1 + b2), c1 * c2)
-        for (a1, b1), c1 in lhs._terms.items()
-        for (a2, b2), c2 in rhs._terms.items()
-    ))
+    if len(lhs._terms) >= _DENSE_TERMS and len(rhs._terms) >= _DENSE_TERMS:
+        terms = _dense_product(lhs, rhs)
+    else:
+        terms = (
+            ((a1 + a2, b1 + b2), c1 * c2)
+            for (a1, b1), c1 in lhs._terms.items()
+            for (a2, b2), c2 in rhs._terms.items()
+        )
+    return CohomClass(lhs.genus, lhs.sym_index, terms)
+
+
+def _integer_form(cls: CohomClass) -> tuple[dict[tuple[int, int], int], int]:
+    """Integer numerators over the least common denominator of ``cls``."""
+    denominator = math.lcm(*(coeff.denominator for coeff in cls._terms.values()))
+    return {
+        key: coeff.numerator * (denominator // coeff.denominator) for key, coeff in cls._terms.items()
+    }, denominator
+
+
+def _pack(numerators: dict[tuple[int, int], int], slots: int, kb: int) -> int:
+    """The signed integer sum of n * 2^(8*kb*(a*slots + b)) over the terms."""
+    length = kb * (max(a * slots + b for a, b in numerators) + 1)
+    positive, negative = bytearray(length), bytearray(length)
+    for (a, b), n in numerators.items():
+        start = kb * (a * slots + b)
+        if n > 0:
+            positive[start:start + kb] = n.to_bytes(kb, "little")
+        else:
+            negative[start:start + kb] = (-n).to_bytes(kb, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _dense_product(lhs: CohomClass, rhs: CohomClass) -> list[tuple[tuple[int, int], Fraction]]:
+    """The surviving terms of lhs * rhs by Kronecker substitution.
+
+    Each factor is scaled to integer numerators, and monomial x^a * theta^b
+    becomes slot a*S + b of a kb-byte digit, S = 2*min(g, d) + 1, so theta
+    powers of a product never carry into the next x power.  No product digit
+    exceeds max|n_l| * max|n_r| * min(T_l, T_r) in absolute value, which
+    8*kb - 1 bits hold; adding 2^(8*kb - 1) to every digit then leaves each
+    one in [0, 2^(8*kb)), so the digits are read off one ``to_bytes`` buffer
+    without borrows.
+    """
+    g, d = lhs.genus, lhs.sym_index
+    left, left_den = _integer_form(lhs)
+    right, right_den = (left, left_den) if rhs is lhs else _integer_form(rhs)
+    bound = max(map(abs, left.values())) * max(map(abs, right.values())) * min(len(left), len(right))
+    kb = bound.bit_length() // 8 + 1
+    slots = 2 * min(g, d) + 1
+    packed = _pack(left, slots, kb)
+    # A square multiplies one int object by itself, which CPython squares.
+    product = packed * (packed if rhs is lhs else _pack(right, slots, kb))
+    # Read only the surviving slots inside the product's support: x power at
+    # most top_a, theta power at most top_b, total degree at most top.
+    top_a = min(d, max(a for a, _ in left) + max(a for a, _ in right))
+    top_b = min(g, max(b for _, b in left) + max(b for _, b in right))
+    top = min(d, max(map(sum, left)) + max(map(sum, right)))
+    count = top_a * slots + min(top_b, top - top_a) + 1
+    half = 1 << (8 * kb - 1)
+    offset = int.from_bytes(half.to_bytes(kb, "little") * count, "little")
+    digits = ((product + offset) & ((1 << (8 * kb * count)) - 1)).to_bytes(kb * count, "little")
+    denominator = left_den * right_den
+    terms = []
+    for a in range(top_a + 1):
+        for b in range(min(top_b, top - a) + 1):
+            start = kb * (a * slots + b)
+            value = int.from_bytes(digits[start:start + kb], "little") - half
+            if value:
+                terms.append(((a, b), Fraction(value, denominator)))
+    return terms
 
 
 def evaluate_top(cls: CohomClass) -> Fraction:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,60 @@ def test_missing_required_flag(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_repeated_calls_in_one_process_share_no_state(capsys):
+    # The parser is built once per process; a call's output must not depend
+    # on the calls made before it.
+    probes = [
+        ["theorem-a", "--h", "2", "--g", "28", "--format", "csv"],
+        ["miranda", "--g", "30", "--h", "2", "--all"],
+        ["lemma21", "--g", "30", "--h", "2", "--per-delta", "--format", "json"],
+        ["eval", "--g", "4", "--d", "3", "--expr", "x^4 + x"],
+    ]
+    before = [run(capsys, *argv) for argv in probes]
+    for disturbance in (
+        ["rho", "--g", "4"],
+        ["frobnicate"],
+        ["rho", "--g", "4", "--r", "1", "--d", "3", "--format", "xml"],
+        ["--help"],
+        ["eval", "--help"],
+        ["eval", "--verbose", "--g", "4", "--d", "3", "--expr", "x^4 + x", "--format", "json"],
+    ):
+        run(capsys, *disturbance)
+        assert [run(capsys, *argv) for argv in probes] == before, disturbance
+
+
+def test_eval_after_a_verbose_eval_prints_no_notes(capsys):
+    argv = ["eval", "--g", "4", "--d", "3", "--expr", "x^4 + x"]
+    code, _, err = run(capsys, *argv, "--verbose")
+    assert code == 0
+    assert "note: dropped x^4" in err
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert "note:" not in err
+
+
+def test_dense_power_in_a_large_ambient_is_quick():
+    # (x+theta+1)^200 in (60, 60) squares classes of up to 1,891 terms; its
+    # top degree is sum_b n!/((d-b)! b! (n-d)!) * g!/(g-b)! with n = 200.
+    g = d = 60
+    n = 200
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplecover", "eval", "--g", str(g), "--d", str(d),
+         "--expr", f"(x+theta+1)^{n}", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads(proc.stdout)
+    expected = sum(
+        math.factorial(n) // (math.factorial(d - b) * math.factorial(b) * math.factorial(n - d)) * math.perm(g, b)
+        for b in range(min(g, d) + 1)
+    )
+    assert row["value"] == str(expected)
 
 
 def test_csv_header_present_even_for_empty_sweep(capsys):

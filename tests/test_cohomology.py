@@ -3,10 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from triplecover.arith import binomial
 from triplecover.cohomology import (
+    _DENSE_TERMS,
     AmbientMismatchError,
     CohomClass,
     MixedMonomialError,
@@ -43,6 +44,84 @@ def classes(draw, g=None, d=None):
         coeff = draw(st.fractions(min_value=-9, max_value=9, max_denominator=12))
         terms[(a, b)] = terms.get((a, b), Fraction(0)) + coeff
     return CohomClass(g, d, terms)
+
+
+def schoolbook(lhs: CohomClass, rhs: CohomClass) -> dict[tuple[int, int], Fraction]:
+    """Independent oracle for the truncated product: every term pair, summed
+    in a plain dict, without the ``CohomClass`` constructor."""
+    g, d = lhs.genus, lhs.sym_index
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a1, b1), c1 in lhs.terms.items():
+        for (a2, b2), c2 in rhs.terms.items():
+            a, b = a1 + a2, b1 + b2
+            if a + b <= d and b <= g:
+                out[(a, b)] = out.get((a, b), Fraction(0)) + c1 * c2
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+# Nonzero coefficients of mixed sign, numerators up to 2^200, denominators up to 30.
+_dense_coeffs = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**200), max_value=2**200).filter(bool),
+    st.integers(min_value=1, max_value=30),
+)
+
+
+def monomials(g: int, d: int) -> list[tuple[int, int]]:
+    """The keys (a, b) with a + b <= d and b <= g."""
+    return [(a, b) for a in range(d + 1) for b in range(min(g, d - a) + 1)]
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two classes on one ambient (g, d in [0, 12]).  Each factor has 16-60
+    terms of total degree at most its own cap in [0, d], or every monomial
+    below the cap when there are fewer than 16."""
+    g = draw(st.integers(min_value=0, max_value=12))
+    d = draw(st.integers(min_value=0, max_value=12))
+    factors, caps = [], []
+    for _ in range(2):
+        caps.append(draw(st.integers(min_value=0, max_value=d)))
+        keys = monomials(g, caps[-1])
+        size = st.lists(st.sampled_from(keys), min_size=min(16, len(keys)), max_size=min(60, len(keys)), unique=True)
+        factors.append(CohomClass(g, d, {key: draw(_dense_coeffs) for key in draw(size)}))
+    return (*factors, caps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_pairs())
+def test_dense_product_matches_schoolbook_oracle(drawn):
+    lhs, rhs, caps = drawn
+    # The dense path is taken whenever the factors' degree caps leave room.
+    if all(len(monomials(lhs.genus, cap)) >= _DENSE_TERMS for cap in caps):
+        assert min(len(lhs.terms), len(rhs.terms)) >= _DENSE_TERMS
+    product = mul_classes(lhs, rhs)
+    assert product.terms == schoolbook(lhs, rhs)
+    assert mul_classes(rhs, lhs) == product
+
+
+def test_dense_product_below_the_top_degree():
+    # Degree-5 factors in (12, 12): the product's support ends at degree 10,
+    # below the ambient's, and nothing is truncated.
+    base = CohomClass(12, 12, {(a, b): Fraction((-1) ** a * (a + 1), b + 2) for a, b in monomials(12, 5)})
+    assert len(base.terms) >= _DENSE_TERMS
+    square = mul_classes(base, base)
+    assert square.terms == schoolbook(base, base)
+    assert max(a + b for a, b in square.terms) == 10
+
+
+def test_dense_product_coefficients_at_the_slot_width_boundary():
+    # 31 term pairs of 7 * 151 land on x^30: 31 * 7 * 151 = 2^15 - 1, the
+    # largest digit that two-byte signed slots hold.  32 pairs of 32 * 32
+    # give 2^15, which needs three-byte slots.
+    for count, left, right in ((31, 7, 151), (32, 32, 32)):
+        lhs = CohomClass(0, 40, {(a, 0): left for a in range(count)})
+        rhs = CohomClass(0, 40, {(a, 0): right for a in range(count)})
+        for sign in (1, -1):
+            product = mul_classes(lhs.scale(sign), rhs)
+            assert product.terms[(count - 1, 0)] == sign * count * left * right
+            assert product.terms == schoolbook(lhs.scale(sign), rhs)
+    assert 31 * 7 * 151 == 2**15 - 1
 
 
 def test_normalization_drops_vanishing_monomials():
