@@ -13,6 +13,7 @@ from triplecover.cyclic_cover import (
     normalize_t,
     pencil_gap_report,
 )
+from triplecover.existence import critical_degree
 
 
 def valid_ts(g: int, h: int) -> list[int]:
@@ -149,3 +150,64 @@ def test_feasible_ell_matches_congruence_window():
                     assert result.ell >= 0
                 else:
                     assert not result.feasible
+
+
+# The reference grid: every (h, g, t) with h in [-1, 13], g in [-3, 12h + 40)
+# and t in [-3, g + 5), across the domain errors and both window edges.
+GRID = [
+    (h, g, t) for h in range(-1, 14) for g in range(-3, 12 * h + 40) for t in range(-3, g + 5)
+]
+
+
+def reference_gap(g: int, h: int, t: int) -> tuple:
+    """pencil_gap_report restated: its checks in order, then its fields."""
+    if h < 1:
+        raise ValueError("base genus must be at least 1")
+    branch = g - 3 * h + 2
+    if g < 3 * h - 1:
+        raise ValueError("cyclic-cover numerology needs g >= 3h - 1")
+    if not 0 <= t <= branch:
+        raise BranchRangeError(f"t = {t} outside")
+    if (t - (2 * g - 2)) % 3 != 0:
+        raise CongruenceError(f"t = {t} is not congruent")
+    if 2 * t < branch:
+        raise ValueError(f"t = {t} is not normalized")
+    return (g, h, t, cs_max_degree(g, h), Fraction(branch + t, 3), max(t, g + 2 - t), critical_degree(h, g))
+
+
+def test_gap_report_matches_its_formulas_on_the_grid():
+    for h, g, t in GRID:
+        try:
+            expected = reference_gap(g, h, t)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)) as info:
+                pencil_gap_report(g, h, t)
+            assert type(info.value) is type(exc), (g, h, t)
+            continue
+        report = pencil_gap_report(g, h, t)
+        assert (
+            report.g,
+            report.h,
+            report.t,
+            report.cs_bound,
+            report.composed_below,
+            report.exists_at_most,
+            report.theorem_a_degree,
+        ) == expected, (g, h, t)
+
+
+def test_feasibility_matches_its_four_conditions_on_the_grid():
+    for h, g, t in GRID:
+        if h < 1:
+            with pytest.raises(ValueError, match="base genus must be at least 1"):
+                construction_feasible(g, h, t)
+            continue
+        branch = g - 3 * h + 2
+        feasible = g >= 7 * h - 4 and 2 * t >= branch and t <= branch and (t - (2 * g - 2)) % 3 == 0
+        result = construction_feasible(g, h, t)
+        assert (result.g, result.h, result.t, result.feasible) == (g, h, t, feasible), (g, h, t)
+        if feasible:
+            assert (2 * t - g + 3 * h - 2) % 3 == 0
+            assert result.ell == (2 * t - g + 3 * h - 2) // 3 >= 0, (g, h, t)
+        else:
+            assert result.ell is None, (g, h, t)

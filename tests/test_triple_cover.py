@@ -52,6 +52,24 @@ def test_admissible_deltas_examples():
     assert admissible_deltas(10, 3) == [-3, -1, 1]
 
 
+def test_admissible_deltas_match_window_and_parity_filter():
+    # Reference grid: h in [-1, 13], g in [-3, 12h + 40); the window is
+    # [-h, (g-3h+2)/3] and delta has the parity of g - 3h.
+    for h in range(-1, 14):
+        for g in range(-3, 12 * h + 40):
+            if h < 1:
+                with pytest.raises(ValueError, match="base genus must be at least 1"):
+                    admissible_deltas(g, h)
+                continue
+            if g < 3 * h:
+                with pytest.raises(ValueError, match="needs g >= 3h,"):
+                    admissible_deltas(g, h)
+                continue
+            window = range(-h, (g - 3 * h + 2) // 3 + 1)
+            expected = [delta for delta in window if (delta - (g - 3 * h)) % 2 == 0]
+            assert admissible_deltas(g, h) == expected, (g, h)
+
+
 def test_admissible_deltas_never_empty_in_domain():
     # 0 or -1 always sits in the window with the right parity.
     for h in range(1, 8):
