@@ -116,8 +116,8 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         start = i
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts, in any script
+            while i < n and text[i].isdecimal():
                 i += 1
             limit = sys.get_int_max_str_digits()
             if limit and i - start > limit:

@@ -25,7 +25,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -43,10 +42,11 @@ from .cyclic_cover import (
     derive_profile,
     pencil_gap_report,
 )
-from .existence import InequalityReport, audit_proof_chain, sweep, verify_inequality
+from .existence import AuditStep, InequalityReport, ProofAudit, audit_proof_chain, sweep, verify_inequality
 from .triple_cover import (
     ReducednessBounds,
     TripleCoverGeometry,
+    TwistedDegrees,
     VanishingMargins,
     admissible_deltas,
     derive_geometry,
@@ -141,7 +141,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (keys, rows, violated)
+# handlers: each returns (keys, rows, violated).  The columns are the fields
+# of a library result dataclass (_records) or the required flags followed by
+# library values (_echo); no handler does arithmetic on a result.
 
 def _records(cls, records, violated: bool = False) -> tuple[list[str], list[dict], bool]:
     """Rows whose columns are the fields of the dataclass ``cls``, in field order."""
@@ -185,16 +187,14 @@ def _cmd_theorem_a(args):
 
 
 def _cmd_audit(args):
-    # AuditStep puts detail second; the CLI prints it last.
+    # One row per step: the audit's scalar fields, then the step's fields,
+    # with the step's name in a column called "step".
     audit = audit_proof_chain(args.h, args.g)
-    keys = ["h", "g", "e", "parity", "step", "lhs", "relation", "rhs", "holds", "detail"]
-    head = {"h": audit.h, "g": audit.g, "e": audit.e, "parity": audit.parity}
-    rows = [
-        {**head, "step": step.name, "lhs": step.lhs, "relation": step.relation,
-         "rhs": step.rhs, "holds": step.holds, "detail": step.detail}
-        for step in audit.steps
-    ]
-    return keys, rows, not audit.all_hold
+    head_keys, (head,), _ = _records(ProofAudit, [audit])
+    step_keys, steps, _ = _records(AuditStep, audit.steps)
+    keys = [key for key in head_keys if key != "steps"]
+    keys += ["step" if key == "name" else key for key in step_keys]
+    return keys, [{**head, **step, "step": step["name"]} for step in steps], not audit.all_hold
 
 
 def _cmd_miranda(args):
@@ -205,28 +205,9 @@ def _cmd_miranda(args):
 
 
 def _cmd_lemma21(args):
-    margins = section_vanishing_margins(args.g, args.h)
-    if not args.per_delta:
-        return _records(VanishingMargins, [margins])
-    # One row per admissible delta, interleaving its twisted degrees with
-    # the shared margins.
-    keys = ["g", "h", "delta", "twist_degree_2d", "deg_m_twisted", "deg_l_twisted", "bound_m", "bound_l"]
-    shared = {"g": args.g, "h": args.h, "twist_degree_2d": margins.twist_degree_2d,
-              "bound_m": margins.bound_m, "bound_l": margins.bound_l}
-    rows = [
-        {**shared, "delta": entry.delta, "deg_m_twisted": entry.deg_m_twisted,
-         "deg_l_twisted": entry.deg_l_twisted}
-        for entry in twisted_degrees(args.g, args.h)
-    ]
-    return keys, rows, False
-
-
-def _cmd_gap(args):
-    report = pencil_gap_report(args.g, args.h, args.t)
-    keys, rows, violated = _records(PencilGapReport, [report])
-    keys.insert(keys.index("composed_below") + 1, "largest_excluded")
-    rows[0]["largest_excluded"] = math.ceil(report.composed_below) - 1
-    return keys, rows, violated
+    if args.per_delta:
+        return _records(TwistedDegrees, twisted_degrees(args.g, args.h))
+    return _records(VanishingMargins, [section_vanishing_margins(args.g, args.h)])
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +300,7 @@ _COMMANDS = {
     "gap": (
         "pencil-degree threshold comparison",
         (_COVER_G, _BASE_H, ("--t", "normalized branch split", _REQUIRED)),
-        _cmd_gap,
+        lambda a: _records(PencilGapReport, [pencil_gap_report(a.g, a.h, a.t)]),
     ),
     "feasible": (
         "cyclic-cover construction feasibility",

@@ -71,7 +71,7 @@ class PencilGapReport:
 
     composed_below is the exact rational (g - 3h + 2 + t)/3 with strict
     semantics: every pencil of degree strictly below it is composed with
-    the covering.
+    the covering; largest_excluded is the largest such degree.
     """
 
     g: int
@@ -79,6 +79,7 @@ class PencilGapReport:
     t: int
     cs_bound: int
     composed_below: Fraction
+    largest_excluded: int
     exists_at_most: int
     theorem_a_degree: int
 
@@ -148,7 +149,8 @@ def pencil_gap_report(g: int, h: int, t: int) -> PencilGapReport:
     branch_count = _validate_t(g, h, t)
     if 2 * t < branch_count:
         raise ValueError(
-            f"t = {t} is not normalized (needs 2t >= {branch_count}); apply normalize_t first"
+            f"t = {t} is not normalized (needs 2t >= {branch_count}); "
+            f"the same cover has t = {branch_count - t}"
         )
     return PencilGapReport(
         g=g,
@@ -156,6 +158,7 @@ def pencil_gap_report(g: int, h: int, t: int) -> PencilGapReport:
         t=t,
         cs_bound=cs_max_degree(g, h),
         composed_below=Fraction(branch_count + t, 3),
+        largest_excluded=(branch_count + t - 1) // 3,
         exists_at_most=max(t, g + 2 - t),
         theorem_a_degree=critical_degree(h, g),
     )
@@ -167,13 +170,11 @@ def construction_feasible(g: int, h: int, t: int) -> Feasibility:
     t congruent to 2g - 2 mod 3.  Infeasibility is a result, not an error.
     """
     _require_base_genus(h)
-    branch_count = g - 3 * h + 2
-    feasible = (
-        g >= 7 * h - 4
-        and 2 * t >= branch_count
-        and t <= branch_count
-        and (t - (2 * g - 2)) % 3 == 0
-    )
+    try:
+        # g >= 7h - 4 implies g >= 3h - 1, so normalize_t only rejects t.
+        feasible = g >= 7 * h - 4 and normalize_t(g, h, t) == t
+    except (BranchRangeError, CongruenceError):
+        feasible = False
     ell: int | None = None
     if feasible:
         numerator = 2 * t - g + 3 * h - 2

@@ -71,11 +71,11 @@ class AuditStep:
     """One named inequality in the replayed chain, with exact sides."""
 
     name: str
-    detail: str
     lhs: Fraction
     relation: str
     rhs: Fraction
     holds: bool
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,11 @@ def _step(name: str, detail: str, lhs: Fraction | int, relation: str, rhs: Fract
     rhs = Fraction(rhs)
     return AuditStep(
         name=name,
-        detail=detail,
         lhs=lhs,
         relation=relation,
         rhs=rhs,
         holds=_RELATIONS[relation](lhs, rhs),
+        detail=detail,
     )
 
 

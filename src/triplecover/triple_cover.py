@@ -80,11 +80,17 @@ class VanishingMargins:
 
 @dataclass(frozen=True)
 class TwistedDegrees:
-    """Actual twisted degrees for one admissible delta."""
+    """Actual twisted degrees for one admissible delta, beside the twist
+    degree and the rational bounds of ``section_vanishing_margins``."""
 
+    g: int
+    h: int
     delta: int
+    twist_degree_2d: int
     deg_m_twisted: int
     deg_l_twisted: int
+    bound_m: Fraction
+    bound_l: Fraction
 
 
 @dataclass(frozen=True)
@@ -138,14 +144,8 @@ def derive_geometry(g: int, h: int, delta: int) -> TripleCoverGeometry:
 def admissible_deltas(g: int, h: int) -> list[int]:
     """All delta in [-h, (g-3h+2)/3] with the parity of g - 3h, ascending."""
     _require_cover(g, h)
-    parity = (g - 3 * h) % 2
-    lo = -h
-    if lo % 2 != parity:
-        lo += 1
-    hi = (g - 3 * h + 2) // 3
-    if hi % 2 != parity:
-        hi -= 1
-    return list(range(lo, hi + 1, 2))
+    # -h + g % 2 is the least delta >= -h with the parity of g - 3h.
+    return list(range(-h + g % 2, (g - 3 * h + 2) // 3 + 1, 2))
 
 
 def section_vanishing_margins(g: int, h: int) -> VanishingMargins:
@@ -157,9 +157,15 @@ def section_vanishing_margins(g: int, h: int) -> VanishingMargins:
 
     Vanishing of sections is guaranteed from the direct bound of
     ``reducedness_genus_bounds`` on (g > 6h + 4 for h even, g > 6h + 7 for
-    h odd); in that regime both bounds are negative.
+    h odd); in that regime both bounds are negative.  A genus below 3h - 2
+    is an error: by Riemann-Hurwitz, 2g - 2 >= 3(2h - 2) for a triple
+    cover.
     """
     bounds = reducedness_genus_bounds(h)
+    if g < 3 * h - 2:
+        raise ValueError(
+            f"a triple cover needs g >= 3h - 2 (Riemann-Hurwitz), got g = {g}, h = {h}"
+        )
     guaranteed = g >= bounds.direct
     bound_m = Fraction(-g + 6 * h + 4, 3)
     bound_l = Fraction(-g + 6 * h + 2, 2)
@@ -179,15 +185,21 @@ def section_vanishing_margins(g: int, h: int) -> VanishingMargins:
 def twisted_degrees(g: int, h: int) -> list[TwistedDegrees]:
     """Per-delta actual degrees of the twisted bundles, alongside the
     rational bounds reported by ``section_vanishing_margins``."""
+    _require_cover(g, h)  # g >= 3h is stricter than the margins' 3h - 2
     margins = section_vanishing_margins(g, h)
     out = []
     for delta in admissible_deltas(g, h):
         geom = derive_geometry(g, h, delta)
         out.append(
             TwistedDegrees(
+                g=g,
+                h=h,
                 delta=delta,
+                twist_degree_2d=margins.twist_degree_2d,
                 deg_m_twisted=geom.deg_m + margins.twist_degree_2d,
                 deg_l_twisted=geom.deg_l + margins.twist_degree_2d,
+                bound_m=margins.bound_m,
+                bound_l=margins.bound_l,
             )
         )
     return out

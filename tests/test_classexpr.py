@@ -131,6 +131,19 @@ def test_syntax_error_positions_and_expectations():
     assert info.value.position == 5
 
 
+def test_only_decimal_digits_are_numbers():
+    # Superscripts and circled digits are digits to str.isdigit but not
+    # numbers to int(); they are positioned syntax errors.
+    for text, position in (("x^\u00b2", 3), ("\u00b3*x", 1), ("x+\u2460", 3)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == position, text
+        assert "expected a token" in str(info.value)
+    # Decimal digits of other scripts are numbers.
+    assert parse("x+\u0661", 4, 3) == parse("x+1", 4, 3)
+    assert parse("\u0663*theta", 4, 3) == parse("3*theta", 4, 3)
+
+
 def test_ambient_validation():
     with pytest.raises(ValueError):
         parse("x", -1, 3)

@@ -122,6 +122,13 @@ def test_eval_error_classes_exit_two(capsys):
         assert err.startswith("error:")
 
 
+def test_eval_non_decimal_digit_is_a_positioned_error(capsys):
+    code, _, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "x^\u00b2")
+    assert code == 2
+    assert err == "error: at position 3: expected a token, found '\u00b2'\n"
+    assert "invalid literal" not in err
+
+
 def test_pushpull(capsys):
     code, out, _ = run(
         capsys,
@@ -184,6 +191,21 @@ def test_lemma21_record_and_per_delta(capsys):
     assert all(int(row["deg_m_twisted"]) < 0 for row in rows)
 
 
+def test_lemma21_rejects_genera_below_riemann_hurwitz(capsys):
+    code, _, err = run(capsys, "lemma21", "--g", "-5", "--h", "1")
+    assert code == 2
+    assert "needs g >= 3h - 2 (Riemann-Hurwitz)" in err
+    code, _, err = run(capsys, "lemma21", "--g", "-5", "--h", "1", "--per-delta")
+    assert code == 2
+    assert "triple-cover numerology needs g >= 3h," in err
+    # g = 3h - 2 is a genus a triple cover can have; its per-delta ledger is not.
+    code, _, _ = run(capsys, "lemma21", "--g", "1", "--h", "1")
+    assert code == 0
+    code, _, err = run(capsys, "lemma21", "--g", "1", "--h", "1", "--per-delta")
+    assert code == 2
+    assert "triple-cover numerology needs g >= 3h," in err
+
+
 def test_reducedness(capsys):
     code, out, _ = run(capsys, "reducedness", "--h", "3", "--format", "json")
     assert code == 0
@@ -209,6 +231,13 @@ def test_gap_report(capsys):
     assert row["largest_excluded"] == "7"
     assert row["exists_at_most"] == "10"
     assert row["theorem_a_degree"] == "12"
+
+
+def test_gap_names_the_normalized_split(capsys):
+    code, out, err = run(capsys, "gap", "--g", "15", "--h", "1", "--t", "4")
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith("the same cover has t = 10")
+    assert "normalize_t" not in err
 
 
 def test_feasible(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,11 @@ def test_gap_report_examples():
 
 def test_gap_report_requires_normalized_t():
     with pytest.raises(ValueError):
+        pencil_gap_report(15, 1, 4)
+
+
+def test_gap_report_names_the_normalized_split():
+    with pytest.raises(ValueError, match=r"needs 2t >= 14\); the same cover has t = 10$"):
         pencil_gap_report(15, 1, 4)
 
 
@@ -194,6 +200,7 @@ def test_gap_report_matches_its_formulas_on_the_grid():
             report.exists_at_most,
             report.theorem_a_degree,
         ) == expected, (g, h, t)
+        assert report.largest_excluded == math.ceil(report.composed_below) - 1, (g, h, t)
 
 
 def test_feasibility_matches_its_four_conditions_on_the_grid():

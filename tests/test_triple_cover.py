@@ -68,6 +68,12 @@ def test_admissible_deltas_match_window_and_parity_filter():
             window = range(-h, (g - 3 * h + 2) // 3 + 1)
             expected = [delta for delta in window if (delta - (g - 3 * h)) % 2 == 0]
             assert admissible_deltas(g, h) == expected, (g, h)
+            margins = section_vanishing_margins(g, h)
+            rows = twisted_degrees(g, h)
+            assert [row.delta for row in rows] == expected
+            for row in rows:
+                shared = (row.g, row.h, row.twist_degree_2d, row.bound_m, row.bound_l)
+                assert shared == (margins.g, margins.h, margins.twist_degree_2d, margins.bound_m, margins.bound_l)
 
 
 def test_admissible_deltas_never_empty_in_domain():
@@ -123,6 +129,19 @@ def test_margins_negative_whenever_guaranteed():
             if margins.vanishing_guaranteed:
                 assert margins.bound_m < 0
                 assert margins.bound_l < 0
+
+
+def test_margins_need_the_riemann_hurwitz_genus():
+    # 2g - 2 >= 3(2h - 2) for a triple cover, so g >= 3h - 2; the per-delta
+    # ledger needs g >= 3h.
+    for h in range(1, 9):
+        section_vanishing_margins(3 * h - 2, h)
+        for g in range(3 * h - 6, 3 * h - 2):
+            with pytest.raises(ValueError, match=r"needs g >= 3h - 2 \(Riemann-Hurwitz\)"):
+                section_vanishing_margins(g, h)
+        for g in range(3 * h - 6, 3 * h):
+            with pytest.raises(ValueError, match="triple-cover numerology needs g >= 3h,"):
+                twisted_degrees(g, h)
 
 
 def test_twisted_degrees_negative_whenever_guaranteed():
