@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplecover.arith import binomial
+from triplecover.classexpr import parse
 from triplecover.cohomology import (
     _DENSE_TERMS,
     AmbientMismatchError,
@@ -314,6 +315,54 @@ def test_render_examples():
     assert render_class(unit_class(2, 2)) == "1"
     assert render_class(monomial(5, 4, 1, 0, -1)) == "-x"
     assert render_class(monomial(5, 4, 0, 0, Fraction(-3, 7)) + monomial(5, 4, 2, 2)) == "x^2*theta^2 - 3/7"
+
+
+def reference_render(cls: CohomClass) -> str:
+    """The Fraction-based formatter, restated: abs, comparisons against 0
+    and 1, and ``p`` or ``p/q`` from the magnitude, term by term."""
+    parts = []
+    for (a, b), coeff in cls.sorted_terms():
+        magnitude = abs(coeff)
+        number = str(magnitude.numerator) if magnitude.denominator == 1 else f"{magnitude.numerator}/{magnitude.denominator}"
+        factors = []
+        if a:
+            factors.append("x" if a == 1 else f"x^{a}")
+        if b:
+            factors.append("theta" if b == 1 else f"theta^{b}")
+        if a == b == 0:
+            piece = number
+        elif magnitude == 1:
+            piece = "*".join(factors)
+        else:
+            piece = number + "*" + "*".join(factors)
+        if not parts:
+            parts.append(piece if coeff > 0 else "-" + piece)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + piece)
+    return "".join(parts) or "0"
+
+
+# Signs, unit magnitudes, integers and p/q, with the constant term often present.
+_render_coeffs = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6).filter(bool),
+)
+
+
+@st.composite
+def render_cases(draw):
+    g = draw(st.integers(min_value=0, max_value=8))
+    d = draw(st.integers(min_value=0, max_value=8))
+    keys = draw(st.lists(st.sampled_from(monomials(g, d)), max_size=12, unique=True))
+    return CohomClass(g, d, {key: draw(_render_coeffs) for key in keys})
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_cases())
+def test_render_matches_the_fraction_formatter_and_reparses(cls):
+    text = render_class(cls)
+    assert text == reference_render(cls)
+    assert parse(text, cls.genus, cls.sym_index) == cls
 
 
 def test_class_power_matches_repeated_mul():

@@ -41,6 +41,8 @@ CASES = {
     "eval-bn1-mismatch": (["eval", "--g", "4", "--d", "3", "--expr", "bn1(2)"], True),
     "eval-syntax": (["eval", "--g", "4", "--d", "3", "--expr", "x+*theta"], True),
     "eval-division-by-zero": (["eval", "--g", "4", "--d", "3", "--expr", "x/0"], True),
+    # A dense square with mixed-sign rational coefficients, then a 153-by-2-term product.
+    "eval-dense": (["eval", "--g", "73", "--d", "61", "--expr", "(2*x-theta/3+1/2)^16*bn1(61)"], True),
     "pushpull": (["pushpull", "--g", "28", "--d", "19", "--k", "18", "--expr", "x^19"], True),
     "pushpull-theta": (["pushpull", "--g", "4", "--d", "3", "--k", "1", "--expr", "theta"], True),
     "cs-bound": (["cs-bound", "--g", "28", "--h", "2"], True),
