@@ -51,7 +51,6 @@ def binomial(n: int, k: int) -> int:
 
 def format_rat(value: Fraction | int) -> str:
     """Render a rational as ``p`` or ``p/q`` in lowest terms, never a float."""
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -16,10 +16,12 @@ maps.  Top-degree evaluation uses Poincare's formula
 
 extended linearly over the exact rational coefficients.
 
-Products of two dense classes, each with at least ``_DENSE_TERMS`` (16)
-terms, are one big-integer multiplication by Kronecker substitution (Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 2009); sparser products multiply term pairs.
+A product of at least 36 term pairs whose support is compact is one
+big-integer multiplication by Kronecker substitution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 2009), with slots as wide as the product's own theta support, so its
+cost follows the factors and not the ambient (g, d).  Smaller or sparser
+products multiply term pairs.
 """
 
 from __future__ import annotations
@@ -199,31 +201,48 @@ def theta_class(genus: int, sym_index: int) -> CohomClass:
     return monomial(genus, sym_index, 0, 1)
 
 
-# Both factors need this many terms before ``mul_classes`` packs them into
-# integers.  Packing starts to pay at about 8 terms per factor (CPython 3.11);
-# the margin keeps small products, the verifier's among them, on term pairs.
-_DENSE_TERMS = 16
+# A product is packed into integers when it has at least _DENSE_TERMS ** 2
+# term pairs (as two 6-term factors do) and its support box has at most
+# _SLOTS_PER_PAIR slots per pair.  Below the first bound the term pairs are
+# cheaper (CPython 3.11); the second keeps the packed integers, and the slots
+# read back from them, proportional to the term-pair work, so a sparse factor
+# with a long x span, such as x^N + 1, stays on term pairs.  The verifier's
+# bn1 times a one-term x power has 2 pairs.
+_DENSE_TERMS = 6
+_SLOTS_PER_PAIR = 4
 
 
 def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
     """Product in the truncated ring; both factors must share the ambient.
 
-    When both factors have at least ``_DENSE_TERMS`` (16) terms the product
-    is one big-integer multiplication by Kronecker substitution
-    (``_dense_product``; Harvey, J. Symbolic Comput. 2009).  Smaller factors,
-    such as the verifier's bn1 times a one-term x-power, take the schoolbook
-    product of term pairs.
+    A product of at least ``_DENSE_TERMS ** 2`` (36) term pairs whose
+    support box has at most ``_SLOTS_PER_PAIR`` (4) slots per pair is one
+    big-integer multiplication by Kronecker substitution (``_dense_product``;
+    Harvey, J. Symbolic Comput. 2009).  Other products, such as the
+    verifier's bn1 times a one-term x power, take the schoolbook product of
+    term pairs.
     """
     _check_ambient(lhs, rhs)
-    if len(lhs._terms) >= _DENSE_TERMS and len(rhs._terms) >= _DENSE_TERMS:
-        terms = _dense_product(lhs, rhs)
-    else:
-        terms = (
-            ((a1 + a2, b1 + b2), c1 * c2)
-            for (a1, b1), c1 in lhs._terms.items()
-            for (a2, b2), c2 in rhs._terms.items()
-        )
-    return CohomClass(lhs.genus, lhs.sym_index, terms)
+    pairs = len(lhs._terms) * len(rhs._terms)
+    if pairs >= _DENSE_TERMS**2:
+        box = tuple(map(sum, zip(_box(lhs), _box(rhs))))
+        low_a, high_a, low_b, high_b, _ = box
+        if (high_a - low_a + 1) * (high_b - low_b + 1) <= _SLOTS_PER_PAIR * pairs:
+            return CohomClass(lhs.genus, lhs.sym_index, _dense_product(lhs, rhs, box))
+    return CohomClass(lhs.genus, lhs.sym_index, (
+        ((a1 + a2, b1 + b2), c1 * c2)
+        for (a1, b1), c1 in lhs._terms.items()
+        for (a2, b2), c2 in rhs._terms.items()
+    ))
+
+
+def _box(cls: CohomClass) -> tuple[int, int, int, int, int]:
+    """Least and largest x power, least and largest theta power, and largest
+    total degree of a nonzero class.  Summed over two factors, these bound
+    the support of their product."""
+    xs = [a for a, _ in cls._terms]
+    thetas = [b for _, b in cls._terms]
+    return min(xs), max(xs), min(thetas), max(thetas), max(map(sum, cls._terms))
 
 
 def _integer_form(cls: CohomClass) -> tuple[dict[tuple[int, int], int], int]:
@@ -234,12 +253,16 @@ def _integer_form(cls: CohomClass) -> tuple[dict[tuple[int, int], int], int]:
     }, denominator
 
 
-def _pack(numerators: dict[tuple[int, int], int], slots: int, kb: int) -> int:
-    """The signed integer sum of n * 2^(8*kb*(a*slots + b)) over the terms."""
-    length = kb * (max(a * slots + b for a, b in numerators) + 1)
+def _pack(numerators: dict[tuple[int, int], int], stride: int, kb: int) -> int:
+    """The signed integer sum of n * 2^(8*kb*((a - a0)*stride + b - b0))
+    over the terms, where a0 and b0 are their least x and theta powers."""
+    low_a = min(a for a, _ in numerators)
+    low_b = min(b for _, b in numerators)
+    slots = {(a - low_a) * stride + b - low_b: n for (a, b), n in numerators.items()}
+    length = kb * (max(slots) + 1)
     positive, negative = bytearray(length), bytearray(length)
-    for (a, b), n in numerators.items():
-        start = kb * (a * slots + b)
+    for slot, n in slots.items():
+        start = kb * slot
         if n > 0:
             positive[start:start + kb] = n.to_bytes(kb, "little")
         else:
@@ -247,40 +270,48 @@ def _pack(numerators: dict[tuple[int, int], int], slots: int, kb: int) -> int:
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
-def _dense_product(lhs: CohomClass, rhs: CohomClass) -> list[tuple[tuple[int, int], Fraction]]:
+def _dense_product(
+    lhs: CohomClass, rhs: CohomClass, box: tuple[int, int, int, int, int]
+) -> list[tuple[tuple[int, int], Fraction]]:
     """The surviving terms of lhs * rhs by Kronecker substitution.
 
-    Each factor is scaled to integer numerators, and monomial x^a * theta^b
-    becomes slot a*S + b of a kb-byte digit, S = 2*min(g, d) + 1, so theta
-    powers of a product never carry into the next x power.  No product digit
+    ``box`` bounds the product's support: x powers in [low_a, high_a], theta
+    powers in [low_b, high_b], total degree at most ``top``.  Each factor is
+    scaled to integer numerators, and monomial x^a * theta^b becomes slot
+    (a - low_a)*S + b - low_b of a kb-byte digit, S = high_b - low_b + 1, so
+    theta powers of the product never carry into the next x power.  S comes
+    from the product's theta support, not the genus: theta powers above g
+    get slots of their own and are skipped on read-back.  No product digit
     exceeds max|n_l| * max|n_r| * min(T_l, T_r) in absolute value, which
     8*kb - 1 bits hold; adding 2^(8*kb - 1) to every digit then leaves each
     one in [0, 2^(8*kb)), so the digits are read off one ``to_bytes`` buffer
     without borrows.
     """
-    g, d = lhs.genus, lhs.sym_index
+    low_a, high_a, low_b, high_b, top = box
+    stride = high_b - low_b + 1
+    # Read only monomials that survive: a + b <= top <= d and b <= g.
+    top = min(lhs.sym_index, top)
+    high_a = min(high_a, top - low_b)
+    high_b = min(high_b, lhs.genus, top - low_a)
+    if high_a < low_a or high_b < low_b:
+        return []
     left, left_den = _integer_form(lhs)
     right, right_den = (left, left_den) if rhs is lhs else _integer_form(rhs)
     bound = max(map(abs, left.values())) * max(map(abs, right.values())) * min(len(left), len(right))
     kb = bound.bit_length() // 8 + 1
-    slots = 2 * min(g, d) + 1
-    packed = _pack(left, slots, kb)
+    packed = _pack(left, stride, kb)
     # A square multiplies one int object by itself, which CPython squares.
-    product = packed * (packed if rhs is lhs else _pack(right, slots, kb))
-    # Read only the surviving slots inside the product's support: x power at
-    # most top_a, theta power at most top_b, total degree at most top.
-    top_a = min(d, max(a for a, _ in left) + max(a for a, _ in right))
-    top_b = min(g, max(b for _, b in left) + max(b for _, b in right))
-    top = min(d, max(map(sum, left)) + max(map(sum, right)))
-    count = top_a * slots + min(top_b, top - top_a) + 1
+    product = packed * (packed if rhs is lhs else _pack(right, stride, kb))
+    count = (high_a - low_a) * stride + min(high_b, top - high_a) - low_b + 1
     half = 1 << (8 * kb - 1)
     offset = int.from_bytes(half.to_bytes(kb, "little") * count, "little")
     digits = ((product + offset) & ((1 << (8 * kb * count)) - 1)).to_bytes(kb * count, "little")
     denominator = left_den * right_den
     terms = []
-    for a in range(top_a + 1):
-        for b in range(min(top_b, top - a) + 1):
-            start = kb * (a * slots + b)
+    for a in range(low_a, high_a + 1):
+        row = (a - low_a) * stride - low_b
+        for b in range(low_b, min(high_b, top - a) + 1):
+            start = kb * (row + b)
             value = int.from_bytes(digits[start:start + kb], "little") - half
             if value:
                 terms.append(((a, b), Fraction(value, denominator)))
@@ -355,15 +386,15 @@ def render_class(cls: CohomClass) -> str:
     """
     parts: list[str] = []
     for (a, b), coeff in cls.sorted_terms():
-        magnitude = abs(coeff)
+        magnitude = format_rat(coeff).lstrip("-")
         if a == b == 0:
-            piece = format_rat(magnitude)
-        elif magnitude == 1:
+            piece = magnitude
+        elif magnitude == "1":
             piece = monomial_text(a, b)
         else:
-            piece = format_rat(magnitude) + "*" + monomial_text(a, b)
+            piece = magnitude + "*" + monomial_text(a, b)
         if not parts:
-            parts.append(piece if coeff > 0 else "-" + piece)
+            parts.append("-" + piece if coeff.numerator < 0 else piece)
         else:
-            parts.append((" + " if coeff > 0 else " - ") + piece)
+            parts.append((" - " if coeff.numerator < 0 else " + ") + piece)
     return "".join(parts) or "0"

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplecover.cli import main
@@ -328,6 +329,34 @@ def test_dense_power_in_a_large_ambient_is_quick():
         for b in range(min(g, d) + 1)
     )
     assert row["value"] == str(expected)
+
+
+def test_dense_power_in_a_huge_ambient_stays_small(capsys):
+    # The packed slots follow the factors' theta support, not the genus, so
+    # (x+theta+1)^16 costs the same in (10^7, 10^7) as in (16, 16).  The
+    # child runs under a 1 GiB address-space cap, so a regression fails with
+    # a MemoryError there instead of exhausting the machine.
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    expr = "(x+theta+1)^16"
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplecover", "eval", "--g", "10000000", "--d", "10000000",
+         "--expr", expr, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=10,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [row] = json.loads(proc.stdout)
+    code = main(["eval", "--g", "16", "--d", "16", "--expr", expr, "--format", "json"])
+    assert code == 0
+    assert row["canonical"] == json.loads(capsys.readouterr().out)[0]["canonical"]
 
 
 def test_csv_header_present_even_for_empty_sweep(capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triplecover import cohomology
 from triplecover.arith import binomial
 from triplecover.classexpr import parse
 from triplecover.cohomology import (
@@ -99,6 +101,82 @@ def test_dense_product_matches_schoolbook_oracle(drawn):
     product = mul_classes(lhs, rhs)
     assert product.terms == schoolbook(lhs, rhs)
     assert mul_classes(rhs, lhs) == product
+
+
+@st.composite
+def low_genus_pairs(draw):
+    """Two classes of 1-60 terms each on an ambient with g in [0, 4] and d in
+    [6, 16]: theta powers stay low while x powers spread, so the theta
+    support of a product often passes g, and one- and two-term factors meet
+    dense ones."""
+    g = draw(st.integers(min_value=0, max_value=4))
+    d = draw(st.integers(min_value=6, max_value=16))
+    keys = monomials(g, d)
+    factors = []
+    for _ in range(2):
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=min(60, len(keys)), unique=True))
+        factors.append(CohomClass(g, d, {key: draw(_dense_coeffs) for key in chosen}))
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_genus_pairs())
+def test_products_of_any_size_match_schoolbook_oracle(drawn):
+    lhs, rhs = drawn
+    product = mul_classes(lhs, rhs)
+    assert product.terms == schoolbook(lhs, rhs)
+    assert mul_classes(rhs, lhs) == product
+
+
+def test_dense_product_skips_theta_powers_above_the_genus(monkeypatch):
+    # Factors with theta powers 0-2 in (2, 20): their product has theta
+    # powers up to 4 > g.  With one slot per theta power up to g, x^a *
+    # theta^4 would land on x^(a+1) * theta^1; every theta power up to 4 needs
+    # its own slot, read back only for b <= 2.
+    packed = []
+    dense_product = cohomology._dense_product
+
+    def spy(lhs, rhs, box):
+        packed.append(box)
+        return dense_product(lhs, rhs, box)
+
+    monkeypatch.setattr(cohomology, "_dense_product", spy)
+    keys = monomials(2, 7)
+    lhs = CohomClass(2, 20, {(a, b): Fraction(a + 1, b + 1) for a, b in keys})
+    rhs = CohomClass(2, 20, {(a, b): Fraction(-1) ** (a + b) * (a + 2 * b + 1) for a, b in keys})
+    product = mul_classes(lhs, rhs)
+    assert packed and max(b for _, b in lhs.terms) + max(b for _, b in rhs.terms) == 4
+    assert product.terms == schoolbook(lhs, rhs)
+    assert mul_classes(rhs, lhs) == product
+
+
+def test_dense_product_where_nothing_survives():
+    # 8-term factors, 64 term pairs: in (4, 20) every pair lands on theta^6
+    # or above, past g; in (8, 10) every pair has degree 12 or more, past d.
+    for g, d, keys in ((4, 20, [(a, b) for a in range(4) for b in (3, 4)]),
+                       (8, 10, [(a, b) for a in range(3, 7) for b in (3, 4)])):
+        factor = CohomClass(g, d, {key: sum(key) for key in keys})
+        assert len(factor.terms) == 8
+        assert mul_classes(factor, factor) == zero_class(g, d)
+        assert mul_classes(factor, factor.scale(-1)) == zero_class(g, d)
+
+
+def test_sparse_factors_with_a_long_x_span_multiply_term_pairs():
+    # (x^(10^5) + 1) * (x+theta+1)^8 in (10^7, 10^7) has 90 term pairs but a
+    # support box of 900,000 slots.  Packing would allocate megabytes and
+    # read every slot back; the term pairs need neither.
+    g = d = 10**7
+    sparse = monomial(g, d, 10**5, 0) + unit_class(g, d)
+    dense = (x_class(g, d) + theta_class(g, d) + unit_class(g, d)) ** 8
+    tracemalloc.start()
+    try:
+        product = mul_classes(sparse, dense)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert product.terms == schoolbook(sparse, dense)
+    assert len(product.terms) == 2 * len(dense.terms) == 90
 
 
 def test_dense_product_below_the_top_degree():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from triplecover import existence
+from triplecover import cohomology, existence
 from triplecover.arith import binomial, factorial, recip_factorial
 from triplecover.brill_noether import bn1_class, castelnuovo_count, rho
 from triplecover.cohomology import evaluate_top, monomial, mul_classes, pair_via_pushforward
@@ -100,6 +100,18 @@ def test_verify_route_disagreement_is_fatal(monkeypatch):
     monkeypatch.setattr(existence, "evaluate_top", lambda cls: Fraction(-1))
     with pytest.raises(ArithmeticError):
         verify_inequality(2, 28)
+
+
+def test_verifier_multiplies_term_pairs(monkeypatch):
+    # The expansion route and the audit stay on the schoolbook product: the
+    # packed product never runs inside them.
+    def refuse(*args):
+        raise AssertionError("the verifier took the packed product")
+
+    monkeypatch.setattr(cohomology, "_dense_product", refuse)
+    for h, g in [*((h, genus_bound(h)) for h in range(1, 41)), (60, 16471)]:
+        assert verify_inequality(h, g).strict is True
+        audit_proof_chain(h, g)
 
 
 def test_routes_agree_across_small_sweep():
