@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -278,3 +279,48 @@ def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
     # A limit of 0 disables the bound.
     sys.set_int_max_str_digits(0)
     assert parse(f"(2*x+2)^{first}", 4, 3).terms[(0, 0)] == 2**first
+
+
+def test_bn1_syntax_errors():
+    for text, position, expected in (
+        ("bn1 x", 5, ("'('",)),
+        ("bn1(x)", 5, ("an integer bn1 index",)),
+        ("bn1(3", 6, ("')'",)),
+    ):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == position, text
+        assert info.value.expected == expected, text
+
+
+def test_diagnostics_of_a_negated_power():
+    result, notes = parse_with_diagnostics("-(x+theta)^5", 4, 3)
+    assert result == zero_class(4, 3)
+    assert notes == [
+        "dropped theta^5 (coefficient -1): theta power 5 exceeds g = 4",
+        "dropped x*theta^4 (coefficient -5): codimension 5 exceeds d = 3",
+        "dropped x^2*theta^3 (coefficient -10): codimension 5 exceeds d = 3",
+        "dropped x^3*theta^2 (coefficient -10): codimension 5 exceeds d = 3",
+        "dropped x^4*theta (coefficient -5): codimension 5 exceeds d = 3",
+        "dropped x^5 (coefficient -1): codimension 5 exceeds d = 3",
+    ]
+
+
+def test_syntax_errors_come_before_evaluation_errors():
+    # bn1(2) mismatches the ambient and the power's constant term is over
+    # the digit limit, but the whole text is parsed first.
+    for text, position in (("bn1(2) + x+*theta", 12), ("(2*x+2)^100000000 )", 19)):
+        for call in (parse, parse_with_diagnostics):
+            with pytest.raises(ExprSyntaxError) as info:
+                call(text, 4, 3)
+            assert info.value.position == position, text
+
+
+def test_nothing_is_evaluated_before_the_parse_succeeds():
+    # Evaluating the power alone takes about a minute in (120, 120).
+    for call in (parse, parse_with_diagnostics):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError) as info:
+            call("(x+theta+1)^1000 )", 120, 120)
+        assert time.perf_counter() - start < 1
+        assert info.value.position == 18

@@ -456,3 +456,26 @@ def test_classes_are_immutable():
     snapshot = cls.terms
     snapshot[(0, 0)] = Fraction(1)
     assert cls == x_class(3, 2)
+
+
+def test_class_operators_and_their_rejections():
+    a = CohomClass(4, 3, {(1, 0): 2, (0, 1): Fraction(1, 3)})
+    b = monomial(4, 3, 1, 0)
+    assert a - b == CohomClass(4, 3, {(1, 0): 1, (0, 1): Fraction(1, 3)})
+    assert 2 * a == a.scale(2) == a * 2
+    assert a * Fraction(1, 2) == CohomClass(4, 3, {(1, 0): 1, (0, 1): Fraction(1, 6)})
+    with pytest.raises(TypeError):
+        a + 3
+    assert (a == 3) is False
+    for exponent in (-1, 1.5):
+        with pytest.raises(ValueError):
+            a ** exponent
+    assert repr(a) == "CohomClass(g=4, d=3, '1/3*theta + 2*x')"
+
+
+def test_constructor_and_pairing_reject_negative_indices():
+    for genus, sym_index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            CohomClass(genus, sym_index)
+    with pytest.raises(ValueError):
+        pair_via_pushforward(unit_class(4, 3), 1, -1)
