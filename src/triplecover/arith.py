@@ -13,14 +13,11 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "Rat",
     "factorial",
     "recip_factorial",
     "binomial",
     "format_rat",
 ]
-
-Rat = Fraction
 
 
 def factorial(n: int) -> int:

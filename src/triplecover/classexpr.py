@@ -14,13 +14,17 @@ Grammar (whitespace between tokens is ignored)::
     atom     := rational | 'x' | 'theta' | 'bn1' '(' int ')' | '(' expr ')'
     rational := nat ('/' posnat)?
 
+Each grammar rule's parse method returns the rule's degree bound and a
+function that evaluates the rule in a given ring; there is no syntax tree.
+The whole text is parsed before anything is evaluated, so every lexical and
+syntax error comes before any evaluation error, and costs no evaluation.
 Errors carry a 1-based character position; syntax errors also carry the set
 of token kinds that would have been accepted.
 
-Limits: ``+``/``-`` and ``*``/``/`` chains of any length parse into flat
-nodes that are evaluated without recursion.  Nesting -- parentheses plus unary
-minus -- is capped at ``_MAX_NESTING`` (100) levels; a deeper expression
-raises ``ClassExprError`` at the first token past the cap.
+Limits: ``+``/``-`` and ``*``/``/`` chains of any length evaluate in loops,
+without recursion.  Nesting -- parentheses plus unary minus -- is capped at
+``_MAX_NESTING`` (100) levels; a deeper expression raises ``ClassExprError``
+at the first token past the cap.
 ``parse_with_diagnostics`` lists dropped monomials only while the
 expression's total degree is at most ``_DIAGNOSTIC_MAX_DEGREE`` (48); past
 that it returns a single note saying the listing was omitted and naming the
@@ -140,51 +144,21 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ----------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class _Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class _Sym:
-    name: str  # "x" or "theta"
-
-
-@dataclass(frozen=True)
-class _Bn1:
-    index: int
-    position: int
-
-
-@dataclass(frozen=True)
-class _Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """``first`` followed by (op, operand) pairs.  A sum chain uses "+" and
-    "-"; a product chain uses "*" and "/", where the operand of "/" is a
-    nonzero integer divisor, and is folded left to right."""
-
-    first: object
-    rest: tuple
-
-
-@dataclass(frozen=True)
-class _Pow:
-    base: object
-    exponent: int
-    position: int  # of the '^'
-
+# parsing into evaluators
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent for the curve data (g, d).  Each ``parse_*`` rule
+    returns a pair (degree, evaluate): an upper bound on the total degree of
+    the rule's value untruncated, and a function of a ring (genus, sym_index)
+    that evaluates the rule there -- in (g, d) itself, or in a ring large
+    enough that no monomial vanishes."""
+
+    def __init__(self, text: str, g: int, d: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.g = g
+        self.d = d
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -207,26 +181,35 @@ class _Parser:
         found = "end of input" if token.kind == "end" else repr(token.text)
         raise ExprSyntaxError(token.position, found, expected)
 
-    def parse(self):
-        node = self.parse_expr()
-        if self.peek().kind != "end":
-            self.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
-        return node
-
     def parse_expr(self):
-        node = self.parse_term()
-        rest = []
+        degree, first = self.parse_term()
+        signed = [("+", first)]
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            rest.append((op, self.parse_term()))
-        return _Chain(node, tuple(rest)) if rest else node
+            term_degree, term = self.parse_term()
+            degree = max(degree, term_degree)
+            signed.append((op, term))
+        if len(signed) == 1:
+            return degree, first
+
+        def evaluate(*ring):
+            # One normalisation for the whole sum; folding binary additions
+            # would copy the running sum once per term.
+            return CohomClass(*ring, (
+                (key, coeff if op == "+" else -coeff)
+                for op, term in signed
+                for key, coeff in term(*ring).terms.items()
+            ))
+        return degree, evaluate
 
     def parse_term(self):
-        node = self.parse_factor()
-        rest = []
+        degree, first = self.parse_factor()
+        steps = []  # a factor's evaluate for '*', the Fraction 1/divisor for '/'
         while self.peek().kind in ("*", "/"):
             if self.advance().kind == "*":
-                rest.append(("*", self.parse_factor()))
+                factor_degree, factor = self.parse_factor()
+                degree += factor_degree
+                steps.append(factor)
                 continue
             token = self.peek()
             if token.kind != "number":
@@ -235,30 +218,58 @@ class _Parser:
             divisor = int(token.text)
             if divisor == 0:
                 raise DivisionByZeroLiteral(token.position)
-            rest.append(("/", divisor))
-        return _Chain(node, tuple(rest)) if rest else node
+            steps.append(Fraction(1, divisor))
+        if not steps:
+            return degree, first
+
+        def evaluate(*ring):
+            result = first(*ring)  # folded left to right
+            for step in steps:
+                if isinstance(step, Fraction):
+                    result = result.scale(step)
+                else:
+                    result = mul_classes(result, step(*ring))
+            return result
+        return degree, evaluate
 
     def parse_factor(self):
         if self.peek().kind == "-":
             self.enter(self.advance())
-            node = _Neg(self.parse_factor())
+            degree, operand = self.parse_factor()
             self.depth -= 1
-            return node
-        node = self.parse_atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            token = self.peek()
-            if token.kind != "number":
-                self.fail(("a nonnegative integer exponent",))
-            self.advance()
-            node = _Pow(node, int(token.text), caret.position)
-        return node
+            return degree, lambda *ring: -operand(*ring)
+        degree, base = self.parse_atom()
+        if self.peek().kind != "^":
+            return degree, base
+        caret = self.advance()
+        token = self.peek()
+        if token.kind != "number":
+            self.fail(("a nonnegative integer exponent",))
+        self.advance()
+        exponent = int(token.text)
+
+        def evaluate(*ring):
+            value = base(*ring)
+            # The constant term of base^N is c^N.  With m = max(|p|, q) for
+            # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1, and 2^j has
+            # more than L decimal digits once 3j >= 10L, since 2^10 > 10^3.
+            limit = sys.get_int_max_str_digits()
+            constant = value.terms.get((0, 0), Fraction(0))
+            bits = max(abs(constant.numerator), constant.denominator).bit_length() - 1
+            if limit and 3 * bits * exponent >= 10 * limit:
+                raise ClassExprError(
+                    caret.position,
+                    f"the power's constant term would have more than {limit} digits, "
+                    "the interpreter's limit for converting integers to text",
+                )
+            return value ** exponent
+        return exponent * degree, evaluate
 
     def parse_atom(self):
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            numerator = int(token.text)
+            value = Fraction(int(token.text))
             # Greedy rational literal: NUMBER '/' NUMBER.
             if self.peek().kind == "/" and self.tokens[self.pos + 1].kind == "number":
                 self.advance()
@@ -266,12 +277,13 @@ class _Parser:
                 denominator = int(den_token.text)
                 if denominator == 0:
                     raise DivisionByZeroLiteral(den_token.position)
-                return _Num(Fraction(numerator, denominator))
-            return _Num(Fraction(numerator))
+                value /= denominator
+            return 0, lambda *ring: unit_class(*ring).scale(value)
         if token.kind == "name":
             if token.text in ("x", "theta"):
                 self.advance()
-                return _Sym(token.text)
+                powers = (1, 0) if token.text == "x" else (0, 1)
+                return 1, lambda *ring: monomial(*ring, *powers)
             if token.text == "bn1":
                 self.advance()
                 if self.peek().kind != "(":
@@ -288,98 +300,40 @@ class _Parser:
                 if self.peek().kind != ")":
                     self.fail(("')'",))
                 self.advance()
-                return _Bn1(sign * int(index_token.text), token.position)
+                index, g, d = sign * int(index_token.text), self.g, self.d
+
+                def evaluate(*ring):
+                    if index != d:
+                        raise Bn1IndexMismatch(token.position, index, d)
+                    return CohomClass(*ring, bn1_terms(g, d))
+                return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":
             self.enter(self.advance())
-            node = self.parse_expr()
+            rule = self.parse_expr()
             if self.peek().kind != ")":
                 self.fail(("')'",))
             self.advance()
             self.depth -= 1
-            return node
+            return rule
         self.fail(("a rational literal", "'x'", "'theta'", "'bn1'", "'('"))
 
 
-# ----------------------------------------------------------------------
-# evaluation
-
-def _eval(node, g: int, d: int, ambient: tuple[int, int]) -> CohomClass:
-    """Evaluate ``node`` for the curve data (g, d) in the ring of ``ambient``:
-    (g, d) itself, or a ring large enough that no monomial vanishes."""
-    if isinstance(node, _Num):
-        return unit_class(*ambient).scale(node.value)
-    if isinstance(node, _Sym):
-        return monomial(*ambient, 1, 0) if node.name == "x" else monomial(*ambient, 0, 1)
-    if isinstance(node, _Bn1):
-        if node.index != d:
-            raise Bn1IndexMismatch(node.position, node.index, d)
-        return CohomClass(*ambient, bn1_terms(g, d))
-    if isinstance(node, _Neg):
-        return -_eval(node.operand, g, d, ambient)
-    if isinstance(node, _Chain) and node.rest[0][0] in "+-":
-        # One normalisation for the whole sum; folding binary additions
-        # would copy the running sum once per term.
-        signed = [("+", node.first), *node.rest]
-        return CohomClass(*ambient, (
-            (key, coeff if op == "+" else -coeff)
-            for op, operand in signed
-            for key, coeff in _eval(operand, g, d, ambient).terms.items()
-        ))
-    if isinstance(node, _Chain):
-        result = _eval(node.first, g, d, ambient)
-        for op, operand in node.rest:
-            if op == "*":
-                result = mul_classes(result, _eval(operand, g, d, ambient))
-            else:
-                result = result.scale(Fraction(1, operand))
-        return result
-    if isinstance(node, _Pow):
-        base = _eval(node.base, g, d, ambient)
-        # The constant term of base^N is c^N.  With m = max(|p|, q) for
-        # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1, and 2^j has
-        # more than L decimal digits once 3j >= 10L, since 2^10 > 10^3.
-        limit = sys.get_int_max_str_digits()
-        constant = base.terms.get((0, 0), Fraction(0))
-        bits = max(abs(constant.numerator), constant.denominator).bit_length() - 1
-        if limit and 3 * bits * node.exponent >= 10 * limit:
-            raise ClassExprError(
-                node.position,
-                f"the power's constant term would have more than {limit} digits, "
-                "the interpreter's limit for converting integers to text",
-            )
-        return base ** node.exponent
-    raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover
-
-
-def _degree(node, g: int, d: int) -> int:
-    """An upper bound on the total degree of ``node`` evaluated untruncated."""
-    if isinstance(node, _Num):
-        return 0
-    if isinstance(node, _Sym):
-        return 1
-    if isinstance(node, _Bn1):
-        return max(g - d + 1, 0)
-    if isinstance(node, _Neg):
-        return _degree(node.operand, g, d)
-    if isinstance(node, _Chain):
-        degree = _degree(node.first, g, d)
-        for op, operand in node.rest:
-            if op == "*":
-                degree += _degree(operand, g, d)
-            elif op != "/":
-                degree = max(degree, _degree(operand, g, d))
-        return degree
-    if isinstance(node, _Pow):
-        return node.exponent * _degree(node.base, g, d)
-    raise TypeError(f"unknown AST node {node!r}")  # pragma: no cover
+def _parse(text: str, g: int, d: int):
+    """Parse all of ``text`` for the ambient (g, d) and return its (degree,
+    evaluate) pair; nothing is evaluated yet."""
+    if g < 0 or d < 0:
+        raise ValueError(f"ambient requires g >= 0 and d >= 0, got ({g}, {d})")
+    parser = _Parser(text, g, d)
+    rule = parser.parse_expr()
+    if parser.peek().kind != "end":
+        parser.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
+    return rule
 
 
 def parse(text: str, g: int, d: int) -> CohomClass:
     """Parse and evaluate ``text`` in the ambient (g, d)."""
-    if g < 0 or d < 0:
-        raise ValueError(f"ambient requires g >= 0 and d >= 0, got ({g}, {d})")
-    return _eval(_Parser(text).parse(), g, d, (g, d))
+    return _parse(text, g, d)[1](g, d)
 
 
 def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[str]]:
@@ -391,11 +345,8 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
     vanishes.  Above degree ``_DIAGNOSTIC_MAX_DEGREE`` that evaluation is
     skipped and a single note says so.
     """
-    if g < 0 or d < 0:
-        raise ValueError(f"ambient requires g >= 0 and d >= 0, got ({g}, {d})")
-    ast = _Parser(text).parse()
-    result = _eval(ast, g, d, (g, d))
-    degree = _degree(ast, g, d)
+    degree, evaluate = _parse(text, g, d)
+    result = evaluate(g, d)
     if degree <= min(g, d):
         return result, []  # no monomial can vanish
     if degree > _DIAGNOSTIC_MAX_DEGREE:
@@ -409,7 +360,7 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
         ]
     kept = result.terms
     notes = []
-    for (a, b), coeff in _eval(ast, g, d, (degree, degree)).sorted_terms():
+    for (a, b), coeff in evaluate(degree, degree).sorted_terms():
         if (a, b) in kept:
             continue
         reason = f"theta power {b} exceeds g = {g}" if b > g else f"codimension {a + b} exceeds d = {d}"
