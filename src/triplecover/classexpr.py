@@ -223,7 +223,7 @@ class _Parser:
             return degree, first
 
         def evaluate(*ring):
-            result = first(*ring)  # folded left to right
+            result = first(*ring)
             for step in steps:
                 if isinstance(step, Fraction):
                     result = result.scale(step)
