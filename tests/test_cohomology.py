@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -128,6 +130,43 @@ def test_products_of_any_size_match_schoolbook_oracle(drawn):
     assert mul_classes(rhs, lhs) == product
 
 
+@st.composite
+def truncated_pairs(draw):
+    """Two classes on one ambient (g in [0, 12], d in [2, 12]) whose terms
+    sit in a degree band [low, high] of [0, d], chosen per factor; a band of
+    one degree makes the factor homogeneous.  The product's degree reaches
+    up to twice d, so the truncation at d usually cuts through it."""
+    g = draw(st.integers(min_value=0, max_value=12))
+    d = draw(st.integers(min_value=2, max_value=12))
+    factors = []
+    for _ in range(2):
+        high = draw(st.integers(min_value=d // 2, max_value=d))
+        low = high if draw(st.booleans()) else draw(st.integers(min_value=0, max_value=high))
+        keys = [(a, b) for a, b in monomials(g, high) if a + b >= low]
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
+        factors.append(CohomClass(g, d, {key: draw(_dense_coeffs) for key in chosen}))
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_pairs())
+def test_truncated_and_homogeneous_products_match_schoolbook_oracle(drawn):
+    lhs, rhs = drawn
+    product = mul_classes(lhs, rhs)
+    assert product.terms == schoolbook(lhs, rhs)
+    assert mul_classes(rhs, lhs) == product
+    assert mul_classes(lhs, lhs).terms == schoolbook(lhs, lhs)
+
+
+def test_truncated_homogeneous_powers_match_schoolbook_oracle():
+    # Homogeneous and inhomogeneous squares whose degree runs far past d.
+    for g, d in ((10, 10), (4, 12), (12, 7)):
+        x, theta, one = x_class(g, d), theta_class(g, d), unit_class(g, d)
+        for base in ((x + theta) ** 3, (x + theta + one) ** 4, (x.scale(2) - theta.scale(Fraction(1, 3))) ** 5):
+            assert mul_classes(base, base).terms == schoolbook(base, base)
+            assert (base ** 3).terms == schoolbook(mul_classes(base, base), base)
+
+
 def test_dense_product_skips_theta_powers_above_the_genus(monkeypatch):
     # Factors with theta powers 0-2 in (2, 20): their product has theta
     # powers up to 4 > g.  With one slot per theta power up to g, x^a *
@@ -240,6 +279,63 @@ def test_equality_is_structural_on_normalized_maps():
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
     assert lhs != CohomClass(5, 3, {(1, 1): Fraction(1, 2)})
+
+
+def test_equal_values_reached_by_different_routes_are_equal_and_hash_alike():
+    g, d = 6, 6
+    x, theta = x_class(g, d), theta_class(g, d)
+    pairs = [
+        (CohomClass(g, d, {(1, 1): Fraction(1, 2)}), CohomClass(g, d, {(1, 1): Fraction(2, 4)})),
+        # Mixed denominators and signs, summed in a different grouping.
+        (CohomClass(g, d, [((1, 0), Fraction(-1, 3)), ((1, 0), Fraction(1, 6)), ((0, 1), Fraction(3, 4))]),
+         CohomClass(g, d, {(1, 0): Fraction(-2, 12), (0, 1): Fraction(9, 12)})),
+        (x.scale(Fraction(1, 6)) + x.scale(Fraction(1, 3)), x.scale(Fraction(1, 2))),
+        # A cancelled term leaves a smaller common denominator behind.
+        (x.scale(Fraction(1, 6)) + theta.scale(Fraction(1, 4)) - theta.scale(Fraction(1, 4)), x.scale(Fraction(1, 6))),
+        (x.scale(Fraction(-5, 3)) - x.scale(Fraction(-5, 3)), zero_class(g, d)),
+        (mul_classes(x.scale(Fraction(1, 2)), theta.scale(2)), mul_classes(x, theta)),
+        (x.scale(Fraction(7, 9)).scale(Fraction(9, 7)), x),
+        (pushforward_B(2, monomial(g, d, 4, 0, Fraction(1, 6))), monomial(g, d - 2, 2, 0)),
+    ]
+    for lhs, rhs in pairs:
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
+        assert lhs.terms == rhs.terms
+        assert render_class(lhs) == render_class(rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes(), classes(), st.fractions(min_value=-50, max_value=50, max_denominator=40).filter(bool))
+def test_scaling_and_adding_back_restore_the_class(a, b, q):
+    b = CohomClass(a.genus, a.sym_index, b.terms)
+    for other in (a.scale(q).scale(1 / q), (a + b) - b, (a - b) + b):
+        assert other == a
+        assert hash(other) == hash(a)
+
+
+def test_terms_are_reduced_fractions():
+    cls = CohomClass(5, 5, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (0, 0): Fraction(5, 6), (2, 2): 4})
+    expected = {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (0, 0): Fraction(5, 6), (2, 2): Fraction(4)}
+    assert cls.terms == expected
+    assert [key for key, _ in cls.sorted_terms()] == [(2, 2), (0, 1), (1, 0), (0, 0)]
+    for source in (cls.terms.items(), cls.sorted_terms(), parse("(x+theta+1)^6*bn1(5)/7", 6, 5).terms.items()):
+        for _, coeff in source:
+            assert type(coeff) is Fraction
+            assert coeff.denominator > 0 and math.gcd(coeff.numerator, coeff.denominator) == 1
+    assert dict(cls.sorted_terms()) == cls.terms
+
+
+def test_render_of_a_class_with_a_large_common_denominator():
+    # 525 terms whose denominators divide 12!; each is printed reduced.
+    cls = parse("(x+theta+1)^30*bn1(67)", 78, 67)
+    text = render_class(cls)
+    assert len(cls.terms) == 525
+    assert text == reference_render(cls)
+    assert text.startswith("1/479001600*theta^42 + 1/26611200*x*theta^41 + 1/15966720*theta^41 + ")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "615cce1af4408e645d73020caf2bbd9a069b9151b4e58e5f24e550028b751b3e"
+    )
+    assert parse(text, 78, 67) == cls
 
 
 def test_mul_example_bn1_times_x():
