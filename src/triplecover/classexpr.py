@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brill_noether import bn1_terms
-from .cohomology import CohomClass, monomial, monomial_text, mul_classes, unit_class
+from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
 
 __all__ = [
     "ClassExprError",
@@ -193,13 +193,7 @@ class _Parser:
             return degree, first
 
         def evaluate(*ring):
-            # One normalisation for the whole sum; folding binary additions
-            # would copy the running sum once per term.
-            return CohomClass(*ring, (
-                (key, coeff if op == "+" else -coeff)
-                for op, term in signed
-                for key, coeff in term(*ring).terms.items()
-            ))
+            return sum_classes(*(term(*ring) if op == "+" else -term(*ring) for op, term in signed))
         return degree, evaluate
 
     def parse_term(self):
@@ -254,7 +248,7 @@ class _Parser:
             # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1, and 2^j has
             # more than L decimal digits once 3j >= 10L, since 2^10 > 10^3.
             limit = sys.get_int_max_str_digits()
-            constant = value.terms.get((0, 0), Fraction(0))
+            constant = value.coefficient(0, 0)
             bits = max(abs(constant.numerator), constant.denominator).bit_length() - 1
             if limit and 3 * bits * exponent >= 10 * limit:
                 raise ClassExprError(
@@ -305,6 +299,10 @@ class _Parser:
                 def evaluate(*ring):
                     if index != d:
                         raise Bn1IndexMismatch(token.position, index, d)
+                    if d < 1:
+                        raise ClassExprError(
+                            token.position, f"bn1({d}) is undefined: the symmetric-product index must be at least 1"
+                        )
                     return CohomClass(*ring, bn1_terms(g, d))
                 return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))

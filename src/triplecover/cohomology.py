@@ -6,22 +6,23 @@ symmetric product of a genus-g curve:
 * ``x``     -- the divisor class obtained by adding a fixed point,
 * ``theta`` -- the pullback of the theta divisor under the abelian sum map.
 
-The ``CohomClass`` constructor is the ring's only normaliser: it sums repeated
-monomials exactly and drops zero sums and the vanishing monomials x^a * theta^b
-with a + b > d or b > g.  Products, sums, scalings and push-forwards hand it
-raw terms, so equality of classes is structural equality of the stored term
-maps.  Top-degree evaluation uses Poincare's formula
+A class is stored as integer numerators over one positive denominator in
+lowest terms, without zero numerators or the vanishing monomials
+x^a * theta^b with a + b > d or b > g.  The form is canonical, so equal
+classes have equal stored maps, and the ring works on plain integers; a
+``Fraction`` is built only at the public surface.  Top-degree evaluation
+uses Poincare's formula
 
     (x^(d-b) * theta^b) = g! / (g-b)!
 
 extended linearly over the exact rational coefficients.
 
-A product of at least 36 term pairs whose support is compact is one
-big-integer multiplication by Kronecker substitution (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 2009), with slots as wide as the product's own theta support, so its
-cost follows the factors and not the ambient (g, d).  Smaller or sparser
-products multiply term pairs.
+A product with many term pairs per packed slot is one big-integer
+multiplication by Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+2009), packed degree-major: the terms that survive truncation are a prefix
+of the product, and its cost follows the factors, not the ambient (g, d).
+Other products multiply term pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .arith import binomial, format_rat
+from .arith import binomial
 
 __all__ = [
     "AmbientMismatchError",
@@ -41,6 +42,7 @@ __all__ = [
     "zero_class",
     "x_class",
     "theta_class",
+    "sum_classes",
     "mul_classes",
     "evaluate_top",
     "pushforward_B",
@@ -65,9 +67,10 @@ class CohomClass:
 
     Instances are immutable.  ``terms`` maps or lists ((x power, theta power),
     coefficient) pairs; coefficients must be ``int`` or ``Fraction``.
+    Repeated monomials are summed; zero sums and vanishing monomials dropped.
     """
 
-    __slots__ = ("genus", "sym_index", "_terms")
+    __slots__ = ("genus", "sym_index", "_numerators", "_denominator")
 
     def __init__(
         self,
@@ -77,40 +80,41 @@ class CohomClass:
     ):
         if genus < 0 or sym_index < 0:
             raise ValueError(f"ambient requires genus >= 0 and sym_index >= 0, got ({genus}, {sym_index})")
-        sums: dict[tuple[int, int], Fraction | int] = {}
+        kept = []
         for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             a, b = key
             if a < 0 or b < 0:
                 raise ValueError(f"monomial exponents must be nonnegative, got x^{a}*theta^{b}")
             if not isinstance(coeff, (int, Fraction)):
                 raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
-            if a + b > sym_index or b > genus:
-                continue  # vanishing monomial
-            if key in sums:
-                sums[key] += coeff
-            else:
-                sums[key] = coeff
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "sym_index", sym_index)
-        object.__setattr__(self, "_terms", {
-            key: coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            for key, coeff in sums.items() if coeff
-        })
+            if a + b <= sym_index and b <= genus:
+                kept.append((key, coeff))
+        denominator = math.lcm(*(coeff.denominator for _, coeff in kept))
+        sums: dict[tuple[int, int], int] = {}
+        for key, coeff in kept:
+            sums[key] = sums.get(key, 0) + coeff.numerator * (denominator // coeff.denominator)
+        _store(self, genus, sym_index, {key: n for key, n in sums.items() if n}, denominator)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CohomClass is immutable")
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        """A copy of the normalised term map, keyed by (x power, theta power)."""
-        return dict(self._terms)
+        """A new dict of reduced ``Fraction`` coefficients, keyed by (x power, theta power)."""
+        denominator = self._denominator
+        return {key: Fraction(n, denominator) for key, n in self._numerators.items()}
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms in canonical order: descending theta power, then descending x power."""
-        return sorted(self._terms.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
+        denominator = self._denominator
+        return [(key, Fraction(n, denominator)) for key, n in sorted(self._numerators.items(), key=_descending)]
+
+    def coefficient(self, x_power: int, theta_power: int) -> Fraction:
+        """The coefficient of x^x_power * theta^theta_power, 0 when absent."""
+        return Fraction(self._numerators.get((x_power, theta_power), 0), self._denominator)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._numerators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohomClass):
@@ -118,17 +122,17 @@ class CohomClass:
         return (
             self.genus == other.genus
             and self.sym_index == other.sym_index
-            and self._terms == other._terms
+            and self._denominator == other._denominator
+            and self._numerators == other._numerators
         )
 
     def __hash__(self) -> int:
-        return hash((self.genus, self.sym_index, frozenset(self._terms.items())))
+        return hash((self.genus, self.sym_index, self._denominator, frozenset(self._numerators.items())))
 
     def __add__(self, other: "CohomClass") -> "CohomClass":
         if not isinstance(other, CohomClass):
             return NotImplemented
-        _check_ambient(self, other)
-        return CohomClass(self.genus, self.sym_index, [*self._terms.items(), *other._terms.items()])
+        return sum_classes(self, other)
 
     def __sub__(self, other: "CohomClass") -> "CohomClass":
         if not isinstance(other, CohomClass):
@@ -161,8 +165,14 @@ class CohomClass:
         return result
 
     def scale(self, scalar: Fraction | int) -> "CohomClass":
-        return CohomClass(
-            self.genus, self.sym_index, ((key, coeff * scalar) for key, coeff in self._terms.items())
+        if not isinstance(scalar, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, got {type(scalar).__name__}")
+        if not scalar:
+            return _class(self.genus, self.sym_index, {}, 1)
+        factor = scalar.numerator
+        return _class(
+            self.genus, self.sym_index,
+            {key: n * factor for key, n in self._numerators.items()}, self._denominator * scalar.denominator,
         )
 
     def __repr__(self) -> str:
@@ -170,6 +180,32 @@ class CohomClass:
 
     def __str__(self) -> str:
         return render_class(self)
+
+
+def _store(cls: CohomClass, genus: int, sym_index: int, numerators: dict[tuple[int, int], int],
+           denominator: int) -> CohomClass:
+    """Set ``cls`` to sum(n * x^a * theta^b) / denominator in lowest terms;
+    the numerators are nonzero and their monomials survive."""
+    common = math.gcd(denominator, *numerators.values())
+    if common != 1:
+        numerators = {key: n // common for key, n in numerators.items()}
+        denominator //= common
+    object.__setattr__(cls, "genus", genus)
+    object.__setattr__(cls, "sym_index", sym_index)
+    object.__setattr__(cls, "_numerators", numerators)
+    object.__setattr__(cls, "_denominator", denominator)
+    return cls
+
+
+def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], denominator: int) -> CohomClass:
+    """A new class, from arguments as ``_store`` takes them."""
+    return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator)
+
+
+def _descending(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
+    """Sort key of the canonical term order: descending theta power, then descending x power."""
+    (a, b), _ = item
+    return -b, -a
 
 
 def _check_ambient(lhs: CohomClass, rhs: CohomClass) -> None:
@@ -201,121 +237,123 @@ def theta_class(genus: int, sym_index: int) -> CohomClass:
     return monomial(genus, sym_index, 0, 1)
 
 
-# A product is packed into integers when it has at least _DENSE_TERMS ** 2
-# term pairs (as two 6-term factors do) and its support box has at most
-# _SLOTS_PER_PAIR slots per pair.  Below the first bound the term pairs are
-# cheaper (CPython 3.11); the second keeps the packed integers, and the slots
-# read back from them, proportional to the term-pair work, so a sparse factor
-# with a long x span, such as x^N + 1, stays on term pairs.  The verifier's
-# bn1 times a one-term x power has 2 pairs.
-_DENSE_TERMS = 6
-_SLOTS_PER_PAIR = 4
+def sum_classes(first: CohomClass, *rest: CohomClass) -> CohomClass:
+    """The sum of classes on one ambient, normalised once rather than once per term."""
+    for other in rest:
+        _check_ambient(first, other)
+    denominator = math.lcm(first._denominator, *(other._denominator for other in rest))
+    factor = denominator // first._denominator
+    sums = {key: n * factor for key, n in first._numerators.items()}
+    for other in rest:
+        factor = denominator // other._denominator
+        for key, n in other._numerators.items():
+            sums[key] = sums.get(key, 0) + n * factor
+    return _class(first.genus, first.sym_index, {key: n for key, n in sums.items() if n}, denominator)
+
+
+# A product is packed when it has at least _DENSE_TERMS ** 2 term pairs and
+# _PAIRS_PER_SLOT pairs per packed slot.  On CPython 3.11, reading back a slot
+# costs about as much as one integer term pair, and below 100 pairs the
+# packing's fixed cost outweighs the pairs.  The second bound also keeps a
+# sparse factor with a long degree span, such as x^N + 1, on term pairs.
+_DENSE_TERMS = 10
+_PAIRS_PER_SLOT = 3
 
 
 def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
     """Product in the truncated ring; both factors must share the ambient.
 
-    A product of at least ``_DENSE_TERMS ** 2`` (36) term pairs whose
-    support box has at most ``_SLOTS_PER_PAIR`` (4) slots per pair is one
-    big-integer multiplication by Kronecker substitution (``_dense_product``;
-    Harvey, J. Symbolic Comput. 2009).  Other products, such as the
-    verifier's bn1 times a one-term x power, take the schoolbook product of
+    Products within the bounds above are packed (``_dense_product``); the
+    others, such as the verifier's bn1 times a one-term x power, multiply
     term pairs.
     """
     _check_ambient(lhs, rhs)
-    pairs = len(lhs._terms) * len(rhs._terms)
+    genus, sym_index = lhs.genus, lhs.sym_index
+    denominator = lhs._denominator * rhs._denominator
+    pairs = len(lhs._numerators) * len(rhs._numerators)
     if pairs >= _DENSE_TERMS**2:
-        box = tuple(map(sum, zip(_box(lhs), _box(rhs))))
-        low_a, high_a, low_b, high_b, _ = box
-        if (high_a - low_a + 1) * (high_b - low_b + 1) <= _SLOTS_PER_PAIR * pairs:
-            return CohomClass(lhs.genus, lhs.sym_index, _dense_product(lhs, rhs, box))
-    return CohomClass(lhs.genus, lhs.sym_index, (
-        ((a1 + a2, b1 + b2), c1 * c2)
-        for (a1, b1), c1 in lhs._terms.items()
-        for (a2, b2), c2 in rhs._terms.items()
-    ))
+        left, right = _extent(lhs), _extent(rhs)
+        low_degree, low_theta = left[0] + right[0], left[2] + right[2]
+        top = min(sym_index, left[1] + right[1])
+        if top < low_degree or low_theta > genus:
+            return _class(genus, sym_index, {}, 1)  # every term pair vanishes
+        stride = min(left[3] + right[3], top) - low_theta + 1
+        if _PAIRS_PER_SLOT * (top - low_degree + 1) * stride <= pairs:
+            return _class(genus, sym_index, _dense_product(lhs, rhs, (left, right, top, stride)), denominator)
+    sums: dict[tuple[int, int], int] = {}
+    for (a1, b1), n1 in lhs._numerators.items():
+        for (a2, b2), n2 in rhs._numerators.items():
+            a, b = a1 + a2, b1 + b2
+            if a + b <= sym_index and b <= genus:
+                sums[a, b] = sums.get((a, b), 0) + n1 * n2
+    return _class(genus, sym_index, {key: n for key, n in sums.items() if n}, denominator)
 
 
-def _box(cls: CohomClass) -> tuple[int, int, int, int, int]:
-    """Least and largest x power, least and largest theta power, and largest
-    total degree of a nonzero class.  Summed over two factors, these bound
-    the support of their product."""
-    xs = [a for a, _ in cls._terms]
-    thetas = [b for _, b in cls._terms]
-    return min(xs), max(xs), min(thetas), max(thetas), max(map(sum, cls._terms))
+def _extent(cls: CohomClass) -> tuple[int, int, int, int]:
+    """Least and largest total degree, and least and largest theta power, of
+    a nonzero class.  Summed over two factors, these bound the support of
+    their product."""
+    degrees = [a + b for a, b in cls._numerators]
+    thetas = [b for _, b in cls._numerators]
+    return min(degrees), max(degrees), min(thetas), max(thetas)
 
 
-def _integer_form(cls: CohomClass) -> tuple[dict[tuple[int, int], int], int]:
-    """Integer numerators over the least common denominator of ``cls``."""
-    denominator = math.lcm(*(coeff.denominator for coeff in cls._terms.values()))
-    return {
-        key: coeff.numerator * (denominator // coeff.denominator) for key, coeff in cls._terms.items()
-    }, denominator
-
-
-def _pack(numerators: dict[tuple[int, int], int], stride: int, kb: int) -> int:
-    """The signed integer sum of n * 2^(8*kb*((a - a0)*stride + b - b0))
-    over the terms, where a0 and b0 are their least x and theta powers."""
-    low_a = min(a for a, _ in numerators)
-    low_b = min(b for _, b in numerators)
-    slots = {(a - low_a) * stride + b - low_b: n for (a, b), n in numerators.items()}
-    length = kb * (max(slots) + 1)
+def _pack(numerators: dict[tuple[int, int], int], low: tuple[int, int], cap: int, stride: int, kb: int) -> int:
+    """The sum of n * 2^(8*kb*((a + b - k0)*stride + b - b0)) over the terms
+    n * x^a * theta^b of degree at most ``cap``, (k0, b0) = ``low``."""
+    low_degree, low_theta = low
+    length = kb * (cap - low_degree + 1) * stride
     positive, negative = bytearray(length), bytearray(length)
-    for slot, n in slots.items():
-        start = kb * slot
-        if n > 0:
-            positive[start:start + kb] = n.to_bytes(kb, "little")
-        else:
-            negative[start:start + kb] = (-n).to_bytes(kb, "little")
+    for (a, b), n in numerators.items():
+        if a + b <= cap:
+            start = kb * ((a + b - low_degree) * stride + b - low_theta)
+            if n > 0:
+                positive[start:start + kb] = n.to_bytes(kb, "little")
+            else:
+                negative[start:start + kb] = (-n).to_bytes(kb, "little")
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 def _dense_product(
-    lhs: CohomClass, rhs: CohomClass, box: tuple[int, int, int, int, int]
-) -> list[tuple[tuple[int, int], Fraction]]:
-    """The surviving terms of lhs * rhs by Kronecker substitution.
+    lhs: CohomClass, rhs: CohomClass, box: tuple[tuple[int, ...], tuple[int, ...], int, int]
+) -> dict[tuple[int, int], int]:
+    """Numerators, over the product of the factors' denominators, of the
+    surviving terms of lhs * rhs by Kronecker substitution.
 
-    ``box`` bounds the product's support: x powers in [low_a, high_a], theta
-    powers in [low_b, high_b], total degree at most ``top``.  Each factor is
-    scaled to integer numerators, and monomial x^a * theta^b becomes slot
-    (a - low_a)*S + b - low_b of a kb-byte digit, S = high_b - low_b + 1, so
-    theta powers of the product never carry into the next x power.  S comes
-    from the product's theta support, not the genus: theta powers above g
-    get slots of their own and are skipped on read-back.  No product digit
-    exceeds max|n_l| * max|n_r| * min(T_l, T_r) in absolute value, which
-    8*kb - 1 bits hold; adding 2^(8*kb - 1) to every digit then leaves each
-    one in [0, 2^(8*kb)), so the digits are read off one ``to_bytes`` buffer
-    without borrows.
+    ``box`` holds the factors' ``_extent``s, the largest surviving degree
+    ``top`` and the row width S = min(high_b, top) - b0 + 1, where k0, b0
+    and high_b bound the product's degrees and theta powers.  x^a * theta^b
+    is slot (a + b - k0)*S + b - b0 of kb-byte digits, each factor packed
+    from its own least degree and theta power, so slots add.  Each row of
+    degree at most ``top`` has a slot for every theta power (those above g
+    are skipped on read-back), so rows never carry into each other, and the
+    surviving terms are the first (top - k0 + 1)*S slots; a factor packs
+    only the terms that reach them.  No digit exceeds max|n_l| * max|n_r| *
+    min(T_l, T_r) in absolute value, which 8*kb - 1 bits hold, so adding
+    2^(8*kb - 1) to each makes the digits readable off one ``to_bytes``
+    buffer without borrows.
     """
-    low_a, high_a, low_b, high_b, top = box
-    stride = high_b - low_b + 1
-    # Read only monomials that survive: a + b <= top <= d and b <= g.
-    top = min(lhs.sym_index, top)
-    high_a = min(high_a, top - low_b)
-    high_b = min(high_b, lhs.genus, top - low_a)
-    if high_a < low_a or high_b < low_b:
-        return []
-    left, left_den = _integer_form(lhs)
-    right, right_den = (left, left_den) if rhs is lhs else _integer_form(rhs)
+    (lk0, lk1, lb0, _), (rk0, rk1, rb0, _), top, stride = box
+    low_degree, low_theta = lk0 + rk0, lb0 + rb0
+    left, right = lhs._numerators, rhs._numerators
     bound = max(map(abs, left.values())) * max(map(abs, right.values())) * min(len(left), len(right))
     kb = bound.bit_length() // 8 + 1
-    packed = _pack(left, stride, kb)
+    packed = _pack(left, (lk0, lb0), min(lk1, top - rk0), stride, kb)
     # A square multiplies one int object by itself, which CPython squares.
-    product = packed * (packed if rhs is lhs else _pack(right, stride, kb))
-    count = (high_a - low_a) * stride + min(high_b, top - high_a) - low_b + 1
+    product = packed * (packed if rhs is lhs else _pack(right, (rk0, rb0), min(rk1, top - lk0), stride, kb))
+    count = (top - low_degree + 1) * stride
     half = 1 << (8 * kb - 1)
     offset = int.from_bytes(half.to_bytes(kb, "little") * count, "little")
     digits = ((product + offset) & ((1 << (8 * kb * count)) - 1)).to_bytes(kb * count, "little")
-    denominator = left_den * right_den
-    terms = []
-    for a in range(low_a, high_a + 1):
-        row = (a - low_a) * stride - low_b
-        for b in range(low_b, min(high_b, top - a) + 1):
-            start = kb * (row + b)
-            value = int.from_bytes(digits[start:start + kb], "little") - half
-            if value:
-                terms.append(((a, b), Fraction(value, denominator)))
-    return terms
+    high_theta = min(low_theta + stride - 1, lhs.genus)
+    from_bytes = int.from_bytes
+    numerators: dict[tuple[int, int], int] = {}
+    for k in range(low_degree, top + 1):
+        start = kb * (k - low_degree) * stride
+        stop = start + kb * (min(high_theta, k) - low_theta + 1)
+        row = (from_bytes(digits[i:i + kb], "little") for i in range(start, stop, kb))
+        numerators.update({(k - b, b): raw - half for b, raw in enumerate(row, low_theta) if raw != half})
+    return numerators
 
 
 def evaluate_top(cls: CohomClass) -> Fraction:
@@ -326,7 +364,8 @@ def evaluate_top(cls: CohomClass) -> Fraction:
     already satisfy b <= g, so the falling factorial is well defined.
     """
     g, d = cls.genus, cls.sym_index
-    return sum((coeff * math.perm(g, b) for (a, b), coeff in cls._terms.items() if a + b == d), Fraction(0))
+    total = sum(n * math.perm(g, b) for (a, b), n in cls._numerators.items() if a + b == d)
+    return Fraction(total, cls._denominator)
 
 
 def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
@@ -343,14 +382,14 @@ def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
         raise ValueError(
             f"push-forward index {k} exceeds the symmetric-product index {cls.sym_index}"
         )
-    for a, b in cls._terms:
+    for a, b in cls._numerators:
         if b != 0:
             raise MixedMonomialError(
                 f"push-forward is only defined on polynomials in x; found x^{a}*theta^{b}"
             )
-    return CohomClass(cls.genus, cls.sym_index - k, (
-        ((a - k, 0), coeff * binomial(a, k)) for (a, _), coeff in cls._terms.items() if a >= k
-    ))
+    return _class(cls.genus, cls.sym_index - k, {
+        (a - k, 0): n * binomial(a, k) for (a, _), n in cls._numerators.items() if a >= k
+    }, cls._denominator)
 
 
 def pair_via_pushforward(small: CohomClass, k: int, x_power: int) -> Fraction:
@@ -384,9 +423,12 @@ def render_class(cls: CohomClass) -> str:
     Terms are ordered by descending theta power then descending x power;
     coefficients are reduced fractions with unit coefficients suppressed.
     """
+    denominator = cls._denominator
     parts: list[str] = []
-    for (a, b), coeff in cls.sorted_terms():
-        magnitude = format_rat(coeff).lstrip("-")
+    for (a, b), n in sorted(cls._numerators.items(), key=_descending):
+        common = math.gcd(n, denominator)
+        p, q = abs(n) // common, denominator // common
+        magnitude = str(p) if q == 1 else f"{p}/{q}"
         if a == b == 0:
             piece = magnitude
         elif magnitude == "1":
@@ -394,7 +436,7 @@ def render_class(cls: CohomClass) -> str:
         else:
             piece = magnitude + "*" + monomial_text(a, b)
         if not parts:
-            parts.append("-" + piece if coeff.numerator < 0 else piece)
+            parts.append("-" + piece if n < 0 else piece)
         else:
-            parts.append((" - " if coeff.numerator < 0 else " + ") + piece)
+            parts.append((" - " if n < 0 else " + ") + piece)
     return "".join(parts) or "0"

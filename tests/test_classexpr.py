@@ -98,6 +98,18 @@ def test_bn1_index_mismatch():
         parse("bn1(-1)", 4, 3)
 
 
+def test_bn1_on_the_zeroth_symmetric_product_is_a_positioned_error():
+    # bn1(0) matches the ambient d = 0, but the rank-1 locus needs d >= 1.
+    for text, position in (("bn1(0)", 1), ("x + 2*bn1(0)", 7)):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 3, 0)
+        assert info.value.position == position
+        assert not isinstance(info.value, Bn1IndexMismatch)
+        assert "bn1(0)" in str(info.value)
+        with pytest.raises(ClassExprError):
+            parse_with_diagnostics(text, 3, 0)
+
+
 def test_exponent_must_be_nonnegative_literal():
     with pytest.raises(ExprSyntaxError):
         parse("x^-1", 4, 3)

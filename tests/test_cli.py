@@ -123,6 +123,12 @@ def test_eval_error_classes_exit_two(capsys):
         assert err.startswith("error:")
 
 
+def test_eval_bn1_on_the_zeroth_symmetric_product_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "--g", "3", "--d", "0", "--expr", "bn1(0)")
+    assert (code, out) == (2, "")
+    assert err == "error: at position 1: bn1(0) is undefined: the symmetric-product index must be at least 1\n"
+
+
 def test_eval_non_decimal_digit_is_a_positioned_error(capsys):
     code, _, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "x^\u00b2")
     assert code == 2

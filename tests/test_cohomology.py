@@ -189,6 +189,35 @@ def test_dense_product_skips_theta_powers_above_the_genus(monkeypatch):
     assert mul_classes(rhs, lhs) == product
 
 
+def test_dense_products_pack_degree_major(monkeypatch):
+    # (x+theta+1)^8 squared in (10, 10): the product's degrees 0-16 are cut
+    # at 10, so its surviving terms fill rows of degree k0 = 0 to top = 10,
+    # each of S = min(16, 10) + 1 = 11 theta slots.  A degree-major operand
+    # packs only terms that reach those rows: at most 121 kb-byte slots.
+    # Times x^3*(x+theta+1)^5, of degrees 3-8, the rows run from k0 = 3 to
+    # 10, at most 88 slots, so (x+theta+1)^8 packs only its degrees 0-7.
+    packed = []
+    pack = cohomology._pack
+
+    def spy(*args):
+        value = pack(*args)
+        packed.append((value, args[-1]))
+        return value
+
+    g = d = 10
+    x, theta, one = x_class(g, d), theta_class(g, d), unit_class(g, d)
+    base = (x + theta + one) ** 8
+    shifted = monomial(g, d, 3, 0) * (x + theta + one) ** 5
+    monkeypatch.setattr(cohomology, "_pack", spy)
+    for rhs, slots in ((base, (10 - 0 + 1) * 11), (-base, (10 - 0 + 1) * 11), (shifted, (10 - 3 + 1) * 11)):
+        packed.clear()
+        product = mul_classes(base, rhs)
+        assert packed
+        for value, kb in packed:
+            assert abs(value).bit_length() <= kb * 8 * slots
+        assert product.terms == schoolbook(base, rhs)
+
+
 def test_dense_product_where_nothing_survives():
     # 8-term factors, 64 term pairs: in (4, 20) every pair lands on theta^6
     # or above, past g; in (8, 10) every pair has degree 12 or more, past d.
@@ -198,6 +227,19 @@ def test_dense_product_where_nothing_survives():
         assert len(factor.terms) == 8
         assert mul_classes(factor, factor) == zero_class(g, d)
         assert mul_classes(factor, factor.scale(-1)) == zero_class(g, d)
+
+
+def test_packed_products_where_nothing_survives(monkeypatch):
+    # 10- and 12-term factors, 100 or more term pairs: in (4, 30) every pair
+    # lands on theta^6 or above, past g; in (10, 12) every pair has degree 14
+    # or more, past d.  Neither reaches the packed product.
+    monkeypatch.setattr(cohomology, "_dense_product", None)
+    for g, d, keys in ((4, 30, [(a, b) for a in range(5) for b in (3, 4)]),
+                       (10, 12, [(a, b) for a in range(4, 10) for b in (3, 4)])):
+        factor = CohomClass(g, d, {key: sum(key) for key in keys})
+        assert len(factor.terms) ** 2 >= _DENSE_TERMS**2
+        assert mul_classes(factor, factor) == zero_class(g, d)
+        assert mul_classes(factor, factor.scale(Fraction(-1, 3))) == zero_class(g, d)
 
 
 def test_sparse_factors_with_a_long_x_span_multiply_term_pairs():
