@@ -299,9 +299,9 @@ class _Parser:
                 def evaluate(*ring):
                     if index != d:
                         raise Bn1IndexMismatch(token.position, index, d)
-                    if d < 1:
+                    if d == 0:
                         raise ClassExprError(
-                            token.position, f"bn1({d}) is undefined: the symmetric-product index must be at least 1"
+                            token.position, "bn1(0) is undefined: the symmetric-product index must be at least 1"
                         )
                     return CohomClass(*ring, bn1_terms(g, d))
                 return max(g - d + 1, 0), evaluate
