@@ -2,12 +2,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from triplecover.arith import factorial
 from triplecover.brill_noether import (
     bn1_class,
+    bn1_terms,
     bn_query,
     castelnuovo_count,
     cs_max_degree,
@@ -96,6 +99,31 @@ def test_bn1_class_degenerate_indices():
     assert bn1_class(3, 4) == unit_class(3, 4)
     # d > g + 1: both coefficients vanish.
     assert not bn1_class(2, 5)
+
+
+def test_bn1_class_equals_its_terms_placed_through_the_constructor():
+    # Truncated ambients (d < (g+1)/2 kills the lead term or both), d = g,
+    # d = g + 1 (the unit class) and d > g + 1 (zero).
+    for g in range(0, 13):
+        for d in range(1, g + 5):
+            cls = bn1_class(g, d)
+            assert cls == CohomClass(g, d, bn1_terms(g, d))
+            assert hash(cls) == hash(CohomClass(g, d, bn1_terms(g, d)))
+            assert all(type(n) is int for n in cls._numerators.values())
+            assert math.gcd(cls._denominator, *cls._numerators.values()) == 1
+            if not cls:
+                assert cls._denominator == 1
+    assert bn1_class(5, 6) == unit_class(5, 6)
+    assert not bn1_class(5, 7) and bn1_class(5, 7)._denominator == 1
+    assert not bn1_class(9, 2) and bn1_class(9, 2)._denominator == 1
+
+
+def test_bn1_terms_are_reduced_fractions_in_lead_then_correction_order():
+    assert list(bn1_terms(7, 4).items()) == [((0, 4), Fraction(1, 24)), ((1, 3), Fraction(-1, 6))]
+    assert bn1_terms(4, 4) == {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
+    assert bn1_terms(4, 5) == {(0, 0): Fraction(1)}
+    assert bn1_terms(4, 6) == {}
+    assert all(type(coeff) is Fraction for coeff in bn1_terms(30, 11).values())
 
 
 def test_bn1_class_validates_inputs():

@@ -315,6 +315,43 @@ def test_only_int_and_fraction_coefficients_accepted():
         CohomClass(4, 3, [((1, 0), 0.5), ((1, 0), -0.5)])
 
 
+def test_monomial_equals_the_constructor_built_class():
+    for g in range(0, 4):
+        for d in range(0, 4):
+            for a in range(0, 5):
+                for b in range(0, 5):
+                    for c in (0, 1, -3, Fraction(-4, 6), True):
+                        cls = monomial(g, d, a, b, c)
+                        expected = CohomClass(g, d, {(a, b): c})
+                        assert cls == expected
+                        assert hash(cls) == hash(expected)
+                        assert all(type(n) is int for n in cls._numerators.values())
+                        assert math.gcd(cls._denominator, *cls._numerators.values()) == 1
+                        if not cls:
+                            assert cls._denominator == 1
+    assert monomial(3, 3, 1, 1, Fraction(-4, 6)).terms == {(1, 1): Fraction(-2, 3)}
+    assert not monomial(3, 3, 2, 2, Fraction(1, 7)) and monomial(3, 3, 2, 2, Fraction(1, 7))._denominator == 1
+
+
+def test_monomial_keeps_the_constructor_errors():
+    cases = [
+        ((-1, 3, 0, 0, 1), ValueError, "ambient requires genus >= 0 and sym_index >= 0, got (-1, 3)"),
+        ((2, -1, 0, 0, 1), ValueError, "ambient requires genus >= 0 and sym_index >= 0, got (2, -1)"),
+        ((4, 3, -1, 0, 1), ValueError, "monomial exponents must be nonnegative, got x^-1*theta^0"),
+        ((4, 3, 0, -2, 1), ValueError, "monomial exponents must be nonnegative, got x^0*theta^-2"),
+        ((4, 3, 1, 0, 0.5), TypeError, "coefficients must be int or Fraction, got float"),
+        # Rejected even where the monomial vanishes.
+        ((4, 3, 0, 9, 0.25), TypeError, "coefficients must be int or Fraction, got float"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error) as raised:
+            monomial(*args)
+        assert str(raised.value) == message
+        with pytest.raises(error) as raised:
+            CohomClass(args[0], args[1], {(args[2], args[3]): args[4]})
+        assert str(raised.value) == message
+
+
 def test_equality_is_structural_on_normalized_maps():
     lhs = CohomClass(4, 3, {(1, 1): Fraction(2, 4), (3, 3): 5})
     rhs = CohomClass(4, 3, {(1, 1): Fraction(1, 2)})

@@ -102,6 +102,28 @@ def test_verify_route_disagreement_is_fatal(monkeypatch):
         verify_inequality(2, 28)
 
 
+def test_verify_closed_form_disagreement_is_fatal(monkeypatch):
+    monkeypatch.setattr(existence, "_bn1_closed_form", lambda genus, d: -1)
+    with pytest.raises(ArithmeticError):
+        verify_inequality(2, 28)
+
+
+def test_expansion_route_needs_no_binomials(monkeypatch):
+    # The two routes of the left side stay independent: the expansion
+    # route reaches the closed form's values without any binomial.
+    grid = [(g, d) for g in range(0, 14) for d in range((g + 2) // 2, g + 4) if d >= 1]
+    grid += [(g, critical_degree(h, g)) for h in range(1, 9) for g in range(genus_bound(h), genus_bound(h) + 5)]
+    expected = {(g, d): existence._bn1_closed_form(g, d) for g, d in grid}
+
+    def refuse(*args):
+        raise AssertionError("the expansion route used a binomial")
+
+    monkeypatch.setattr(existence, "binomial", refuse)
+    monkeypatch.setattr(cohomology, "binomial", refuse)
+    for (g, d), value in expected.items():
+        assert existence._bn1_pairing(g, d) == value
+
+
 def test_verifier_multiplies_term_pairs(monkeypatch):
     # The expansion route and the audit stay on the schoolbook product: the
     # packed product never runs inside them.
