@@ -30,9 +30,8 @@ def factorial(n: int) -> int:
 def recip_factorial(n: int) -> Fraction:
     """Return 1/n! for n >= 0 and 0 for n < 0.
 
-    The zero value for negative arguments is the convention that makes the
-    alternating factorial expressions in the pencil counts collapse cleanly
-    at the edge cases (an empty family contributes nothing).
+    The zero value for negative arguments reads 1/n! as the coefficient of a
+    term that is absent, such as theta^n/n! for n < 0.
     """
     if n < 0:
         return Fraction(0)

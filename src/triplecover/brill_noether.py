@@ -6,6 +6,10 @@ inside a symmetric product, the Castelnuovo-Severi degree bound for triple
 covers, and the genus hypothesis under which the pencil loci are
 equi-dimensional of minimal dimension.
 
+The rank-1 locus class theta^(g-d+1)/(g-d+1)! - x*theta^(g-d)/(g-d)! is
+built from its integer numerators 1 and -(g-d+1) over (g-d+1)!, the form in
+which ``CohomClass`` stores a class.
+
 The loci themselves (line bundles or divisors with at least two sections)
 carry no computational representation here; ``BNQuery`` records only their
 expected dimension and, when that dimension is zero, their count.
@@ -16,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorial, recip_factorial
-from .cohomology import CohomClass
+from .arith import factorial
+from .cohomology import CohomClass, _class, _surviving
 
 __all__ = [
     "BNQuery",
@@ -85,39 +89,52 @@ def castelnuovo_count(g: int, r: int, d: int) -> int:
     return count
 
 
-def bn1_terms(g: int, d: int) -> dict[tuple[int, int], Fraction]:
-    """Term map, keyed by (x power, theta power), of the rank-1
-    special-divisor locus class in the d-th symmetric product of a genus-g
-    curve:
+def _bn1_numerators(g: int, d: int) -> tuple[dict[tuple[int, int], int], int]:
+    """Integer numerators, keyed by (x power, theta power), over one
+    denominator of the untruncated rank-1 locus class.  With k = g - d,
 
-        theta^(g-d+1)/(g-d+1)! - x*theta^(g-d)/(g-d)!
+        theta^(k+1)/(k+1)! - x*theta^k/k! = (theta^(k+1) - (k+1)*x*theta^k) / (k+1)!
 
-    No ambient truncation is applied; the reciprocal-factorial convention
-    drops a term whose factorial argument is negative.
+    in lowest terms.  A term whose factorial argument would be negative is
+    absent, so k = -1 leaves the unit class and k < -1 the zero class.
     """
     if d < 1:
         raise ValueError(f"symmetric-product index must be at least 1, got {d}")
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
-    terms: dict[tuple[int, int], Fraction] = {}
-    lead = recip_factorial(g - d + 1)
-    if lead != 0:
-        terms[(0, g - d + 1)] = lead
-    corr = recip_factorial(g - d)
-    if corr != 0:
-        terms[(1, g - d)] = -corr
-    return terms
+    k = g - d
+    if k < -1:
+        return {}, 1
+    if k == -1:
+        return {(0, 0): 1}, 1
+    return {(0, k + 1): 1, (1, k): -(k + 1)}, factorial(k + 1)
+
+
+def bn1_terms(g: int, d: int) -> dict[tuple[int, int], Fraction]:
+    """Term map, keyed by (x power, theta power), of the rank-1
+    special-divisor locus class in the d-th symmetric product of a genus-g
+    curve, as reduced ``Fraction`` coefficients:
+
+        theta^(g-d+1)/(g-d+1)! - x*theta^(g-d)/(g-d)!
+
+    These are the integer numerators 1 and -(g-d+1) over (g-d+1)! that
+    ``bn1_class`` stores.  No ambient truncation is applied; d = g + 1
+    gives the unit term alone and d > g + 1 no term.
+    """
+    numerators, denominator = _bn1_numerators(g, d)
+    return {key: Fraction(n, denominator) for key, n in numerators.items()}
 
 
 def bn1_class(g: int, d: int) -> CohomClass:
-    """Fundamental class of the rank-1 special-divisor locus, ``bn1_terms``
-    placed in the ambient (g, d).
+    """Fundamental class of the rank-1 special-divisor locus in the ambient
+    (g, d), built from the integer numerators 1 and -(g-d+1) over (g-d+1)!
+    straight into the stored form, without the monomials the ambient kills.
 
-    Meaningful for 1 <= d <= g; for d > g the reciprocal-factorial
-    convention kills the out-of-range terms, so e.g. d == g + 1 yields the
-    unit class (every divisor moves) and larger d yields zero.
+    Meaningful for 1 <= d <= g; d == g + 1 yields the unit class (every
+    divisor moves) and larger d yields zero.
     """
-    return CohomClass(g, d, bn1_terms(g, d))
+    numerators, denominator = _bn1_numerators(g, d)
+    return _class(g, d, _surviving(g, d, numerators), denominator)
 
 
 def cs_max_degree(g: int, h: int) -> int:

@@ -43,8 +43,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brill_noether import bn1_terms
-from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
+from .brill_noether import _bn1_numerators
+from .cohomology import CohomClass, _class, _surviving, monomial, monomial_text, mul_classes, sum_classes, unit_class
 
 __all__ = [
     "ClassExprError",
@@ -303,7 +303,8 @@ class _Parser:
                         raise ClassExprError(
                             token.position, "bn1(0) is undefined: the symmetric-product index must be at least 1"
                         )
-                    return CohomClass(*ring, bn1_terms(g, d))
+                    numerators, denominator = _bn1_numerators(g, d)
+                    return _class(*ring, _surviving(*ring, numerators), denominator)
                 return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":

@@ -80,20 +80,19 @@ class CohomClass:
     ):
         if genus < 0 or sym_index < 0:
             raise ValueError(f"ambient requires genus >= 0 and sym_index >= 0, got ({genus}, {sym_index})")
-        kept = []
+        pairs = []
         for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             a, b = key
             if a < 0 or b < 0:
                 raise ValueError(f"monomial exponents must be nonnegative, got x^{a}*theta^{b}")
             if not isinstance(coeff, (int, Fraction)):
                 raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
-            if a + b <= sym_index and b <= genus:
-                kept.append((key, coeff))
-        denominator = math.lcm(*(coeff.denominator for _, coeff in kept))
+            pairs.append((key, coeff))
+        denominator = math.lcm(*(coeff.denominator for _, coeff in pairs))
         sums: dict[tuple[int, int], int] = {}
-        for key, coeff in kept:
+        for key, coeff in pairs:
             sums[key] = sums.get(key, 0) + coeff.numerator * (denominator // coeff.denominator)
-        _store(self, genus, sym_index, {key: n for key, n in sums.items() if n}, denominator)
+        _store(self, genus, sym_index, _surviving(genus, sym_index, sums), denominator)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CohomClass is immutable")
@@ -202,6 +201,12 @@ def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], d
     return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator)
 
 
+def _surviving(genus: int, sym_index: int, numerators: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The nonzero numerators whose monomials survive in the ambient (genus,
+    sym_index): x^a * theta^b vanishes when a + b > sym_index or b > genus."""
+    return {(a, b): n for (a, b), n in numerators.items() if n and a + b <= sym_index and b <= genus}
+
+
 def _descending(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
     """Sort key of the canonical term order: descending theta power, then descending x power."""
     (a, b), _ = item
@@ -217,8 +222,17 @@ def _check_ambient(lhs: CohomClass, rhs: CohomClass) -> None:
 
 
 def monomial(genus: int, sym_index: int, x_power: int, theta_power: int, coeff: Fraction | int = 1) -> CohomClass:
-    """The single monomial coeff * x^a * theta^b in the given ambient."""
-    return CohomClass(genus, sym_index, {(x_power, theta_power): coeff})
+    """The single monomial coeff * x^a * theta^b in the given ambient.
+
+    Valid input is built directly in the stored form, without the
+    constructor's validating pass; invalid input raises the constructor's
+    errors.
+    """
+    if min(genus, sym_index, x_power, theta_power) < 0 or not isinstance(coeff, (int, Fraction)):
+        return CohomClass(genus, sym_index, {(x_power, theta_power): coeff})
+    return _class(
+        genus, sym_index, _surviving(genus, sym_index, {(x_power, theta_power): coeff.numerator}), coeff.denominator
+    )
 
 
 def unit_class(genus: int, sym_index: int) -> CohomClass:

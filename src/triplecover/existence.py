@@ -137,7 +137,8 @@ def _bn1_closed_form(genus: int, d: int) -> int:
 
 def _bn1_pairing(genus: int, d: int) -> Fraction:
     """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
-    ring and evaluated by Poincare's formula."""
+    ring and evaluated by Poincare's formula.  It takes a factorial and
+    falling factorials but no binomial, so the two routes stay independent."""
     return evaluate_top(mul_classes(bn1_class(genus, d), monomial(genus, d, 2 * d - genus - 1, 0)))
 
 
