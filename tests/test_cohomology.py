@@ -260,6 +260,44 @@ def test_sparse_factors_with_a_long_x_span_multiply_term_pairs():
     assert len(product.terms) == 2 * len(dense.terms) == 90
 
 
+def test_one_term_products_match_schoolbook_oracle():
+    # Every surviving monomial, with int, negative and Fraction
+    # coefficients, times a full class, a two-term class, a one-term class,
+    # the unit and zero, on either side.  The shifted keys land on a + b = d
+    # and b = g and one step past each; the results are in canonical form.
+    landed = set()
+    for g, d in ((4, 7), (7, 4), (3, 3), (0, 5), (2, 0)):
+        keys = monomials(g, d)
+        others = [
+            CohomClass(g, d, {(a, b): Fraction((-1) ** (a + b) * (a + 2 * b + 1), b + 2) for a, b in keys}),
+            CohomClass(g, d, {(0, min(g, d)): Fraction(1, 6), (1, 0): Fraction(-5, 4)}),
+            monomial(g, d, d // 2, min(g, d // 2), Fraction(9, 10)),
+            unit_class(g, d),
+            zero_class(g, d),
+        ]
+        for a, b in keys:
+            for c in (1, -3, Fraction(-4, 6), Fraction(5, 7)):
+                single = monomial(g, d, a, b, c)
+                for other in others:
+                    for lhs, rhs in ((single, other), (other, single)):
+                        product = mul_classes(lhs, rhs)
+                        expected = schoolbook(lhs, rhs)
+                        assert product.terms == expected
+                        assert all(type(n) is int for n in product._numerators.values())
+                        assert math.gcd(product._denominator, *product._numerators.values()) == 1
+                        if not product:
+                            assert product._denominator == 1
+                        assert product == CohomClass(g, d, expected)
+                        assert hash(product) == hash(CohomClass(g, d, expected))
+                    for a2, b2 in other.terms:
+                        k, t = a + a2, b + b2
+                        landed.update(
+                            edge for edge, hit in (("a+b=d", k + t == d), ("a+b=d+1", k + t == d + 1),
+                                                   ("b=g", t == g), ("b=g+1", t == g + 1)) if hit
+                        )
+    assert landed == {"a+b=d", "a+b=d+1", "b=g", "b=g+1"}
+
+
 def test_dense_product_below_the_top_degree():
     # Degree-5 factors in (12, 12): the product's support ends at degree 10,
     # below the ambient's, and nothing is truncated.
@@ -626,8 +664,10 @@ def test_class_power_matches_repeated_mul():
 
 def test_classes_are_immutable():
     cls = x_class(3, 2)
-    with pytest.raises(AttributeError):
-        cls.genus = 5
+    for name in ("genus", "sym_index", "_numerators", "_denominator"):
+        with pytest.raises(AttributeError):
+            setattr(cls, name, 5)
+    assert (cls.genus, cls.sym_index, cls._numerators, cls._denominator) == (3, 2, {(1, 0): 1}, 1)
     snapshot = cls.terms
     snapshot[(0, 0)] = Fraction(1)
     assert cls == x_class(3, 2)

@@ -102,6 +102,27 @@ def test_verify_route_disagreement_is_fatal(monkeypatch):
         verify_inequality(2, 28)
 
 
+def test_verify_route_disagreement_names_both_sides(monkeypatch):
+    monkeypatch.setattr(existence, "evaluate_top", lambda cls: Fraction(-1, 3))
+    with pytest.raises(ArithmeticError) as raised:
+        verify_inequality(2, 28)
+    assert str(raised.value) == "internal consistency failure at (h=2, g=28): closed form 77805 != expansion -1/3"
+
+
+def test_report_sides_are_fractions_and_the_verdict_a_bool():
+    grid = [(1, 15), (2, 28), (2, 29), (3, 66), (4, 91), (5, 200), (60, 16471)]
+    for h, g in grid:
+        report = verify_inequality(h, g)
+        assert type(report.lhs) is Fraction
+        assert type(report.rhs) is Fraction
+        assert type(report.lhs_via_expansion) is Fraction
+        assert type(report.strict) is bool
+        assert report.lhs.denominator == report.rhs.denominator == 1
+        assert report.lhs_via_expansion == report.lhs
+        assert report.strict is (report.lhs > report.rhs)
+    assert verify_inequality(60, 16471).lhs.numerator.bit_length() == 817
+
+
 def test_verify_closed_form_disagreement_is_fatal(monkeypatch):
     monkeypatch.setattr(existence, "_bn1_closed_form", lambda genus, d: -1)
     with pytest.raises(ArithmeticError):
