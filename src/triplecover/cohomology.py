@@ -22,7 +22,8 @@ multiplication by Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 2009), packed degree-major: the terms that survive truncation are a prefix
 of the product, and its cost follows the factors, not the ambient (g, d).
-Other products multiply term pairs.
+A product with a one-term factor shifts the other factor's monomials by that
+monomial.  Other products multiply term pairs.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ class CohomClass:
         _store(self, genus, sym_index, _surviving(genus, sym_index, sums), denominator)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError("CohomClass is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("CohomClass is immutable")
 
     @property
@@ -181,6 +185,15 @@ class CohomClass:
         return render_class(self)
 
 
+# The slots' own descriptor setters.  ``__setattr__`` refuses every write,
+# and calling a setter bound once here skips the attribute lookup that
+# ``object.__setattr__`` makes on each of the four writes per class built.
+_set_genus = CohomClass.genus.__set__
+_set_sym_index = CohomClass.sym_index.__set__
+_set_numerators = CohomClass._numerators.__set__
+_set_denominator = CohomClass._denominator.__set__
+
+
 def _store(cls: CohomClass, genus: int, sym_index: int, numerators: dict[tuple[int, int], int],
            denominator: int) -> CohomClass:
     """Set ``cls`` to sum(n * x^a * theta^b) / denominator in lowest terms;
@@ -189,10 +202,10 @@ def _store(cls: CohomClass, genus: int, sym_index: int, numerators: dict[tuple[i
     if common != 1:
         numerators = {key: n // common for key, n in numerators.items()}
         denominator //= common
-    object.__setattr__(cls, "genus", genus)
-    object.__setattr__(cls, "sym_index", sym_index)
-    object.__setattr__(cls, "_numerators", numerators)
-    object.__setattr__(cls, "_denominator", denominator)
+    _set_genus(cls, genus)
+    _set_sym_index(cls, sym_index)
+    _set_numerators(cls, numerators)
+    _set_denominator(cls, denominator)
     return cls
 
 
@@ -201,10 +214,15 @@ def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], d
     return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator)
 
 
+def _survives(genus: int, sym_index: int, a: int, b: int) -> bool:
+    """Whether x^a * theta^b survives in the ambient (genus, sym_index): it
+    vanishes when a + b > sym_index or b > genus."""
+    return a + b <= sym_index and b <= genus
+
+
 def _surviving(genus: int, sym_index: int, numerators: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """The nonzero numerators whose monomials survive in the ambient (genus,
-    sym_index): x^a * theta^b vanishes when a + b > sym_index or b > genus."""
-    return {(a, b): n for (a, b), n in numerators.items() if n and a + b <= sym_index and b <= genus}
+    """The nonzero numerators whose monomials survive in the ambient (genus, sym_index)."""
+    return {(a, b): n for (a, b), n in numerators.items() if n and _survives(genus, sym_index, a, b)}
 
 
 def _descending(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
@@ -230,9 +248,9 @@ def monomial(genus: int, sym_index: int, x_power: int, theta_power: int, coeff: 
     """
     if min(genus, sym_index, x_power, theta_power) < 0 or not isinstance(coeff, (int, Fraction)):
         return CohomClass(genus, sym_index, {(x_power, theta_power): coeff})
-    return _class(
-        genus, sym_index, _surviving(genus, sym_index, {(x_power, theta_power): coeff.numerator}), coeff.denominator
-    )
+    if coeff and _survives(genus, sym_index, x_power, theta_power):
+        return _class(genus, sym_index, {(x_power, theta_power): coeff.numerator}, coeff.denominator)
+    return _class(genus, sym_index, {}, 1)
 
 
 def unit_class(genus: int, sym_index: int) -> CohomClass:
@@ -277,13 +295,26 @@ _PAIRS_PER_SLOT = 3
 def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
     """Product in the truncated ring; both factors must share the ambient.
 
-    Products within the bounds above are packed (``_dense_product``); the
-    others, such as the verifier's bn1 times a one-term x power, multiply
+    A product with a one-term factor n0 * x^a0 * theta^b0 shifts the other
+    factor's monomials by (a0, b0) and scales its numerators by n0: distinct
+    monomials stay distinct, so nothing cancels and no term pair is summed.
+    Other products within the bounds above are packed (``_dense_product``);
+    the rest, such as bn1 times x + theta in a class expression, multiply
     term pairs.
     """
     _check_ambient(lhs, rhs)
     genus, sym_index = lhs.genus, lhs.sym_index
     denominator = lhs._denominator * rhs._denominator
+    if len(lhs._numerators) == 1 or len(rhs._numerators) == 1:
+        single, other = (lhs, rhs) if len(lhs._numerators) == 1 else (rhs, lhs)
+        [((a0, b0), n0)] = single._numerators.items()
+        # x^(a + a0) * theta^(b + b0) survives in (g, d) exactly when
+        # x^a * theta^b survives in (g - b0, d - a0 - b0).
+        genus_left, degree_left = genus - b0, sym_index - a0 - b0
+        return _class(genus, sym_index, {
+            (a + a0, b + b0): n * n0
+            for (a, b), n in other._numerators.items() if _survives(genus_left, degree_left, a, b)
+        }, denominator)
     pairs = len(lhs._numerators) * len(rhs._numerators)
     if pairs >= _DENSE_TERMS**2:
         left, right = _extent(lhs), _extent(rhs)

@@ -169,8 +169,9 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     d = critical_degree(h, g)
     pullback = _pullback_degree(h)
 
-    lhs = Fraction(_bn1_closed_form(g, d))
-    rhs = Fraction(binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback))
+    # Both closed-form sides stay ints; the report's Fractions are built once.
+    lhs = _bn1_closed_form(g, d)
+    rhs = binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback)
     expansion = _bn1_pairing(g, d)
     if expansion != lhs:
         raise ArithmeticError(
@@ -183,8 +184,8 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
         e=e,
         parity=parity,
         critical_degree=d,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=Fraction(lhs),
+        rhs=Fraction(rhs),
         lhs_via_expansion=expansion,
         strict=lhs > rhs,
     )

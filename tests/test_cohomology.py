@@ -667,6 +667,8 @@ def test_classes_are_immutable():
     for name in ("genus", "sym_index", "_numerators", "_denominator"):
         with pytest.raises(AttributeError):
             setattr(cls, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(cls, name)
     assert (cls.genus, cls.sym_index, cls._numerators, cls._denominator) == (3, 2, {(1, 0): 1}, 1)
     snapshot = cls.terms
     snapshot[(0, 0)] = Fraction(1)
