@@ -169,7 +169,8 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     d = critical_degree(h, g)
     pullback = _pullback_degree(h)
 
-    # Both closed-form sides stay ints; the report's Fractions are built once.
+    # The closed-form sides stay ints until the report: comparing ints is
+    # cheaper than comparing Fractions.
     lhs = _bn1_closed_form(g, d)
     rhs = binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback)
     expansion = _bn1_pairing(g, d)
