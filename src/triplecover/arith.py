@@ -10,6 +10,7 @@ between calls, so memory stays bounded by the size of the current answer.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "recip_factorial",
     "binomial",
     "format_rat",
+    "exceeds_str_digits",
 ]
 
 
@@ -50,3 +52,12 @@ def format_rat(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def exceeds_str_digits(bits: int) -> bool:
+    """Whether every integer of magnitude at least 2**bits has more decimal
+    digits than the interpreter's int-to-str limit L
+    (``sys.get_int_max_str_digits()``, 0 meaning none).  Since 2^10 > 10^3,
+    2^bits has more than L digits once 3*bits >= 10*L."""
+    limit = sys.get_int_max_str_digits()
+    return limit > 0 and 3 * bits >= 10 * limit

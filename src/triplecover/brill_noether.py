@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorial
+from .arith import binomial, factorial
 from .cohomology import CohomClass, _class, _surviving
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "bn_query",
     "rho",
     "castelnuovo_count",
+    "castelnuovo_count_bits",
     "bn1_terms",
     "bn1_class",
     "cs_max_degree",
@@ -65,28 +66,60 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
+def _rectangle(g: int, r: int, d: int) -> tuple[int, int]:
+    """The sides a <= b of the (r+1) x (g-d+r) rectangle.  At rho == 0 the
+    Castelnuovo count is the number of standard tableaux of this shape,
+    g! / prod_{i<a} (b+i)!/i! by the hook length formula, which the
+    transposed rectangle shares."""
+    a, b = sorted((r + 1, g - d + r))
+    return a, b
+
+
 def castelnuovo_count(g: int, r: int, d: int) -> int:
     """Castelnuovo's count of g^r_d's on a general curve when rho == 0:
 
         g! * prod_{i=0..r} i! / (g - d + r + i)!
 
-    For pencils this is g! / ((g-d+1)! (g-d+2)!).
+    For pencils this is g! / ((g-d+1)! (g-d+2)!).  With a <= b the sides of
+    the rectangle (``_rectangle``), it is computed as
+
+        prod_{j=1..a} C(j*b, b) / prod_{i<a} C(b+i, i),
+
+    a binomials over a binomials, so the count of a one-column rectangle
+    (a = 1) costs nothing however large g is.
     """
     _validate_query(g, r, d)
     rho_value = rho(g, r, d)
     if rho_value != 0:
         raise ValueError(f"Castelnuovo count requires rho == 0, got rho = {rho_value}")
-    numerator = factorial(g)
-    denominator = 1
-    for i in range(r + 1):
-        numerator *= factorial(i)
-        denominator *= factorial(g - d + r + i)
+    a, b = _rectangle(g, r, d)
+    numerator = denominator = 1
+    for i in range(a):
+        numerator *= binomial((i + 1) * b, b)
+        denominator *= binomial(b + i, i)
     count, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(
             f"Castelnuovo count came out non-integral: {Fraction(numerator, denominator)}"
         )
     return count
+
+
+def castelnuovo_count_bits(g: int, r: int, d: int) -> int:
+    """An integer j with castelnuovo_count(g, r, d) >= 2**j, found without
+    computing the count; (g, r, d) must have rho == 0.
+
+    With a <= b the sides of the rectangle (``_rectangle``, g = ab), the
+    count is g!/(b!)^a divided by prod_{i<a} C(b+i, i).  The multinomial
+    g!/(b!)^a is the largest of the C(g+a-1, a-1) <= (g+1)^(a-1) terms that
+    sum to a^g, and C(b+i, i) <= (b+1)^i, so
+
+        count >= a^g / ((g+1)^(a-1) * (b+1)^(a(a-1)/2)),
+
+    and n.bit_length() bounds log2(n+1) from above.
+    """
+    a, b = _rectangle(g, r, d)
+    return g * (a.bit_length() - 1) - (a - 1) * g.bit_length() - a * (a - 1) // 2 * b.bit_length()
 
 
 def _bn1_numerators(g: int, d: int) -> tuple[dict[tuple[int, int], int], int]:

@@ -43,6 +43,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import exceeds_str_digits
 from .brill_noether import _bn1_numerators
 from .cohomology import CohomClass, _class, _surviving, monomial, monomial_text, mul_classes, sum_classes, unit_class
 
@@ -245,12 +246,11 @@ class _Parser:
         def evaluate(*ring):
             value = base(*ring)
             # The constant term of base^N is c^N.  With m = max(|p|, q) for
-            # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1, and 2^j has
-            # more than L decimal digits once 3j >= 10L, since 2^10 > 10^3.
-            limit = sys.get_int_max_str_digits()
+            # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1.
             constant = value.coefficient(0, 0)
             bits = max(abs(constant.numerator), constant.denominator).bit_length() - 1
-            if limit and 3 * bits * exponent >= 10 * limit:
+            if exceeds_str_digits(bits * exponent):
+                limit = sys.get_int_max_str_digits()
                 raise ClassExprError(
                     caret.position,
                     f"the power's constant term would have more than {limit} digits, "

@@ -12,9 +12,12 @@ audit) finds a violated inequality, 2 on usage or input errors.  Integers
 longer than the interpreter's int-to-str digit limit and ``--out`` targets
 that cannot be written are input errors.
 
-``theorem-a --h-range`` sweeps the base genera in parallel, one worker task
-per base genus; the worker count is taken from the ``TRIPLECOVER_WORKERS``
+``theorem-a --h-range`` sweeps the base genera in parallel, one task per
+base genus; the worker count W is taken from the ``TRIPLECOVER_WORKERS``
 environment variable and defaults to the number of available processors.
+With W >= 2 the calling process computes every W-th base genus itself and
+starts W - 1 processes (never more than their tasks) for the rest, which
+return the integer sides of each comparison for the caller to report.
 """
 
 from __future__ import annotations
@@ -30,8 +33,14 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import format_rat
-from .brill_noether import castelnuovo_count, cs_max_degree, pencil_dimension_hypothesis, rho
+from .arith import exceeds_str_digits, format_rat
+from .brill_noether import (
+    castelnuovo_count,
+    castelnuovo_count_bits,
+    cs_max_degree,
+    pencil_dimension_hypothesis,
+    rho,
+)
 from .classexpr import parse, parse_with_diagnostics
 from .cohomology import evaluate_top, pushforward_B
 from .cyclic_cover import (
@@ -87,11 +96,15 @@ def _cell(key: str, value) -> str:
     except ValueError:
         # The int-to-str digit limit (CVE-2020-10735) stays in force; name
         # the column instead of repeating CPython's advice to raise it.
-        raise ValueError(
-            f"column {key!r} holds an integer of more than "
-            f"{sys.get_int_max_str_digits()} digits, the interpreter's "
-            "limit for converting integers to text"
-        ) from None
+        raise _too_many_digits(key) from None
+
+
+def _too_many_digits(key: str) -> ValueError:
+    return ValueError(
+        f"column {key!r} holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+        "limit for converting integers to text"
+    )
 
 
 def _json_value(key: str, value):
@@ -174,6 +187,15 @@ def _cmd_pushpull(args):
     return _echo(args, result=pushed, result_sym_index=pushed.sym_index)
 
 
+def _cmd_count(args):
+    # A count too long to print is refused before it is computed: a
+    # 600,000-digit count takes most of a minute.
+    value = rho(args.g, args.r, args.d)
+    if value == 0 and exceeds_str_digits(castelnuovo_count_bits(args.g, args.r, args.d)):
+        raise _too_many_digits("count")
+    return _echo(args, rho=value, count=castelnuovo_count(args.g, args.r, args.d))
+
+
 def _cmd_theorem_a(args):
     if args.h_range is not None:
         if args.h is not None or args.g is not None:
@@ -228,11 +250,7 @@ _COMMANDS = {
     "rho": (
         "Brill-Noether number", _GENUS_RANK_DEGREE, lambda a: _echo(a, rho=rho(a.g, a.r, a.d))
     ),
-    "count": (
-        "Castelnuovo count at rho = 0",
-        _GENUS_RANK_DEGREE,
-        lambda a: _echo(a, rho=rho(a.g, a.r, a.d), count=castelnuovo_count(a.g, a.r, a.d)),
-    ),
+    "count": ("Castelnuovo count at rho = 0", _GENUS_RANK_DEGREE, _cmd_count),
     "eval": (
         "evaluate a class expression in top degree",
         (

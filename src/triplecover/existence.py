@@ -24,7 +24,11 @@ whole chain of auxiliary inequalities leading to the comparison, reporting
 each verdict without judging; near the smallest admissible genus some links
 of the chain fail arithmetically, and the audit's job is to say so.
 ``sweep`` fans ``verify_inequality`` over (h, g) ranges, sharded by h, with
-results assembled in a deterministic order regardless of worker count.
+results assembled in a deterministic order regardless of worker count.  With
+W >= 2 workers the calling process computes every W-th base genus itself and
+starts W - 1 processes, no more than they have tasks, for the rest; those
+return only the integer sides of each case, and the caller builds their
+reports.
 """
 
 from __future__ import annotations
@@ -148,6 +152,40 @@ def _pullback_degree(h: int) -> int:
     return (h + 3) // 2
 
 
+def _sides(h: int, g: int) -> tuple[int, int]:
+    """The closed-form sides (lhs, rhs) of the critical-degree comparison,
+    after checking the left side against its expansion route."""
+    _require_base_genus(h)
+    m = _half_bracket(h)
+    if g < 2 * m + 4:  # the complementary x-power g-2m-3 must be at least 1
+        raise ValueError(
+            f"genus {g} too small for the {_parity_e(h)[0]}-case arithmetic (needs g >= {2 * m + 4})"
+        )
+    d = g - m - 1  # the critical degree
+    pullback = _pullback_degree(h)
+    lhs = _bn1_closed_form(g, d)
+    rhs = binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback)
+    expansion = _bn1_pairing(g, d)
+    if expansion != lhs:
+        raise ArithmeticError(
+            f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
+            f"!= expansion {expansion}"
+        )
+    return lhs, rhs
+
+
+def _report(h: int, g: int, lhs: int, rhs: int) -> InequalityReport:
+    """The report of sides that ``_sides`` computed for (h, g).  The two
+    routes agreed exactly, so the expansion's value is the closed form's."""
+    parity, e = _parity_e(h)
+    lhs_value = Fraction(lhs)
+    # Positional arguments, in field order: keywords cost the serial sweep
+    # about 0.5 us per report.
+    return InequalityReport(
+        h, g, e, parity, g - _half_bracket(h) - 1, lhs_value, Fraction(rhs), lhs_value, lhs > rhs
+    )
+
+
 def verify_inequality(h: int, g: int) -> InequalityReport:
     """Compute both sides of the critical-degree comparison for (h, g).
 
@@ -158,38 +196,11 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     routes is a fatal internal error, not a reportable verdict.  The right
     side is C(g-2m-3, 2p-h-1) times the same closed form on the base curve
     at the pull-back degree p = floor((h+3)/2), the Castelnuovo count of the
-    pulled-back pencils; no formula depends on the parity of h.
+    pulled-back pencils; no formula depends on the parity of h.  The sides
+    stay ints until the report: comparing ints is cheaper than comparing
+    Fractions.
     """
-    parity, e = _parity_e(h)
-    m = _half_bracket(h)
-    if g < 2 * m + 4:  # the complementary x-power g-2m-3 must be at least 1
-        raise ValueError(
-            f"genus {g} too small for the {parity}-case arithmetic (needs g >= {2 * m + 4})"
-        )
-    d = critical_degree(h, g)
-    pullback = _pullback_degree(h)
-
-    # The closed-form sides stay ints until the report: comparing ints is
-    # cheaper than comparing Fractions.
-    lhs = _bn1_closed_form(g, d)
-    rhs = binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback)
-    expansion = _bn1_pairing(g, d)
-    if expansion != lhs:
-        raise ArithmeticError(
-            f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
-            f"!= expansion {expansion}"
-        )
-    return InequalityReport(
-        h=h,
-        g=g,
-        e=e,
-        parity=parity,
-        critical_degree=d,
-        lhs=Fraction(lhs),
-        rhs=Fraction(rhs),
-        lhs_via_expansion=expansion,
-        strict=lhs > rhs,
-    )
+    return _report(h, g, *_sides(h, g))
 
 
 def _step(name: str, detail: str, lhs: Fraction | int, relation: str, rhs: Fraction | int) -> AuditStep:
@@ -279,6 +290,14 @@ def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:
     return [verify_inequality(h, g) for g in range(base, base + g_margin + 1)]
 
 
+def _sweep_sides(args: tuple[int, int]) -> list[tuple[int, int]]:
+    """A pool worker's task: the (lhs, rhs) ints of ``_sweep_one_h``'s cases,
+    which cost a fraction of the reports to pickle and unpickle."""
+    h, g_margin = args
+    base = genus_bound(h)
+    return [_sides(h, g) for g in range(base, base + g_margin + 1)]
+
+
 def sweep(
     h_range: tuple[int, int], g_margin: int = 0, workers: int | None = None
 ) -> list[InequalityReport]:
@@ -286,7 +305,10 @@ def sweep(
     g from genus_bound(h) to genus_bound(h) + g_margin.
 
     Work is sharded by h; the result order (h ascending, then g ascending)
-    is independent of the worker count.
+    is independent of the worker count.  With W >= 2 workers and at least
+    two base genera, the calling process verifies every W-th base genus
+    itself while at most W - 1 forked processes compute the integer sides
+    of the others, from which the caller builds their reports.
     """
     h_lo, h_hi = h_range
     if g_margin < 0:
@@ -297,8 +319,20 @@ def sweep(
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 1 or len(tasks) == 1:
-        chunks = [_sweep_one_h(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_one_h, tasks))
-    return [report for chunk in chunks for report in chunk]
+        return [report for task in tasks for report in _sweep_one_h(task)]
+    pooled = [task for i, task in enumerate(tasks) if i % workers]
+    chunks = {}
+    # Under fork every process of the pool starts at once, so the pool has
+    # no more processes than tasks.
+    with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as pool:
+        pairs = pool.map(_sweep_sides, pooled)
+        try:
+            for task in tasks[::workers]:
+                chunks[task[0]] = _sweep_one_h(task)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        for (h, _), sides in zip(pooled, pairs):
+            base = genus_bound(h)
+            chunks[h] = [_report(h, g, lhs, rhs) for g, (lhs, rhs) in enumerate(sides, base)]
+    return [report for h in range(h_lo, h_hi + 1) for report in chunks[h]]

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from triplecover.arith import binomial, factorial, format_rat, recip_factorial
+from triplecover.arith import binomial, exceeds_str_digits, factorial, format_rat, recip_factorial
 
 
 def repeated_multiplication(n: int) -> int:
@@ -120,3 +121,17 @@ def test_format_rat():
     assert format_rat(Fraction(3, 6)) == "1/2"
     assert format_rat(Fraction(-7, 2)) == "-7/2"
     assert format_rat(Fraction(-4, 2)) == "-2"
+
+
+def test_exceeds_str_digits_only_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no int-to-str digit limit")
+    first = -(-10 * limit // 3)  # the fewest bits with 3 * bits >= 10 * limit
+    assert exceeds_str_digits(first) and not exceeds_str_digits(first - 1)
+    assert 2**first > 10**limit  # so 2**first has more than `limit` digits
+    sys.set_int_max_str_digits(0)
+    try:
+        assert not exceeds_str_digits(10**9)
+    finally:
+        sys.set_int_max_str_digits(limit)

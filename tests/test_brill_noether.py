@@ -13,6 +13,7 @@ from triplecover.brill_noether import (
     bn1_terms,
     bn_query,
     castelnuovo_count,
+    castelnuovo_count_bits,
     cs_max_degree,
     pencil_dimension_hypothesis,
     rho,
@@ -69,6 +70,36 @@ def test_castelnuovo_count_rank_two():
         factorial(1) * factorial(2) * factorial(3),
     )
     assert castelnuovo_count(3, 2, 4) == expected == 1
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=60))
+def test_castelnuovo_count_bits_bounds_the_count(r, k):
+    # rho(g, r, d) = 0 exactly when g = (r+1)(g-d+r); k = g-d+r.
+    g = (r + 1) * k
+    d = g - k + r
+    assert rho(g, r, d) == 0
+    count = castelnuovo_count(g, r, d)
+    bits = castelnuovo_count_bits(g, r, d)
+    assert bits < count.bit_length()
+    assert count >= 2**bits if bits >= 0 else True
+
+
+def test_castelnuovo_count_matches_the_factorial_formula():
+    # g! * prod_{i<=r} i!/(g-d+r+i)!, the documented formula, computed
+    # directly; the library takes binomials over the shorter side.
+    for r in range(1, 6):
+        for k in range(0, 12):
+            g = (r + 1) * k
+            d = g - k + r
+            expected = Fraction(factorial(g))
+            for i in range(r + 1):
+                expected *= Fraction(factorial(i), factorial(k + i))
+            assert castelnuovo_count(g, r, d) == expected
+
+
+def test_castelnuovo_count_of_a_one_column_rectangle_is_one_at_any_rank():
+    r = 10**12
+    assert castelnuovo_count(r + 1, r, 2 * r) == 1
 
 
 def test_bn1_class_examples():

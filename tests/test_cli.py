@@ -425,6 +425,32 @@ def test_oversized_integer_message_names_column_and_limit(capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_count_is_bounded_before_it_is_computed():
+    # The 600,000-digit count ran for minutes and the 60,000-digit one for
+    # seconds before the renderer refused them; the bound refuses both first.
+    # A one-column rectangle's count is 1 at any rank; it took over 8 s to
+    # compute through factorials at g = 2001.
+    limit = sys.get_int_max_str_digits()
+    refused = (
+        f"error: column 'count' holds an integer of more than {limit} digits, "
+        "the interpreter's limit for converting integers to text\n"
+    )
+    cases = [
+        (("2000000", "1", "1000001"), 2, "", refused),
+        (("200000", "1", "100001"), 2, "", refused),
+        (("20001", "20000", "40000"), 0, "g,r,d,rho,count\n20001,20000,40000,0,1\n", ""),
+    ]
+    for (g, r, d), code, out, err in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", "count", "--g", g, "--r", r, "--d", d, "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), g
+
+
 def test_deep_or_long_expressions_never_crash():
     # Over-deep nesting is an input error; long flat chains evaluate; the
     # --verbose listing is skipped for a high-degree expression.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 import operator
 import tracemalloc
 from fractions import Fraction
@@ -302,6 +303,68 @@ def test_sweep_order_and_worker_independence():
 def test_sweep_rejects_negative_margin():
     with pytest.raises(ValueError):
         sweep((1, 2), -1)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_pooled_sweep_equals_serial(workers):
+    # (1, 5) with margin 3 is 5 tasks, split unevenly between the caller
+    # (every W-th) and the pool for W = 2 and 3; (4, 4) never starts a pool.
+    for h_range, cases in (((1, 5), 20), ((4, 4), 4), ((5, 4), 0)):
+        serial = sweep(h_range, 3, workers=1)
+        pooled = sweep(h_range, 3, workers=workers)
+        assert len(serial) == cases
+        assert pooled == serial
+        for report in pooled:
+            assert type(report.lhs) is type(report.rhs) is type(report.lhs_via_expansion) is Fraction
+            assert type(report.strict) is bool
+
+
+def test_pool_worker_task_returns_integer_sides():
+    pairs = existence._sweep_sides((3, 4))
+    assert type(pairs) is list
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+    assert all(type(side) is int for pair in pairs for side in pair)
+    assert pairs == [(int(r.lhs), int(r.rhs)) for r in sweep((3, 3), 4, workers=1)]
+
+
+def test_pool_starts_no_idle_process(monkeypatch):
+    sizes = []
+
+    class RecordingPool(existence.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(existence, "ProcessPoolExecutor", RecordingPool)
+    sweep((2, 3), 0, workers=8)  # the caller takes h = 2, one process h = 3
+    sweep((1, 5), 0, workers=3)  # the caller takes h = 1, 4; two processes the rest
+    sweep((1, 5), 0, workers=2)  # the caller takes h = 1, 3, 5; one process h = 2, 4
+    sweep((1, 1), 0, workers=8)  # one task: no pool
+    assert sizes == [1, 2, 1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patch reaches the workers only through fork"
+)
+@pytest.mark.parametrize("h", [3, 2], ids=["caller-share", "worker-share"])
+def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
+    # With 2 workers over h in [1, 5] the caller verifies h = 1, 3, 5 and the
+    # pool h = 2, 4.  The patch is in place before the pool forks.
+    bad_g = genus_bound(h) + 1
+    real = existence.evaluate_top
+
+    def disagree(cls):
+        return Fraction(-1) if cls.genus == bad_g else real(cls)
+
+    monkeypatch.setattr(existence, "evaluate_top", disagree)
+    with pytest.raises(ArithmeticError) as serial:
+        sweep((1, 5), 3, workers=1)
+    with pytest.raises(ArithmeticError) as pooled:
+        sweep((1, 5), 3, workers=2)
+    assert str(pooled.value) == str(serial.value)
+    assert str(serial.value).startswith(f"internal consistency failure at (h={h}, g={bad_g}): closed form ")
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
