@@ -17,6 +17,7 @@ __all__ = [
     "factorial",
     "recip_factorial",
     "binomial",
+    "binomial_bits",
     "format_rat",
     "exceeds_str_digits",
 ]
@@ -45,6 +46,15 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def binomial_bits(n: int, k: int) -> int:
+    """An integer j with C(n, k) >= 2**j for 0 <= k <= n, found without
+    computing C(n, k): C(n, k) >= (n/k)^k >= (n//k)^k, and any positive
+    integer q is at least 2**(q.bit_length() - 1)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"binomial_bits requires 0 <= k <= n, got n={n}, k={k}")
+    return k * ((n // k).bit_length() - 1) if k else 0
 
 
 def format_rat(value: Fraction | int) -> str:

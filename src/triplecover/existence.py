@@ -26,20 +26,22 @@ of the chain fail arithmetically, and the audit's job is to say so.
 ``sweep`` fans ``verify_inequality`` over (h, g) ranges, sharded by h, with
 results assembled in a deterministic order regardless of worker count.  With
 W >= 2 workers the calling process computes every W-th base genus itself and
-starts W - 1 processes, no more than they have tasks, for the rest; those
-return only the integer sides of each case, and the caller builds their
-reports.
+forks W - 1 children directly (``os.fork``, no more children than they have
+tasks) for the rest.  Each child sends back the marshalled integer sides of
+its cases through a pipe, and the caller builds their reports; an error in a
+child comes back with the serial type and message.  Where ``os.fork`` does
+not exist the sweep runs serially, with the same output.
 """
 
 from __future__ import annotations
 
+import marshal
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binomial
+from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, rho
 from .cohomology import evaluate_top, monomial, mul_classes
 
@@ -49,6 +51,7 @@ __all__ = [
     "ProofAudit",
     "genus_bound",
     "critical_degree",
+    "lhs_bits",
     "verify_inequality",
     "audit_proof_chain",
     "sweep",
@@ -152,15 +155,30 @@ def _pullback_degree(h: int) -> int:
     return (h + 3) // 2
 
 
-def _sides(h: int, g: int) -> tuple[int, int]:
-    """The closed-form sides (lhs, rhs) of the critical-degree comparison,
-    after checking the left side against its expansion route."""
+def _checked_half_bracket(h: int, g: int) -> int:
+    """m = floor((3h+1)/2), after checking that (h, g) is a comparison the
+    verifier can make."""
     _require_base_genus(h)
     m = _half_bracket(h)
     if g < 2 * m + 4:  # the complementary x-power g-2m-3 must be at least 1
         raise ValueError(
             f"genus {g} too small for the {_parity_e(h)[0]}-case arithmetic (needs g >= {2 * m + 4})"
         )
+    return m
+
+
+def lhs_bits(h: int, g: int) -> int:
+    """An integer j with verify_inequality(h, g).lhs >= 2**j, found without
+    computing the left side.  With m = floor((3h+1)/2) the left side is
+    C(g, m+1)(g-2m-3)/(m+2) >= C(g, m+1)/(m+2), and m+2 < 2**(m+2).bit_length()."""
+    m = _checked_half_bracket(h, g)
+    return binomial_bits(g, m + 1) - (m + 2).bit_length()
+
+
+def _sides(h: int, g: int) -> tuple[int, int]:
+    """The closed-form sides (lhs, rhs) of the critical-degree comparison,
+    after checking the left side against its expansion route."""
+    m = _checked_half_bracket(h, g)
     d = g - m - 1  # the critical degree
     pullback = _pullback_degree(h)
     lhs = _bn1_closed_form(g, d)
@@ -291,11 +309,59 @@ def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:
 
 
 def _sweep_sides(args: tuple[int, int]) -> list[tuple[int, int]]:
-    """A pool worker's task: the (lhs, rhs) ints of ``_sweep_one_h``'s cases,
-    which cost a fraction of the reports to pickle and unpickle."""
+    """A forked child's task: the (lhs, rhs) ints of ``_sweep_one_h``'s
+    cases, which marshal cheaply, unlike the reports."""
     h, g_margin = args
     base = genus_bound(h)
     return [_sides(h, g) for g in range(base, base + g_margin + 1)]
+
+
+def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
+    """Fork a child that runs ``_sweep_sides`` on each task of ``share`` and
+    writes the result to a pipe; return the child's pid and the pipe's read
+    end.  The child sends the marshalled list of int-pair lists and exits 0,
+    or sends its pickled exception and exits 1.  It leaves through
+    ``os._exit``, so it never returns into the caller's stack and never
+    flushes the stdio buffers it inherited."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 70  # set only once the whole payload is written
+        try:
+            os.close(read_end)
+            try:
+                payload, done = marshal.dumps([_sweep_sides(task) for task in share]), 0
+            except BaseException as exc:
+                import pickle
+
+                payload, done = pickle.dumps(exc), 1
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            code = done
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _received(share: list[tuple[int, int]], status: int, payload: bytes) -> list[list[tuple[int, int]]]:
+    """The int pairs a reaped child sent for ``share``, given its wait status;
+    re-raises the child's exception, and refuses a payload it did not finish."""
+    if status == 0:
+        return marshal.loads(payload)
+    if os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1:
+        import pickle
+
+        raise pickle.loads(payload)
+    genera = ", ".join(str(h) for h, _ in share)
+    raise ChildProcessError(
+        f"the sweep process for base genera {genera} ended without its result (wait status {status})"
+    )
 
 
 def sweep(
@@ -306,9 +372,16 @@ def sweep(
 
     Work is sharded by h; the result order (h ascending, then g ascending)
     is independent of the worker count.  With W >= 2 workers and at least
-    two base genera, the calling process verifies every W-th base genus
-    itself while at most W - 1 forked processes compute the integer sides
-    of the others, from which the caller builds their reports.
+    two base genera, the calling process forks min(W - 1, the other tasks)
+    children, each with its own pipe, and verifies every W-th base genus
+    itself while child i computes the integer sides of every (W - 1)-th of
+    the other tasks from the i-th on.  The caller then reads each child's
+    marshalled pairs, reaps it and builds its reports.  Both left-side
+    routes and their consistency check run for every case.  A child's
+    exception is raised again with its type and message; a child that ends
+    without its result raises ``ChildProcessError``; if the caller's own
+    share raises, every child is killed and reaped first.  Without
+    ``os.fork`` the sweep runs serially.
     """
     h_lo, h_hi = h_range
     if g_margin < 0:
@@ -318,21 +391,33 @@ def sweep(
         return []
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(tasks) == 1:
+    if workers <= 1 or len(tasks) == 1 or not hasattr(os, "fork"):
         return [report for task in tasks for report in _sweep_one_h(task)]
     pooled = [task for i, task in enumerate(tasks) if i % workers]
-    chunks = {}
-    # Under fork every process of the pool starts at once, so the pool has
-    # no more processes than tasks.
-    with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as pool:
-        pairs = pool.map(_sweep_sides, pooled)
-        try:
-            for task in tasks[::workers]:
-                chunks[task[0]] = _sweep_one_h(task)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        for (h, _), sides in zip(pooled, pairs):
+    procs = min(workers - 1, len(pooled))
+    shares = [pooled[i::procs] for i in range(procs)]
+    children = []  # (pid, read end) of each child forked so far
+    statuses = []
+    try:
+        for share in shares:
+            children.append(_fork_share(share))
+        chunks = {task[0]: _sweep_one_h(task) for task in tasks[::workers]}
+        payloads = []
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for share, status, payload in zip(shares, statuses, payloads):
+        for (h, _), sides in zip(share, _received(share, status, payload)):
             base = genus_bound(h)
             chunks[h] = [_report(h, g, lhs, rhs) for g, (lhs, rhs) in enumerate(sides, base)]
     return [report for h in range(h_lo, h_hi + 1) for report in chunks[h]]

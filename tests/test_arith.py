@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from triplecover.arith import binomial, exceeds_str_digits, factorial, format_rat, recip_factorial
+from triplecover.arith import binomial, binomial_bits, exceeds_str_digits, factorial, format_rat, recip_factorial
 
 
 def repeated_multiplication(n: int) -> int:
@@ -75,6 +75,17 @@ def test_factorial_recurrence(n):
 def test_binomial_symmetry(n, k):
     if 0 <= k <= n:
         assert binomial(n, k) == binomial(n, n - k)
+
+
+@given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=400))
+def test_binomial_bits_bounds_the_binomial(n, k):
+    if k > n:
+        with pytest.raises(ValueError):
+            binomial_bits(n, k)
+        return
+    bits = binomial_bits(n, k)
+    assert 0 <= bits <= binomial(n, k).bit_length()
+    assert binomial(n, k) >= 2**bits
 
 
 @given(st.integers(min_value=0, max_value=300))

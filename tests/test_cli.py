@@ -451,6 +451,33 @@ def test_count_is_bounded_before_it_is_computed():
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), g
 
 
+def test_unprintable_left_side_is_refused_before_it_is_computed():
+    # theorem-a spent 1.8 s on the 156,381-digit left side at (20000,
+    # 1800090001) and audit had not finished after 15 s at (200000,
+    # 180000900001) before the renderer refused them; the bound refuses
+    # both first.  The smallest cases still print.
+    limit = sys.get_int_max_str_digits()
+    refused = (
+        f"error: column 'lhs' holds an integer of more than {limit} digits, "
+        "the interpreter's limit for converting integers to text\n"
+    )
+    for argv, code, err in (
+        (["theorem-a", "--h", "20000", "--g", "1800090001"], 2, refused),
+        (["audit", "--h", "200000", "--g", "180000900001"], 2, refused),
+        (["theorem-a", "--h", "2", "--g", "28"], 0, ""),
+        (["audit", "--h", "4", "--g", "91"], 0, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", *argv, "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stderr) == (code, err), argv
+        assert proc.stdout.startswith("h,g,") if code == 0 else proc.stdout == "", argv
+
+
 def test_deep_or_long_expressions_never_crash():
     # Over-deep nesting is an input error; long flat chains evaluate; the
     # --verbose listing is skipped for a high-degree expression.

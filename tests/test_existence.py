@@ -1,9 +1,14 @@
 from __future__ import annotations
 
-import multiprocessing
 import operator
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,8 @@ from triplecover.existence import (
     verify_inequality,
 )
 from triplecover.triple_cover import VanishingMargins, section_vanishing_margins
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _RELATIONS = {
     "<": operator.lt,
@@ -327,30 +334,45 @@ def test_pool_worker_task_returns_integer_sides():
     assert pairs == [(int(r.lhs), int(r.rhs)) for r in sweep((3, 3), 4, workers=1)]
 
 
+def _assert_no_child_left():
+    # waitpid(-1) raises ChildProcessError only when no child, running or
+    # a zombie, is left to reap.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the sweep forks only where os.fork exists")
+
+
+@_needs_fork
 def test_pool_starts_no_idle_process(monkeypatch):
-    sizes = []
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool(existence.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-    monkeypatch.setattr(existence, "ProcessPoolExecutor", RecordingPool)
-    sweep((2, 3), 0, workers=8)  # the caller takes h = 2, one process h = 3
-    sweep((1, 5), 0, workers=3)  # the caller takes h = 1, 4; two processes the rest
-    sweep((1, 5), 0, workers=2)  # the caller takes h = 1, 3, 5; one process h = 2, 4
-    sweep((1, 1), 0, workers=8)  # one task: no pool
-    assert sizes == [1, 2, 1]
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(existence.os, "fork", counting_fork)
+    counts = []
+    for h_range, workers in (
+        ((2, 3), 8),  # the caller takes h = 2, one child h = 3
+        ((1, 5), 3),  # the caller takes h = 1, 4; two children the rest
+        ((1, 5), 2),  # the caller takes h = 1, 3, 5; one child h = 2, 4
+        ((1, 1), 8),  # one task: no child
+    ):
+        before = len(forks)
+        sweep(h_range, 0, workers=workers)
+        counts.append(len(forks) - before)
+    assert counts == [1, 2, 1, 0]
+    _assert_no_child_left()
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="the patch reaches the workers only through fork"
-)
+@_needs_fork
 @pytest.mark.parametrize("h", [3, 2], ids=["caller-share", "worker-share"])
 def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
-    # With 2 workers over h in [1, 5] the caller verifies h = 1, 3, 5 and the
-    # pool h = 2, 4.  The patch is in place before the pool forks.
+    # With 2 workers over h in [1, 5] the caller verifies h = 1, 3, 5 and one
+    # child h = 2, 4.  The patch is in place before the child forks.
     bad_g = genus_bound(h) + 1
     real = existence.evaluate_top
 
@@ -362,9 +384,102 @@ def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
         sweep((1, 5), 3, workers=1)
     with pytest.raises(ArithmeticError) as pooled:
         sweep((1, 5), 3, workers=2)
+    assert type(pooled.value) is type(serial.value)
     assert str(pooled.value) == str(serial.value)
     assert str(serial.value).startswith(f"internal consistency failure at (h={h}, g={bad_g}): closed form ")
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+@_needs_fork
+def test_killed_child_raises_child_process_error_naming_its_base_genera(monkeypatch):
+    # With 3 workers over h in [1, 5] the caller verifies h = 1, 4, the first
+    # child h = 2, 5 and the second h = 3.  The first child kills itself.
+    real = existence._sweep_sides
+
+    def die_at_h5(task):
+        if task[0] == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(task)
+
+    monkeypatch.setattr(existence, "_sweep_sides", die_at_h5)
+    with pytest.raises(ChildProcessError) as killed:
+        sweep((1, 5), 2, workers=3)
+    message = str(killed.value)
+    assert "base genera 2, 5 " in message
+    assert f"wait status {int(signal.SIGKILL)})" in message
+    _assert_no_child_left()
+
+
+@_needs_fork
+def test_caller_error_kills_a_stuck_child_at_once(monkeypatch):
+    # The caller verifies h = 1 and fails; the child (h = 2) would sleep for
+    # a minute, and is killed and reaped instead of awaited.
+    def stuck(task):
+        time.sleep(60)
+
+    def fail(task):
+        raise ArithmeticError("the caller's share failed")
+
+    monkeypatch.setattr(existence, "_sweep_sides", stuck)
+    monkeypatch.setattr(existence, "_sweep_one_h", fail)
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError, match="the caller's share failed"):
+        sweep((1, 2), 0, workers=2)
+    assert time.monotonic() - start < 5
+    _assert_no_child_left()
+
+
+@_needs_fork
+def test_children_never_flush_the_callers_stdout():
+    # stdout is a pipe here, so the marker waits in the caller's buffer while
+    # two children fork; only the caller may write it.
+    script = (
+        "from triplecover.existence import sweep\n"
+        "print('marker')\n"
+        "assert len(sweep((1, 5), 0, workers=3)) == 5\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "marker\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    script = (
+        "import sys, triplecover.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch):
+    monkeypatch.delattr(existence.os, "fork", raising=False)
+    assert sweep((1, 5), 2, workers=3) == sweep((1, 5), 2, workers=1)
+
+
+def test_lhs_bits_bounds_the_left_side():
+    for h in range(1, 7):
+        m = (3 * h + 1) // 2
+        for g in range(2 * m + 4, 2 * m + 120, 7):
+            lhs = verify_inequality(h, g).lhs
+            bits = existence.lhs_bits(h, g)
+            assert lhs >= 2**bits if bits >= 0 else True
+            assert bits < lhs.numerator.bit_length()
+    with pytest.raises(ValueError, match="too small"):
+        existence.lhs_bits(2, 9)
 
 
 # ----------------------------------------------------------------------
