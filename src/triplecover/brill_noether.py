@@ -17,8 +17,8 @@ expected dimension and, when that dimension is zero, their count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import binomial, factorial
 from .cohomology import CohomClass, _class, _surviving
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BNQuery:
+class BNQuery(NamedTuple):
     """A (genus, rank, degree) query with its derived invariants.
 
     ``rho`` is g - (r+1)(g-d+r); ``count`` is Castelnuovo's number of

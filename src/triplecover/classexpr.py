@@ -40,8 +40,8 @@ the result could not be printed.  Powers of bases with constant term 0, 1 or
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import exceeds_str_digits
 from .brill_noether import _bn1_numerators
@@ -104,8 +104,7 @@ class Bn1IndexMismatch(ClassExprError):
 _SYMBOLS = set("+-*/^()")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "name", one of the symbols, or "end"
     text: str
     position: int  # 1-based offset of the first character

@@ -10,7 +10,7 @@ header row.
 Exit codes: 0 on success, 1 when a verification subcommand (theorem-a,
 audit) finds a violated inequality, 2 on usage or input errors.  Integers
 longer than the interpreter's int-to-str digit limit and ``--out`` targets
-that cannot be written are input errors.
+that cannot be written are input errors; running out of memory exits 2 too.
 
 ``theorem-a --h-range`` sweeps the base genera in parallel, one task per
 base genus; the worker count W is taken from the ``TRIPLECOVER_WORKERS``
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -56,6 +55,7 @@ from .existence import (
     InequalityReport,
     ProofAudit,
     audit_proof_chain,
+    genus_bound,
     lhs_bits,
     sweep,
     verify_inequality,
@@ -163,13 +163,13 @@ def _write(text: str, out: str | None) -> None:
 
 # ----------------------------------------------------------------------
 # handlers: each returns (keys, rows, violated).  The columns are the fields
-# of a library result dataclass (_records) or the required flags followed by
+# of a library result record (_records) or the required flags followed by
 # library values (_echo); no handler does arithmetic on a result.
 
 def _records(cls, records, violated: bool = False) -> tuple[list[str], list[dict], bool]:
-    """Rows whose columns are the fields of the dataclass ``cls``, in field order."""
-    keys = [field.name for field in dataclasses.fields(cls)]
-    return keys, [{key: getattr(record, key) for key in keys} for record in records], violated
+    """Rows whose columns are the fields of the record type ``cls``, in field order."""
+    keys = list(cls._fields)
+    return keys, [record._asdict() for record in records], violated
 
 
 def _echo(args, **computed) -> tuple[list[str], list[dict], bool]:
@@ -215,7 +215,12 @@ def _cmd_theorem_a(args):
     if args.h_range is not None:
         if args.h is not None or args.g is not None:
             raise ValueError("--h-range cannot be combined with --h/--g")
-        reports = sweep(tuple(args.h_range), args.g_margin, workers=_workers_from_env())
+        h_lo, h_hi = args.h_range
+        if 1 <= h_lo <= h_hi and args.g_margin >= 0:
+            # The sweep's last case has its largest (h, g); a row the
+            # renderer would refuse is refused before the sweep runs.
+            _refuse_unprintable_lhs(h_hi, genus_bound(h_hi) + args.g_margin)
+        reports = sweep((h_lo, h_hi), args.g_margin, workers=_workers_from_env())
     else:
         if args.h is None or args.g is None:
             raise ValueError("theorem-a needs either --h and --g, or --h-range")
@@ -378,6 +383,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write(_render(keys, rows, args.format), args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Exit 1 means a verified inequality failed; running out of memory
+        # is a refusal of the input, like the errors above.
+        print("error: out of memory", file=sys.stderr)
         return 2
     return 1 if violated else 0
 

@@ -17,8 +17,8 @@ between the Castelnuovo-Severi bound and the composed-pencil threshold
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .brill_noether import cs_max_degree
 from .existence import _require_base_genus, critical_degree
@@ -44,8 +44,7 @@ class BranchRangeError(ValueError):
     """t must lie in [0, g - 3h + 2]."""
 
 
-@dataclass(frozen=True)
-class CyclicCoverProfile:
+class CyclicCoverProfile(NamedTuple):
     """Derived ledger for one (g, h, t).
 
     dim_h1/dim_h2 are populated only when the corresponding k_j exceeds
@@ -65,8 +64,7 @@ class CyclicCoverProfile:
     n2_lower: int
 
 
-@dataclass(frozen=True)
-class PencilGapReport:
+class PencilGapReport(NamedTuple):
     """Comparison of the pencil-degree thresholds visible from one profile.
 
     composed_below is the exact rational (g - 3h + 2 + t)/3 with strict
@@ -84,8 +82,7 @@ class PencilGapReport:
     theorem_a_degree: int
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     """Whether a cyclic cover realising (g, h, t) can be constructed, and
     the auxiliary point count ell = (2t - g + 3h - 2)/3 when it can."""
 

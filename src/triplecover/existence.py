@@ -38,8 +38,8 @@ from __future__ import annotations
 import marshal
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, rho
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of the critical-degree comparison for one (h, g)."""
 
     h: int
@@ -73,8 +72,7 @@ class InequalityReport:
     strict: bool
 
 
-@dataclass(frozen=True)
-class AuditStep:
+class AuditStep(NamedTuple):
     """One named inequality in the replayed chain, with exact sides."""
 
     name: str
@@ -85,8 +83,7 @@ class AuditStep:
     detail: str
 
 
-@dataclass(frozen=True)
-class ProofAudit:
+class ProofAudit(NamedTuple):
     """The ordered inequality chain for one (h, g), verdicts included."""
 
     h: int
@@ -198,7 +195,7 @@ def _report(h: int, g: int, lhs: int, rhs: int) -> InequalityReport:
     parity, e = _parity_e(h)
     lhs_value = Fraction(lhs)
     # Positional arguments, in field order: keywords cost the serial sweep
-    # about 0.5 us per report.
+    # about 0.4 us per report.
     return InequalityReport(
         h, g, e, parity, g - _half_bracket(h) - 1, lhs_value, Fraction(rhs), lhs_value, lhs > rhs
     )
@@ -302,18 +299,23 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     return ProofAudit(h=h, g=g, e=e, parity=parity, steps=steps)
 
 
-def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:
-    h, g_margin = args
-    base = genus_bound(h)
-    return [verify_inequality(h, g) for g in range(base, base + g_margin + 1)]
-
-
 def _sweep_sides(args: tuple[int, int]) -> list[tuple[int, int]]:
-    """A forked child's task: the (lhs, rhs) ints of ``_sweep_one_h``'s
-    cases, which marshal cheaply, unlike the reports."""
+    """The (lhs, rhs) ints of base genus h at g = genus_bound(h) ..
+    genus_bound(h) + g_margin.  A forked child sends these, which marshal
+    cheaply, unlike the reports."""
     h, g_margin = args
     base = genus_bound(h)
     return [_sides(h, g) for g in range(base, base + g_margin + 1)]
+
+
+def _reports(h: int, sides: list[tuple[int, int]]) -> list[InequalityReport]:
+    """The reports of base genus h from the sides ``_sweep_sides`` computed."""
+    return [_report(h, g, lhs, rhs) for g, (lhs, rhs) in enumerate(sides, genus_bound(h))]
+
+
+def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:
+    """The reports of one sweep task, computed in this process."""
+    return _reports(args[0], _sweep_sides(args))
 
 
 def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
@@ -418,6 +420,5 @@ def sweep(
             statuses.append(os.waitpid(pid, 0)[1])
     for share, status, payload in zip(shares, statuses, payloads):
         for (h, _), sides in zip(share, _received(share, status, payload)):
-            base = genus_bound(h)
-            chunks[h] = [_report(h, g, lhs, rhs) for g, (lhs, rhs) in enumerate(sides, base)]
+            chunks[h] = _reports(h, sides)
     return [report for h in range(h_lo, h_hi + 1) for report in chunks[h]]

@@ -18,8 +18,8 @@ through the Castelnuovo-Severi inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .existence import _parity_e, _pullback_degree, _require_base_genus
 
@@ -46,8 +46,7 @@ class DeltaWindowError(ValueError):
     """delta must lie in [-h, (g - 3h + 2)/3]."""
 
 
-@dataclass(frozen=True)
-class TripleCoverGeometry:
+class TripleCoverGeometry(NamedTuple):
     """The derived degree ledger for one (g, h, delta).
 
     Invariants: det_e_degree = 3h - g - 2, n = deg_m = (delta - g + 3h - 2)/2,
@@ -65,8 +64,7 @@ class TripleCoverGeometry:
     fx_fiber_coeff: int
 
 
-@dataclass(frozen=True)
-class VanishingMargins:
+class VanishingMargins(NamedTuple):
     """Degree margins forcing the twisted bundles to have no sections."""
 
     g: int
@@ -78,8 +76,7 @@ class VanishingMargins:
     vanishing_guaranteed: bool
 
 
-@dataclass(frozen=True)
-class TwistedDegrees:
+class TwistedDegrees(NamedTuple):
     """Actual twisted degrees for one admissible delta, beside the twist
     degree and the rational bounds of ``section_vanishing_margins``."""
 
@@ -93,8 +90,7 @@ class TwistedDegrees:
     bound_l: Fraction
 
 
-@dataclass(frozen=True)
-class ReducednessBounds:
+class ReducednessBounds(NamedTuple):
     """Genus bounds for reducedness of the pencil locus, by parity of h:
     the direct bound from the vanishing margins versus the alternative one
     obtained through the Castelnuovo-Severi inequality.

@@ -9,12 +9,28 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triplecover import (
+    AuditStep,
+    BNQuery,
+    CyclicCoverProfile,
+    Feasibility,
+    InequalityReport,
+    PencilGapReport,
+    ProofAudit,
+    ReducednessBounds,
+    TripleCoverGeometry,
+    TwistedDegrees,
+    VanishingMargins,
+    cli,
+)
+from triplecover.classexpr import _Token
 from triplecover.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -455,7 +471,9 @@ def test_unprintable_left_side_is_refused_before_it_is_computed():
     # theorem-a spent 1.8 s on the 156,381-digit left side at (20000,
     # 1800090001) and audit had not finished after 15 s at (200000,
     # 180000900001) before the renderer refused them; the bound refuses
-    # both first.  The smallest cases still print.
+    # both first.  A sweep is refused at its last case before it runs:
+    # --h-range 20000 20000 took 1.3 s and 1 3000 had not finished after
+    # 15 s.  The smallest cases still print.
     limit = sys.get_int_max_str_digits()
     refused = (
         f"error: column 'lhs' holds an integer of more than {limit} digits, "
@@ -464,6 +482,8 @@ def test_unprintable_left_side_is_refused_before_it_is_computed():
     for argv, code, err in (
         (["theorem-a", "--h", "20000", "--g", "1800090001"], 2, refused),
         (["audit", "--h", "200000", "--g", "180000900001"], 2, refused),
+        (["theorem-a", "--h-range", "20000", "20000"], 2, refused),
+        (["theorem-a", "--h-range", "1", "3000"], 2, refused),
         (["theorem-a", "--h", "2", "--g", "28"], 0, ""),
         (["audit", "--h", "4", "--g", "91"], 0, ""),
     ):
@@ -476,6 +496,18 @@ def test_unprintable_left_side_is_refused_before_it_is_computed():
         )
         assert (proc.returncode, proc.stderr) == (code, err), argv
         assert proc.stdout.startswith("h,g,") if code == 0 else proc.stdout == "", argv
+
+
+def test_memory_error_exits_two_without_a_traceback(capsys, monkeypatch):
+    # Exit 1 is kept for a failed inequality; running out of memory is an
+    # input error.
+    def exhausted(args):
+        raise MemoryError
+
+    summary, flags, _ = cli._COMMANDS["miranda"]
+    monkeypatch.setitem(cli._COMMANDS, "miranda", (summary, flags, exhausted))
+    code, out, err = run(capsys, "miranda", "--g", "3000000000", "--h", "1", "--all")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_deep_or_long_expressions_never_crash():
@@ -598,3 +630,55 @@ def test_cli_fuzz_exits_cleanly(argv):
     if code == 2:
         assert out.getvalue() == ""
     assert "set_int_max_str_digits" not in err.getvalue()
+
+
+# Each result record with its fields, which are the CLI's columns in order
+# (audit prints ProofAudit's scalar fields, then AuditStep's).
+_RECORDS = [
+    (InequalityReport, ("h", "g", "e", "parity", "critical_degree", "lhs", "rhs", "lhs_via_expansion", "strict")),
+    (AuditStep, ("name", "lhs", "relation", "rhs", "holds", "detail")),
+    (ProofAudit, ("h", "g", "e", "parity", "steps")),
+    (CyclicCoverProfile, ("g", "h", "t", "branch_count", "k1", "k2", "dim_h0", "dim_h1", "dim_h2", "n1_lower", "n2_lower")),
+    (PencilGapReport, ("g", "h", "t", "cs_bound", "composed_below", "largest_excluded", "exists_at_most", "theorem_a_degree")),
+    (Feasibility, ("g", "h", "t", "feasible", "ell")),
+    (TripleCoverGeometry, ("g", "h", "delta", "det_e_degree", "n", "deg_m", "deg_l", "fx_fiber_coeff")),
+    (VanishingMargins, ("g", "h", "parity", "twist_degree_2d", "bound_m", "bound_l", "vanishing_guaranteed")),
+    (TwistedDegrees, ("g", "h", "delta", "twist_degree_2d", "deg_m_twisted", "deg_l_twisted", "bound_m", "bound_l")),
+    (ReducednessBounds, ("h", "parity", "direct", "alternative")),
+    (BNQuery, ("genus", "rank", "degree", "rho", "count")),
+    (_Token, ("kind", "text", "position")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_result_record_contract(cls, fields):
+    assert cls._fields == fields
+    values = [Fraction(i, 2) if i % 2 else i for i in range(len(fields))]
+    record = cls(*values)
+    same = cls(**dict(zip(fields, values)))
+    assert record == same and hash(record) == hash(same)
+    assert [getattr(record, field) for field in fields] == values
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses and the inspect, ast, dis and tokenize modules it pulls
+    # in were most of the CLI's import time.  -S keeps site hooks out.
+    script = (
+        "import sys, triplecover.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
