@@ -9,45 +9,23 @@ equi-dimensional of minimal dimension.
 The rank-1 locus class theta^(g-d+1)/(g-d+1)! - x*theta^(g-d)/(g-d)! is
 built from its integer numerators 1 and -(g-d+1) over (g-d+1)!, the form in
 which ``CohomClass`` stores a class.
-
-The loci themselves (line bundles or divisors with at least two sections)
-carry no computational representation here; ``BNQuery`` records only their
-expected dimension and, when that dimension is zero, their count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import binomial, factorial
 from .cohomology import CohomClass, _class, _surviving
 
 __all__ = [
-    "BNQuery",
-    "bn_query",
     "rho",
     "castelnuovo_count",
     "castelnuovo_count_bits",
-    "bn1_terms",
     "bn1_class",
     "cs_max_degree",
     "pencil_dimension_hypothesis",
 ]
-
-
-class BNQuery(NamedTuple):
-    """A (genus, rank, degree) query with its derived invariants.
-
-    ``rho`` is g - (r+1)(g-d+r); ``count`` is Castelnuovo's number of
-    linear series on a general curve, present exactly when rho == 0.
-    """
-
-    genus: int
-    rank: int
-    degree: int
-    rho: int
-    count: int | None
 
 
 def _validate_query(g: int, r: int, d: int) -> None:
@@ -87,7 +65,6 @@ def castelnuovo_count(g: int, r: int, d: int) -> int:
     a binomials over a binomials, so the count of a one-column rectangle
     (a = 1) costs nothing however large g is.
     """
-    _validate_query(g, r, d)
     rho_value = rho(g, r, d)
     if rho_value != 0:
         raise ValueError(f"Castelnuovo count requires rho == 0, got rho = {rho_value}")
@@ -142,21 +119,6 @@ def _bn1_numerators(g: int, d: int) -> tuple[dict[tuple[int, int], int], int]:
     return {(0, k + 1): 1, (1, k): -(k + 1)}, factorial(k + 1)
 
 
-def bn1_terms(g: int, d: int) -> dict[tuple[int, int], Fraction]:
-    """Term map, keyed by (x power, theta power), of the rank-1
-    special-divisor locus class in the d-th symmetric product of a genus-g
-    curve, as reduced ``Fraction`` coefficients:
-
-        theta^(g-d+1)/(g-d+1)! - x*theta^(g-d)/(g-d)!
-
-    These are the integer numerators 1 and -(g-d+1) over (g-d+1)! that
-    ``bn1_class`` stores.  No ambient truncation is applied; d = g + 1
-    gives the unit term alone and d > g + 1 no term.
-    """
-    numerators, denominator = _bn1_numerators(g, d)
-    return {key: Fraction(n, denominator) for key, n in numerators.items()}
-
-
 def bn1_class(g: int, d: int) -> CohomClass:
     """Fundamental class of the rank-1 special-divisor locus in the ambient
     (g, d), built from the integer numerators 1 and -(g-d+1) over (g-d+1)!
@@ -193,9 +155,3 @@ def pencil_dimension_hypothesis(g: int, n: int) -> bool:
         return g >= 2 * n - 1
     return g >= (2 * n - 3) * (n - 1)
 
-
-def bn_query(g: int, r: int, d: int) -> BNQuery:
-    """Bundle rho and (when rho == 0) the Castelnuovo count for (g, r, d)."""
-    rho_value = rho(g, r, d)
-    count = castelnuovo_count(g, r, d) if rho_value == 0 else None
-    return BNQuery(genus=g, rank=r, degree=d, rho=rho_value, count=count)

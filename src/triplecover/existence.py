@@ -110,9 +110,7 @@ def _require_base_genus(h: int) -> None:
 
 def _parity_e(h: int) -> tuple[str, int]:
     _require_base_genus(h)
-    if h % 2 == 0:
-        return "even", h // 2
-    return "odd", (h - 1) // 2
+    return ("even", "odd")[h % 2], h // 2
 
 
 def _half_bracket(h: int) -> int:
@@ -373,11 +371,12 @@ def sweep(
     g from genus_bound(h) to genus_bound(h) + g_margin.
 
     Work is sharded by h; the result order (h ascending, then g ascending)
-    is independent of the worker count.  With W >= 2 workers and at least
-    two base genera, the calling process forks min(W - 1, the other tasks)
-    children, each with its own pipe, and verifies every W-th base genus
-    itself while child i computes the integer sides of every (W - 1)-th of
-    the other tasks from the i-th on.  The caller then reads each child's
+    is independent of the worker count W, which defaults to the number of
+    processors this process may run on.  With W >= 2 and at least two base
+    genera, the calling process forks min(W - 1, the other tasks) children,
+    each with its own pipe, and verifies every W-th base genus from the
+    first itself while child i = 1, 2, ... computes the integer sides of
+    every W-th from the (i+1)-th on.  The caller then reads each child's
     marshalled pairs, reaps it and builds its reports.  Both left-side
     routes and their consistency check run for every case.  A child's
     exception is raised again with its type and message; a child that ends
@@ -392,12 +391,10 @@ def sweep(
     if not tasks:
         return []
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if workers <= 1 or len(tasks) == 1 or not hasattr(os, "fork"):
         return [report for task in tasks for report in _sweep_one_h(task)]
-    pooled = [task for i, task in enumerate(tasks) if i % workers]
-    procs = min(workers - 1, len(pooled))
-    shares = [pooled[i::procs] for i in range(procs)]
+    shares = [tasks[i::workers] for i in range(1, min(workers, len(tasks)))]
     children = []  # (pid, read end) of each child forked so far
     statuses = []
     try:

@@ -137,11 +137,13 @@ def derive_geometry(g: int, h: int, delta: int) -> TripleCoverGeometry:
     )
 
 
-def admissible_deltas(g: int, h: int) -> list[int]:
-    """All delta in [-h, (g-3h+2)/3] with the parity of g - 3h, ascending."""
+def admissible_deltas(g: int, h: int) -> range:
+    """All delta in [-h, (g-3h+2)/3] with the parity of g - 3h, ascending,
+    as a ``range``: it takes no memory per element, and slicing it works at
+    any g, while ``len`` overflows past ``sys.maxsize``."""
     _require_cover(g, h)
     # -h + g % 2 is the least delta >= -h with the parity of g - 3h.
-    return list(range(-h + g % 2, (g - 3 * h + 2) // 3 + 1, 2))
+    return range(-h + g % 2, (g - 3 * h + 2) // 3 + 1, 2)
 
 
 def section_vanishing_margins(g: int, h: int) -> VanishingMargins:

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from triplecover import (
     AuditStep,
-    BNQuery,
     CyclicCoverProfile,
     Feasibility,
     InequalityReport,
@@ -498,6 +497,41 @@ def test_unprintable_left_side_is_refused_before_it_is_computed():
         assert proc.stdout.startswith("h,g,") if code == 0 else proc.stdout == "", argv
 
 
+def test_outputs_past_the_row_limit_are_refused_before_a_row_is_built():
+    # At g = 10^30, miranda --all and lemma21 --per-delta ended in an
+    # OverflowError traceback, and the sweep had not finished after 10 s.
+    huge = str(10**30)
+    refused = "error: the output would have more than 100000 rows, the limit for one run\n"
+    for argv in (
+        ["miranda", "--g", huge, "--h", "1", "--all"],
+        ["lemma21", "--g", huge, "--h", "1", "--per-delta"],
+        ["theorem-a", "--h-range", "1", "2", "--g-margin", huge],
+        ["theorem-a", "--h-range", "0", huge],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", *argv, "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", refused), argv
+
+
+def test_row_limit_boundary(capsys, monkeypatch):
+    # Six rows print under a limit of six; seven are refused.
+    monkeypatch.setattr(cli, "_MAX_ROWS", 6)
+    refused = "error: the output would have more than 6 rows, the limit for one run\n"
+    for at_limit, past_limit in (
+        (["miranda", "--g", "28", "--h", "2", "--all"], ["miranda", "--g", "34", "--h", "2", "--all"]),
+        (["lemma21", "--g", "28", "--h", "2", "--per-delta"], ["lemma21", "--g", "34", "--h", "2", "--per-delta"]),
+        (["theorem-a", "--h-range", "1", "3", "--g-margin", "1"], ["theorem-a", "--h-range", "1", "1", "--g-margin", "6"]),
+    ):
+        code, out, err = run(capsys, *at_limit, "--format", "csv")
+        assert (code, err, len(out.splitlines())) == (0, "", 7), at_limit
+        assert run(capsys, *past_limit, "--format", "csv") == (2, "", refused), past_limit
+
+
 def test_memory_error_exits_two_without_a_traceback(capsys, monkeypatch):
     # Exit 1 is kept for a failed inequality; running out of memory is an
     # input error.
@@ -645,7 +679,6 @@ _RECORDS = [
     (VanishingMargins, ("g", "h", "parity", "twist_degree_2d", "bound_m", "bound_l", "vanishing_guaranteed")),
     (TwistedDegrees, ("g", "h", "delta", "twist_degree_2d", "deg_m_twisted", "deg_l_twisted", "bound_m", "bound_l")),
     (ReducednessBounds, ("h", "parity", "direct", "alternative")),
-    (BNQuery, ("genus", "rank", "degree", "rho", "count")),
     (_Token, ("kind", "text", "position")),
 ]
 

@@ -369,6 +369,48 @@ def test_pool_starts_no_idle_process(monkeypatch):
 
 
 @_needs_fork
+def test_each_child_takes_every_wth_base_genus(monkeypatch):
+    # The caller verifies h_lo, h_lo + W, ...; child i takes the base genera
+    # i, i + W, ... places after it, and no child is forked without one.
+    shares = []
+    real = existence._fork_share
+
+    def spy(share):
+        shares.append([h for h, _ in share])
+        return real(share)
+
+    monkeypatch.setattr(existence, "_fork_share", spy)
+    expected = {
+        ((1, 5), 2): [[2, 4]],
+        ((1, 5), 3): [[2, 5], [3]],
+        ((2, 3), 8): [[3]],
+        ((1, 9), 4): [[2, 6], [3, 7], [4, 8]],
+    }
+    for (h_range, workers), children in expected.items():
+        shares.clear()
+        assert sweep(h_range, 1, workers=workers) == sweep(h_range, 1, workers=1)
+        assert shares == children, (h_range, workers)
+    _assert_no_child_left()
+
+
+@_needs_fork
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    # One CPU the process may run on, on a machine with four: no child.
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(existence.os, "fork", counting_fork)
+    monkeypatch.setattr(existence.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(existence.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sweep((1, 5), 0) == sweep((1, 5), 0, workers=1)
+    assert forks == []
+
+
+@_needs_fork
 @pytest.mark.parametrize("h", [3, 2], ids=["caller-share", "worker-share"])
 def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
     # With 2 workers over h in [1, 5] the caller verifies h = 1, 3, 5 and one

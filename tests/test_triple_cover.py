@@ -43,13 +43,16 @@ def test_derive_geometry_domain():
 
 
 def test_admissible_deltas_examples():
-    assert admissible_deltas(28, 2) == [-2, 0, 2, 4, 6, 8]
+    assert list(admissible_deltas(28, 2)) == [-2, 0, 2, 4, 6, 8]
     # g = 3h: window is [-h, 2/3], so the even values down from 0.
-    assert admissible_deltas(6, 2) == [-2, 0]
-    assert admissible_deltas(9, 3) == [-2, 0]
+    assert list(admissible_deltas(6, 2)) == [-2, 0]
+    assert list(admissible_deltas(9, 3)) == [-2, 0]
     # odd parity of g - 3h
-    assert admissible_deltas(7, 2) == [-1, 1]
-    assert admissible_deltas(10, 3) == [-3, -1, 1]
+    assert list(admissible_deltas(7, 2)) == [-1, 1]
+    assert list(admissible_deltas(10, 3)) == [-3, -1, 1]
+    # A range: its ends are known past sys.maxsize elements.
+    huge = admissible_deltas(10**30, 1)
+    assert (huge[0], huge[1], huge[-1]) == (-1, 1, (10**30 - 1) // 3)
 
 
 def test_admissible_deltas_match_window_and_parity_filter():
@@ -67,7 +70,7 @@ def test_admissible_deltas_match_window_and_parity_filter():
                 continue
             window = range(-h, (g - 3 * h + 2) // 3 + 1)
             expected = [delta for delta in window if (delta - (g - 3 * h)) % 2 == 0]
-            assert admissible_deltas(g, h) == expected, (g, h)
+            assert list(admissible_deltas(g, h)) == expected, (g, h)
             margins = section_vanishing_margins(g, h)
             rows = twisted_degrees(g, h)
             assert [row.delta for row in rows] == expected
