@@ -33,8 +33,10 @@ past the limit L below.  Under the interpreter's int-to-str digit limit L
 (``sys.get_int_max_str_digits()``, 0 meaning none), a number literal longer
 than L digits is rejected, and so is a power ``base^N`` whose base has a
 constant term p/q with max(|p|, q)^N certainly above L digits: that term of
-the result could not be printed.  Powers of bases with constant term 0, 1 or
--1 grow polynomially in N and are never rejected.
+the result could not be printed.  Every other power is sized before it is
+computed (``_power_bits``, which needs no loop over degrees) and rejected
+when its numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in
+all; an error at the power's caret reports either refusal.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ _MAX_NESTING = 100
 # expression untruncated to list the dropped monomials; the untruncated
 # ring has (D+1)(D+2)/2 monomials at degree D, so the cost grows as D^4.
 _DIAGNOSTIC_MAX_DEGREE = 48
+
+# The most bits a power's numerators may have in all (``_power_bits``): 2^23.
+# (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits and takes
+# 5.4 s; in (150, 150) by 9.2 million (11.1 s); (x+theta+1)^800 in (400, 400)
+# by 129 million, and ran past 60 s (2-CPU VM, CPython 3.11).
+_MAX_POWER_BITS = 1 << 23
 
 
 class ClassExprError(ValueError):
@@ -141,6 +149,42 @@ def _tokenize(text: str) -> list[_Token]:
             raise ExprSyntaxError(start + 1, repr(ch), ("a token",))
     tokens.append(_Token("end", "", n + 1))
     return tokens
+
+
+# ----------------------------------------------------------------------
+# the size of a power
+
+def _power_bits(base: CohomClass, n: int) -> int:
+    """An upper bound on the total bit length of the numerators of base^n;
+    for n >= 1 it bounds every power base^k with 1 <= k <= n too.
+
+    base^n has at most T monomials: those with a + b <= min(d, n*D) and
+    b <= min(g, n*B), D and B the base's largest degree and theta power.
+    Each numerator is bounded twice, and the smaller bound counts:
+
+    * by S^n, S the sum of the base's |numerators|;
+    * by (K+1) * m^n * (n*L*s)^K, where the base is c + P over the
+      denominator L, c = p/q its constant term, m = max(|p|, q), and s the
+      sum of P's |numerators|.  P's terms have degree 1 or more, so at most
+      K = min(n, d) of the n factors of a surviving term come from P.
+
+    The first is the tighter for a dense base; the second keeps a huge n
+    cheap when the ambient truncates the power."""
+    numerators = base._numerators
+    if not n:
+        return 1  # the unit class
+    if not numerators:
+        return 0
+    top = min(base.sym_index, n * max(a + b for a, b in numerators))
+    thetas = min(base.genus, n * max(b for _, b in numerators), top)
+    monomials = (thetas + 1) * (top + 1) - thetas * (thetas + 1) // 2
+    total = sum(map(abs, numerators.values()))
+    rest = total - abs(numerators.get((0, 0), 0))
+    constant = base.coefficient(0, 0)
+    m = max(abs(constant.numerator), constant.denominator)
+    k = min(n, base.sym_index) if rest else 0
+    truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
+    return monomials * min(n * total.bit_length(), truncated + (k + 1).bit_length())
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +298,12 @@ class _Parser:
                     caret.position,
                     f"the power's constant term would have more than {limit} digits, "
                     "the interpreter's limit for converting integers to text",
+                )
+            if _power_bits(value, exponent) > _MAX_POWER_BITS:
+                raise ClassExprError(
+                    caret.position,
+                    f"the power's numerators could have more than {_MAX_POWER_BITS} bits "
+                    "in all, the limit for one power",
                 )
             return value ** exponent
         return exponent * degree, evaluate

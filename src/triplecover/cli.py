@@ -7,6 +7,11 @@ identical key sets; rationals are rendered as ``p/q`` strings and big
 integers as decimal strings, never as floats.  CSV carries a mandatory
 header row.
 
+The parser tree is built once per process.  A call whose first argument
+names a subcommand is parsed in one argparse pass, by that subcommand's
+parser alone, with the messages and exit codes of the whole tree; the whole
+tree parses only help, an empty argument list and unknown subcommands.
+
 Exit codes: 0 on success, 1 when a verification subcommand (theorem-a,
 audit) finds a violated inequality, 2 on usage or input errors.  Integers
 longer than the interpreter's int-to-str digit limit, outputs of more than
@@ -371,9 +376,12 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``main`` call of a process and
-    reused: ``parse_args`` keeps no state between calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name, built once,
+    on the first ``main`` call of a process, and reused: ``parse_args`` keeps
+    no state between calls.  ``main`` parses a call that names a subcommand
+    with that subcommand's parser alone, and goes through the whole tree
+    only for help, an empty argv and unknown subcommands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "csv", "json"), default="table", help="output format"
@@ -389,13 +397,27 @@ def _build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, parents=[common], help=summary)
         for flag, flag_help, kwargs in flags:
             command.add_argument(flag, help=flag_help, **kwargs)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments of one call, as ``parse_args`` on the whole tree
+    gives them, in one argparse pass when ``argv[0]`` names a subcommand:
+    the subparsers action would hand ``argv[1:]`` to that subcommand's
+    parser, and the top-level parser would refuse what it leaves over."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

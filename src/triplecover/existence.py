@@ -387,6 +387,8 @@ def sweep(
     h_lo, h_hi = h_range
     if g_margin < 0:
         raise ValueError(f"g_margin must be nonnegative, got {g_margin}")
+    if h_lo <= h_hi:
+        _require_base_genus(h_lo)  # before one task is built for each h
     tasks = [(h, g_margin) for h in range(h_lo, h_hi + 1)]
     if not tasks:
         return []

@@ -14,6 +14,8 @@ from triplecover.brill_noether import bn1_class
 from triplecover.classexpr import (
     _DIAGNOSTIC_MAX_DEGREE,
     _MAX_NESTING,
+    _MAX_POWER_BITS,
+    _power_bits,
     Bn1IndexMismatch,
     ClassExprError,
     DivisionByZeroLiteral,
@@ -291,6 +293,49 @@ def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
     # A limit of 0 disables the bound.
     sys.set_int_max_str_digits(0)
     assert parse(f"(2*x+2)^{first}", 4, 3).terms[(0, 0)] == 2**first
+
+
+@given(classes(), st.integers(min_value=0, max_value=12))
+def test_power_bits_bound_every_power(cls, n):
+    # Every power the square-and-multiply loop builds on the way to cls^n
+    # is within the bound for cls^n.
+    for k in range(n + 1):
+        bits = sum(abs(v).bit_length() for v in (cls**k)._numerators.values())
+        assert bits <= _power_bits(cls, k)
+        assert k == 0 or _power_bits(cls, k) <= _power_bits(cls, n)
+
+
+def test_power_bits_count_the_surviving_monomials():
+    # (x+theta+1)^n and (x+1)^n have every monomial the count T allows,
+    # nothing cancels, and for 1 <= n <= d each numerator is bounded by
+    # 3^n < 2^(2n) and 2^n < 2^(2n).
+    for g in range(7):
+        for d in range(7):
+            for text in ("x+theta+1", "x+1"):
+                base = parse(text, g, d)
+                for n in range(1, d + 1):
+                    assert _power_bits(base, n) == 2 * n * len((base**n)._numerators), (text, g, d, n)
+
+
+def test_powers_past_the_bit_budget_are_positioned_errors():
+    # (x+theta+1)^400 in (120, 120) stays inside the budget; in (150, 150)
+    # and ^800 in (400, 400) it does not, and is refused before it is
+    # computed (that power alone ran past 60 s).
+    assert _power_bits(parse("x+theta+1", 120, 120), 400) <= _MAX_POWER_BITS
+    assert _power_bits(parse("x+theta+1", 150, 150), 400) > _MAX_POWER_BITS
+    start = time.perf_counter()
+    for text, g, d, position in (("x + (x+theta+1)^800", 400, 400, 16), ("(x+theta+1)^400", 150, 150, 12)):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, g, d)
+        assert info.value.position == position
+        assert str(info.value).endswith(f"more than {_MAX_POWER_BITS} bits in all, the limit for one power")
+    assert time.perf_counter() - start < 1
+    # The monomial count is a closed form: a huge ambient and exponent cost nothing.
+    huge = 10**30
+    assert _power_bits(parse("x+theta+1", huge, huge), huge) > _MAX_POWER_BITS
+    assert _power_bits(parse("x+theta+1", 10**7, 10**7), 16) < 10**4
+    # A huge exponent that the ambient truncates stays cheap to bound and to compute.
+    assert _power_bits(parse("x-1", 4, 3), 10**9) < 10**3
 
 
 def test_bn1_syntax_errors():

@@ -330,6 +330,69 @@ def test_eval_after_a_verbose_eval_prints_no_notes(capsys):
     assert "note:" not in err
 
 
+# A valid call of every subcommand, then usage errors, argparse's edge cases
+# and the argv that go through the whole parser tree.
+_DISPATCH_ARGVS = [
+    ["rho", "--g", "4", "--r", "1", "--d", "3"],
+    ["count", "--g", "6", "--r", "1", "--d", "4", "--format", "json"],
+    ["eval", "--g", "4", "--d", "3", "--expr=bn1(3)*x", "--verbose"],
+    ["pushpull", "--g", "28", "--d", "19", "--k", "18", "--expr", "x^19", "--format", "csv"],
+    ["cs-bound", "--g", "30", "--h", "2"],
+    ["lemma11", "--g", "10", "--n", "3"],
+    ["theorem-a", "--h", "2", "--g", "28"],
+    ["theorem-a", "--h-range", "1", "2", "--g-margin", "1", "--format", "csv"],
+    ["audit", "--h", "2", "--g", "28"],
+    ["miranda", "--g", "28", "--h", "2", "--all"],
+    ["lemma21", "--g", "30", "--h", "2", "--per-delta"],
+    ["reducedness", "--h", "3"],
+    ["cyclic", "--g", "10", "--h", "1", "--t", "3"],
+    ["gap", "--g", "30", "--h", "2", "--t", "2"],
+    ["feasible", "--g", "10", "--h", "1", "--t", "3"],
+    ["rho", "--g", "4"],
+    ["rho", "--g", "x", "--r", "1", "--d", "2"],
+    ["rho", "--g", "4", "--r", "1", "--d", "3", "--format", "xml"],
+    ["rho", "--g", "4", "--r", "1", "--d", "3", "extra"],
+    ["rho", "--g", "4", "--r", "1", "--d", "3", "--bogus", "1"],
+    ["rho", "--", "--g", "5"],
+    ["rho", "--g", "4", "--r", "1", "--d", "3", "--form", "json"],
+    ["rho", "--g", "4", "--g", "5", "--r", "1", "--d", "3"],
+    ["miranda", "--g", "28", "--h", "2", "--all", "--delta", "0"],
+    ["rho", "-h"],
+    ["-h"],
+    ["--help", "rho"],
+    [],
+    ["frobnicate", "--g", "5"],
+    ["--format", "json", "rho", "--g", "4", "--r", "1", "--d", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=" ".join)
+def test_one_pass_dispatch_matches_the_whole_tree(argv, capsys, monkeypatch):
+    # main parses a call that names a subcommand with that subcommand's
+    # parser alone; exit code, stdout and stderr must be those of
+    # parse_args on the whole tree.
+    monkeypatch.setenv("TRIPLECOVER_WORKERS", "1")
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
+    assert got == run(capsys, *argv)
+
+
+def test_a_call_naming_a_subcommand_skips_the_top_level_parser(capsys, monkeypatch):
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(parser, "parse_known_args", mock.Mock(side_effect=AssertionError))
+    assert run(capsys, "rho", "--g", "4", "--r", "1", "--d", "3")[0] == 0
+    code, out, err = run(capsys, "rho", "--g", "4", "--r", "1", "--d", "3", "extra")
+    assert (code, out) == (2, "")
+    assert err.endswith("triplecover: error: unrecognized arguments: extra\n")
+    parser.parse_known_args.assert_not_called()
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["triplecover", "rho", "--g", "4", "--r", "1", "--d", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["4", "1", "3", "0"]
+
+
 def test_dense_power_in_a_large_ambient_is_quick():
     # (x+theta+1)^200 in (60, 60) squares classes of up to 1,891 terms; its
     # top degree is sum_b n!/((d-b)! b! (n-d)!) * g!/(g-b)! with n = 200.
@@ -566,6 +629,19 @@ def test_deep_or_long_expressions_never_crash():
         if expected == 2:
             assert proc.stdout == ""
             assert "deeper than 100 levels" in proc.stderr
+
+
+def test_a_power_past_the_bit_budget_exits_two_at_once():
+    # (x+theta+1)^800 in (400, 400) ran past 60 s before it was sized.
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplecover", "eval", "--g", "400", "--d", "400", "--expr", "(x+theta+1)^800"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: at position 12: the power's numerators could have more than")
 
 
 def test_oversized_class_coefficient_names_the_canonical_column(capsys):

@@ -312,6 +312,18 @@ def test_sweep_rejects_negative_margin():
         sweep((1, 2), -1)
 
 
+def test_sweep_validates_before_it_allocates():
+    # One task per base genus: a range of 10^30 genera starting at 0 must
+    # be refused before any task is built.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^base genus must be at least 1, got 0$"):
+        sweep((0, 10**30), workers=1)
+    with pytest.raises(ValueError, match="^g_margin must be nonnegative, got -1$"):
+        sweep((0, 10**30), -1)
+    assert time.perf_counter() - start < 1
+    assert sweep((0, -1)) == []
+
+
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_pooled_sweep_equals_serial(workers):
     # (1, 5) with margin 3 is 5 tasks, split unevenly between the caller
