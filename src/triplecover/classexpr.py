@@ -36,7 +36,9 @@ constant term p/q with max(|p|, q)^N certainly above L digits: that term of
 the result could not be printed.  Every other power is sized before it is
 computed (``_power_bits``, which needs no loop over degrees) and rejected
 when its numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in
-all; an error at the power's caret reports either refusal.
+all; an error at the power's caret reports either refusal.  Every product
+of two classes is sized the same way from its factors (``_product_bits``)
+before they are multiplied, and an error at its ``*`` reports a refusal.
 """
 
 from __future__ import annotations
@@ -68,10 +70,14 @@ _MAX_NESTING = 100
 # ring has (D+1)(D+2)/2 monomials at degree D, so the cost grows as D^4.
 _DIAGNOSTIC_MAX_DEGREE = 48
 
-# The most bits a power's numerators may have in all (``_power_bits``): 2^23.
-# (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits and takes
-# 5.4 s; in (150, 150) by 9.2 million (11.1 s); (x+theta+1)^800 in (400, 400)
-# by 129 million, and ran past 60 s (2-CPU VM, CPython 3.11).
+# The most bits the numerators of one power (``_power_bits``) or one product
+# (``_product_bits``) may have in all: 2^23.  (x+theta+1)^400 in (120, 120)
+# is bounded by 5.9 million bits, in (150, 150) by 9.2 million, and
+# (x+theta+1)^800 in (400, 400) by 129 million; the multinomial kernel
+# computes them in 12 ms, 19 ms and 0.17 s, where repeated squaring took
+# 5.4 s, 11.1 s and more than 60 s.  Products are still the costly step:
+# (x+theta+1)^200 squared in (400, 400), bounded by 51 million bits, ran
+# past 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23
 
 
@@ -152,7 +158,22 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ----------------------------------------------------------------------
-# the size of a power
+# the size of a power or a product
+
+def _reach(cls: CohomClass) -> tuple[int, int]:
+    """The largest total degree and the largest theta power of the monomials
+    of a nonzero class."""
+    numerators = cls._numerators
+    return max(a + b for a, b in numerators), max(b for _, b in numerators)
+
+
+def _monomials(cls: CohomClass, degree: int, theta: int) -> int:
+    """How many monomials x^a * theta^b with a + b <= degree and b <= theta
+    survive in the ambient of ``cls``: a closed form, with no loop over degrees."""
+    top = min(cls.sym_index, degree)
+    thetas = min(cls.genus, theta, top)
+    return (thetas + 1) * (top + 1) - thetas * (thetas + 1) // 2
+
 
 def _power_bits(base: CohomClass, n: int) -> int:
     """An upper bound on the total bit length of the numerators of base^n;
@@ -175,9 +196,8 @@ def _power_bits(base: CohomClass, n: int) -> int:
         return 1  # the unit class
     if not numerators:
         return 0
-    top = min(base.sym_index, n * max(a + b for a, b in numerators))
-    thetas = min(base.genus, n * max(b for _, b in numerators), top)
-    monomials = (thetas + 1) * (top + 1) - thetas * (thetas + 1) // 2
+    degree, theta = _reach(base)
+    monomials = _monomials(base, n * degree, n * theta)
     total = sum(map(abs, numerators.values()))
     rest = total - abs(numerators.get((0, 0), 0))
     constant = base.coefficient(0, 0)
@@ -185,6 +205,26 @@ def _power_bits(base: CohomClass, n: int) -> int:
     k = min(n, base.sym_index) if rest else 0
     truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
     return monomials * min(n * total.bit_length(), truncated + (k + 1).bit_length())
+
+
+def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
+    """An upper bound on the total bit length of the numerators of lhs * rhs.
+
+    The product has at most T monomials, counted as ``_power_bits`` counts
+    them from the sums of the factors' largest degrees and theta powers.
+    Over the product of the factors' denominators, each numerator is a sum
+    of at most min(T_l, T_r) term pairs, so it is bounded by
+    max|n_l| * max|n_r| * min(T_l, T_r)."""
+    left, right = lhs._numerators, rhs._numerators
+    if not left or not right:
+        return 0
+    (left_degree, left_theta), (right_degree, right_theta) = _reach(lhs), _reach(rhs)
+    monomials = _monomials(lhs, left_degree + right_degree, left_theta + right_theta)
+    bits = (
+        max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
+        + min(len(left), len(right)).bit_length()
+    )
+    return monomials * bits
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +282,13 @@ class _Parser:
 
     def parse_term(self):
         degree, first = self.parse_factor()
-        steps = []  # a factor's evaluate for '*', the Fraction 1/divisor for '/'
+        steps = []  # (the '*' position, a factor's evaluate) for '*', the Fraction 1/divisor for '/'
         while self.peek().kind in ("*", "/"):
-            if self.advance().kind == "*":
+            operator = self.advance()
+            if operator.kind == "*":
                 factor_degree, factor = self.parse_factor()
                 degree += factor_degree
-                steps.append(factor)
+                steps.append((operator.position, factor))
                 continue
             token = self.peek()
             if token.kind != "number":
@@ -265,8 +306,16 @@ class _Parser:
             for step in steps:
                 if isinstance(step, Fraction):
                     result = result.scale(step)
-                else:
-                    result = mul_classes(result, step(*ring))
+                    continue
+                position, factor = step
+                value = factor(*ring)
+                if _product_bits(result, value) > _MAX_POWER_BITS:
+                    raise ClassExprError(
+                        position,
+                        f"the product's numerators could have more than {_MAX_POWER_BITS} bits "
+                        "in all, the limit for one product",
+                    )
+                result = mul_classes(result, value)
             return result
         return degree, evaluate
 

@@ -24,6 +24,11 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 of the product, and its cost follows the factors, not the ambient (g, d).
 A product with a one-term factor shifts the other factor's monomials by that
 monomial.  Other products multiply term pairs.
+
+A power of a base with at most three terms is expanded by the multinomial
+theorem, walking only the exponents whose monomials survive truncation, so
+it builds no intermediate product; a power of a larger base is squared
+repeatedly.
 """
 
 from __future__ import annotations
@@ -155,8 +160,13 @@ class CohomClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CohomClass":
+        """The class raised to a nonnegative integer power.  A base of at
+        most three terms is expanded by the multinomial theorem
+        (``_multinomial_power``); a larger base is squared repeatedly."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"class exponent must be a nonnegative integer, got {exponent!r}")
+        if len(self._numerators) <= _MULTINOMIAL_TERMS:
+            return _multinomial_power(self, exponent)
         result = unit_class(self.genus, self.sym_index)
         base, e = self, exponent
         while e:
@@ -281,6 +291,69 @@ def sum_classes(first: CohomClass, *rest: CohomClass) -> CohomClass:
         for key, n in other._numerators.items():
             sums[key] = sums.get(key, 0) + n * factor
     return _class(first.genus, first.sym_index, {key: n for key, n in sums.items() if n}, denominator)
+
+
+# A base of at most this many terms is raised to a power by the multinomial
+# theorem.  The compositions of N into three parts number C(N+2, 2), the count
+# of monomials of degree at most N in x and theta, so the walk never outgrows
+# the untruncated power; compositions into four parts would grow as N^3.
+_MULTINOMIAL_TERMS = 3
+
+
+def _multinomial_power(base: CohomClass, exponent: int) -> CohomClass:
+    """base ** exponent, for a base of at most ``_MULTINOMIAL_TERMS`` terms.
+
+    Write the base as (c + n_1*t_1 + ... + n_k*t_k)/L, with c its constant
+    numerator (0 when it has none) and t_i its nonconstant monomials.  Its
+    N-th power is the sum, over e_c + e_1 + ... + e_k = N, of
+    N!/(e_c! e_1! ... e_k!) * c^e_c * prod(n_i^e_i * t_i^e_i), over L^N.
+    Nested loops raise e_1, e_2, ... in turn; each step multiplies in one
+    nonconstant monomial and so raises a + b by at least 1, and a loop stops
+    at its first monomial with a + b > d or b > g, after which every
+    monomial vanishes too.  Without a constant term the last exponent takes
+    every factor left.  Compositions that reach one monomial are summed, and
+    the class is normalised once.
+    """
+    genus, sym_index = base.genus, base.sym_index
+    constant = base._numerators.get((0, 0), 0)
+    terms = [(key, n) for key, n in base._numerators.items() if key != (0, 0)]
+    # constant^(exponent - j) at index j, for the counts j of nonconstant
+    # factors reached so far.  The constant term c^N always survives, and
+    # the list grows by one exact division each time the walk reaches a
+    # monomial with one more nonconstant factor, so it holds no power that
+    # the result does not use.
+    powers = [constant**exponent]
+    if not terms:
+        return _class(genus, sym_index, {(0, 0): powers[0]} if powers[0] else {}, base._denominator ** exponent)
+    last = len(terms) - 1
+    sums: dict[tuple[int, int], int] = {}
+
+    def walk(index: int, a: int, b: int, coeff: int, left: int) -> None:
+        # coeff is N!/(e_1! ... e_index! left!) * prod(n_i^e_i) over the
+        # exponents chosen so far, (a, b) their monomial, and left the
+        # number of factors not yet taken.
+        (da, db), n = terms[index]
+        if index == last and not constant:
+            a, b = a + left * da, b + left * db
+            if a + b <= sym_index and b <= genus:
+                sums[a, b] = sums.get((a, b), 0) + coeff * n**left
+            return
+        for e in range(left + 1):
+            if a + b > sym_index or b > genus:
+                return
+            if index == last:
+                j = exponent - left + e
+                if j == len(powers):
+                    powers.append(powers[-1] // constant)
+                sums[a, b] = sums.get((a, b), 0) + coeff * powers[j]
+            else:
+                walk(index + 1, a, b, coeff, left - e)
+            coeff = coeff * n * (left - e) // (e + 1)
+            a += da
+            b += db
+
+    walk(0, 0, 0, 1, exponent)
+    return _class(genus, sym_index, {key: n for key, n in sums.items() if n}, base._denominator ** exponent)
 
 
 # A product is packed when it has at least _DENSE_TERMS ** 2 term pairs and

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from triplecover import classexpr
 from triplecover.arith import binomial
 from triplecover.brill_noether import bn1_class
 from triplecover.classexpr import (
@@ -16,6 +17,7 @@ from triplecover.classexpr import (
     _MAX_NESTING,
     _MAX_POWER_BITS,
     _power_bits,
+    _product_bits,
     Bn1IndexMismatch,
     ClassExprError,
     DivisionByZeroLiteral,
@@ -23,13 +25,13 @@ from triplecover.classexpr import (
     parse,
     parse_with_diagnostics,
 )
-from triplecover.cohomology import CohomClass, monomial, render_class, unit_class, zero_class
+from triplecover.cohomology import CohomClass, monomial, mul_classes, render_class, unit_class, zero_class
 
 
 @st.composite
-def classes(draw):
-    g = draw(st.integers(min_value=0, max_value=6))
-    d = draw(st.integers(min_value=0, max_value=6))
+def classes(draw, g=None, d=None):
+    g = draw(st.integers(min_value=0, max_value=6)) if g is None else g
+    d = draw(st.integers(min_value=0, max_value=6)) if d is None else d
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         a = draw(st.integers(min_value=0, max_value=d))
@@ -297,8 +299,8 @@ def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
 
 @given(classes(), st.integers(min_value=0, max_value=12))
 def test_power_bits_bound_every_power(cls, n):
-    # Every power the square-and-multiply loop builds on the way to cls^n
-    # is within the bound for cls^n.
+    # Every power cls^k with k <= n, such as those that repeated squaring
+    # builds on the way to cls^n, is within the bound for cls^n.
     for k in range(n + 1):
         bits = sum(abs(v).bit_length() for v in (cls**k)._numerators.values())
         assert bits <= _power_bits(cls, k)
@@ -336,6 +338,31 @@ def test_powers_past_the_bit_budget_are_positioned_errors():
     assert _power_bits(parse("x+theta+1", 10**7, 10**7), 16) < 10**4
     # A huge exponent that the ambient truncates stays cheap to bound and to compute.
     assert _power_bits(parse("x-1", 4, 3), 10**9) < 10**3
+
+
+@given(st.data())
+def test_product_bits_bound_every_product(data):
+    lhs = data.draw(classes())
+    rhs = data.draw(classes(lhs.genus, lhs.sym_index))
+    bits = sum(abs(v).bit_length() for v in mul_classes(lhs, rhs)._numerators.values())
+    assert bits <= _product_bits(lhs, rhs)
+
+
+def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
+    # The budget is checked at each '*' of a chain, against the product so
+    # far and the next factor, before they are multiplied.
+    base = parse("x+theta+1", 9, 9)
+    square = _product_bits(base, base)
+    assert square == 6 * (1 + 1 + 2)  # monomials of degree <= 2, times 1 + 1 + bitlen(3) bits
+    monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", square)
+    assert parse("(x+theta+1)*(x+theta+1)", 9, 9) == base**2
+    for text, position in (("(x+theta+1)*(x+theta+1)*(x+theta+1)", 24), ("2 + (x+theta+1) * (x+theta+1)^2", 17)):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 9, 9)
+        assert info.value.position == position, text
+        assert str(info.value).endswith(f"more than {square} bits in all, the limit for one product")
+    # A product with a zero factor has no numerators at all.
+    assert _product_bits(zero_class(9, 9), base) == 0
 
 
 def test_bn1_syntax_errors():

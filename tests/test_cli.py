@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,9 +30,6 @@ from triplecover import (
 )
 from triplecover.classexpr import _Token
 from triplecover.cli import main
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -393,54 +389,60 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[1].split() == ["4", "1", "3", "0"]
 
 
-def test_dense_power_in_a_large_ambient_is_quick():
-    # (x+theta+1)^200 in (60, 60) squares classes of up to 1,891 terms; its
-    # top degree is sum_b n!/((d-b)! b! (n-d)!) * g!/(g-b)! with n = 200.
+def test_dense_power_in_a_large_ambient_is_quick(child_env):
+    # (x+theta+1)^200 in (60, 60) is expanded by the multinomial theorem;
+    # the product of two 1,891-term halves is packed by Kronecker
+    # substitution.  Its top degree is
+    # sum_b n!/((d-b)! b! (n-d)!) * g!/(g-b)! with n = 200.
     g = d = 60
     n = 200
-    proc = subprocess.run(
-        [sys.executable, "-m", "triplecover", "eval", "--g", str(g), "--d", str(d),
-         "--expr", f"(x+theta+1)^{n}", "--format", "json"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-        timeout=10,
-    )
-    assert proc.returncode == 0, proc.stderr
-    [row] = json.loads(proc.stdout)
     expected = sum(
         math.factorial(n) // (math.factorial(d - b) * math.factorial(b) * math.factorial(n - d)) * math.perm(g, b)
         for b in range(min(g, d) + 1)
     )
-    assert row["value"] == str(expected)
+    for expr in (f"(x+theta+1)^{n}", f"(x+theta+1)^{n // 2}*(x+theta+1)^{n // 2}"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", "eval", "--g", str(g), "--d", str(d),
+             "--expr", expr, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        [row] = json.loads(proc.stdout)
+        assert row["value"] == str(expected), expr
 
 
-def test_dense_power_in_a_huge_ambient_stays_small(capsys):
-    # The packed slots follow the factors' theta support, not the genus, so
-    # (x+theta+1)^16 costs the same in (10^7, 10^7) as in (16, 16).  The
-    # child runs under a 1 GiB address-space cap, so a regression fails with
-    # a MemoryError there instead of exhausting the machine.
+def test_dense_power_in_a_huge_ambient_stays_small(capsys, child_env):
+    # The multinomial walk stops at degree 16, and the packed slots of the
+    # product follow the factors' theta support, not the genus, so
+    # (x+theta+1)^16 and (x+theta+1)^8 squared cost the same in
+    # (10^7, 10^7) as in (16, 16).  The child runs under a 1 GiB
+    # address-space cap, so a regression fails with a MemoryError there
+    # instead of exhausting the machine.
     resource = pytest.importorskip("resource")
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    expr = "(x+theta+1)^16"
-    proc = subprocess.run(
-        [sys.executable, "-m", "triplecover", "eval", "--g", "10000000", "--d", "10000000",
-         "--expr", expr, "--format", "json"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-        timeout=10,
-        preexec_fn=cap_address_space,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    [row] = json.loads(proc.stdout)
-    code = main(["eval", "--g", "16", "--d", "16", "--expr", expr, "--format", "json"])
+    code = main(["eval", "--g", "16", "--d", "16", "--expr", "(x+theta+1)^16", "--format", "json"])
     assert code == 0
-    assert row["canonical"] == json.loads(capsys.readouterr().out)[0]["canonical"]
+    canonical = json.loads(capsys.readouterr().out)[0]["canonical"]
+    for expr in ("(x+theta+1)^16", "(x+theta+1)^8*(x+theta+1)^8"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triplecover", "eval", "--g", "10000000", "--d", "10000000",
+             "--expr", expr, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            timeout=10,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        [row] = json.loads(proc.stdout)
+        assert row["canonical"] == canonical, expr
 
 
 def test_csv_header_present_even_for_empty_sweep(capsys):
@@ -459,18 +461,18 @@ def test_workers_env_validation(capsys, monkeypatch):
     assert code == 2
 
 
-def test_module_entry_point_subprocess():
+def test_module_entry_point_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "triplecover", "rho", "--g", "4", "--r", "1", "--d", "3"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[1].split() == ["4", "1", "3", "0"]
 
 
-def test_oversized_integer_and_unwritable_out_exit_two(tmp_path):
+def test_oversized_integer_and_unwritable_out_exit_two(tmp_path, child_env):
     # A 6,000-digit count exceeds the interpreter's int-to-str limit, which
     # stays in force; a missing --out directory is an I/O fault.  Both are
     # input errors, never a traceback.
@@ -482,7 +484,7 @@ def test_oversized_integer_and_unwritable_out_exit_two(tmp_path):
             [sys.executable, "-m", "triplecover", *argv],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=child_env,
         )
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
@@ -503,7 +505,7 @@ def test_oversized_integer_message_names_column_and_limit(capsys):
         assert "set_int_max_str_digits" not in err
 
 
-def test_count_is_bounded_before_it_is_computed():
+def test_count_is_bounded_before_it_is_computed(child_env):
     # The 600,000-digit count ran for minutes and the 60,000-digit one for
     # seconds before the renderer refused them; the bound refuses both first.
     # A one-column rectangle's count is 1 at any rank; it took over 8 s to
@@ -523,13 +525,13 @@ def test_count_is_bounded_before_it_is_computed():
             [sys.executable, "-m", "triplecover", "count", "--g", g, "--r", r, "--d", d, "--format", "csv"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=child_env,
             timeout=5,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), g
 
 
-def test_unprintable_left_side_is_refused_before_it_is_computed():
+def test_unprintable_left_side_is_refused_before_it_is_computed(child_env):
     # theorem-a spent 1.8 s on the 156,381-digit left side at (20000,
     # 1800090001) and audit had not finished after 15 s at (200000,
     # 180000900001) before the renderer refused them; the bound refuses
@@ -553,14 +555,14 @@ def test_unprintable_left_side_is_refused_before_it_is_computed():
             [sys.executable, "-m", "triplecover", *argv, "--format", "csv"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=child_env,
             timeout=5,
         )
         assert (proc.returncode, proc.stderr) == (code, err), argv
         assert proc.stdout.startswith("h,g,") if code == 0 else proc.stdout == "", argv
 
 
-def test_outputs_past_the_row_limit_are_refused_before_a_row_is_built():
+def test_outputs_past_the_row_limit_are_refused_before_a_row_is_built(child_env):
     # At g = 10^30, miranda --all and lemma21 --per-delta ended in an
     # OverflowError traceback, and the sweep had not finished after 10 s.
     huge = str(10**30)
@@ -575,7 +577,7 @@ def test_outputs_past_the_row_limit_are_refused_before_a_row_is_built():
             [sys.executable, "-m", "triplecover", *argv, "--format", "csv"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=child_env,
             timeout=5,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", refused), argv
@@ -607,7 +609,7 @@ def test_memory_error_exits_two_without_a_traceback(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
-def test_deep_or_long_expressions_never_crash():
+def test_deep_or_long_expressions_never_crash(child_env):
     # Over-deep nesting is an input error; long flat chains evaluate; the
     # --verbose listing is skipped for a high-degree expression.
     cases = [
@@ -621,7 +623,7 @@ def test_deep_or_long_expressions_never_crash():
             [sys.executable, "-m", "triplecover", "eval", "--g", "4", "--d", "3", *extra],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env=child_env,
             timeout=60,
         )
         assert proc.returncode == expected, extra[-1][:20]
@@ -631,17 +633,32 @@ def test_deep_or_long_expressions_never_crash():
             assert "deeper than 100 levels" in proc.stderr
 
 
-def test_a_power_past_the_bit_budget_exits_two_at_once():
+def test_a_power_past_the_bit_budget_exits_two_at_once(child_env):
     # (x+theta+1)^800 in (400, 400) ran past 60 s before it was sized.
     proc = subprocess.run(
         [sys.executable, "-m", "triplecover", "eval", "--g", "400", "--d", "400", "--expr", "(x+theta+1)^800"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env,
         timeout=5,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: at position 12: the power's numerators could have more than")
+
+
+def test_a_product_past_the_bit_budget_exits_two_at_once(child_env):
+    # Each power is inside the budget and takes about 0.1 s; their product
+    # ran past 20 s before products were sized.
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplecover", "eval", "--g", "400", "--d", "400",
+         "--expr", "(x+theta+1)^200*(x+theta+1)^200"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: at position 16: the product's numerators could have more than")
 
 
 def test_oversized_class_coefficient_names_the_canonical_column(capsys):
@@ -775,7 +792,7 @@ def test_result_record_contract(cls, fields):
     assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
 
 
-def test_importing_the_cli_loads_no_dataclasses():
+def test_importing_the_cli_loads_no_dataclasses(child_env):
     # dataclasses and the inspect, ast, dis and tokenize modules it pulls
     # in were most of the CLI's import time.  -S keeps site hooks out.
     script = (
@@ -786,7 +803,7 @@ def test_importing_the_cli_loads_no_dataclasses():
         [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env,
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -660,6 +661,79 @@ def test_class_power_matches_repeated_mul():
     base = CohomClass(6, 6, {(1, 0): 1, (0, 1): Fraction(1, 3)})
     assert base**0 == unit_class(6, 6)
     assert base**3 == mul_classes(base, mul_classes(base, base))
+
+
+@st.composite
+def small_bases(draw):
+    """A base of 0-3 terms, with or without a constant term, with signed
+    rational coefficients, in an ambient small enough that b > g or
+    a + b > d truncates most powers."""
+    g = draw(st.integers(min_value=0, max_value=7))
+    d = draw(st.integers(min_value=0, max_value=7))
+    size = draw(st.integers(min_value=0, max_value=3))
+    constant = size and draw(st.booleans())
+    nonconstant = [(a, b) for a in range(4) for b in range(4) if a or b]
+    keys = draw(st.lists(st.sampled_from(nonconstant), min_size=size - constant, max_size=size - constant, unique=True))
+    coeffs = st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(bool)
+    return CohomClass(g, d, {key: draw(coeffs) for key in [(0, 0)] * constant + keys})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_bases())
+def test_powers_of_small_bases_match_repeated_mul(base):
+    # The multinomial kernel against a left fold of products, N in 0..12.
+    assert len(base.terms) <= 3
+    power = unit_class(base.genus, base.sym_index)
+    for n in range(13):
+        assert base**n == power, n
+        power = mul_classes(power, base)
+
+
+def test_powers_of_bases_past_three_terms_square(monkeypatch):
+    # A four-term base is squared; a three-term base multiplies no classes.
+    squares = []
+
+    def spy(lhs, rhs):
+        squares.append(lhs is rhs)
+        return mul_classes(lhs, rhs)
+
+    monkeypatch.setattr(cohomology, "mul_classes", spy)
+    x, theta, one = x_class(9, 9), theta_class(9, 9), unit_class(9, 9)
+    assert len(((x + theta + one) ** 8).terms) == 45
+    assert squares == []
+    assert len(((x + theta + x * theta + one) ** 8).terms) == 53  # (1+x)^8 * (1+theta)^8
+    assert squares.count(True) == 3
+
+
+def test_products_of_powers_still_pack(monkeypatch):
+    # A power of x + theta + 1 takes the multinomial path; the product of
+    # two such powers is packed, in a large ambient and in a huge one.
+    packed = []
+    dense_product = cohomology._dense_product
+
+    def spy(*args):
+        packed.append(args[0].sym_index)
+        return dense_product(*args)
+
+    monkeypatch.setattr(cohomology, "_dense_product", spy)
+    for n, ambient in ((200, 60), (16, 10**7)):
+        power = parse(f"(x+theta+1)^{n}", ambient, ambient)
+        assert packed == []
+        assert parse(f"(x+theta+1)^{n // 2}*(x+theta+1)^{n // 2}", ambient, ambient) == power
+        assert packed == [ambient]
+        packed.clear()
+
+
+def test_a_huge_power_that_the_ambient_truncates_is_quick():
+    # (x+theta+1)^100000 in (10, 10): the walk stops at degree 10, so it
+    # costs 66 multinomial coefficients N!/(a! b! (N-a-b)!).
+    n = 100000
+    start = time.perf_counter()
+    power = parse(f"(x+theta+1)^{n}", 10, 10)
+    assert time.perf_counter() - start < 1
+    assert power == CohomClass(10, 10, {
+        (a, b): math.comb(n, a + b) * math.comb(a + b, b) for a in range(11) for b in range(11 - a)
+    })
 
 
 def test_classes_are_immutable():

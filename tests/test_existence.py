@@ -8,7 +8,6 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +24,6 @@ from triplecover.existence import (
     verify_inequality,
 )
 from triplecover.triple_cover import VanishingMargins, section_vanishing_margins
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _RELATIONS = {
     "<": operator.lt,
@@ -484,7 +481,7 @@ def test_caller_error_kills_a_stuck_child_at_once(monkeypatch):
 
 
 @_needs_fork
-def test_children_never_flush_the_callers_stdout():
+def test_children_never_flush_the_callers_stdout(child_env):
     # stdout is a pipe here, so the marker waits in the caller's buffer while
     # two children fork; only the caller may write it.
     script = (
@@ -496,14 +493,14 @@ def test_children_never_flush_the_callers_stdout():
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env,
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "marker\n"
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def test_importing_the_cli_loads_no_process_pool(child_env):
     script = (
         "import sys, triplecover.cli\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
@@ -512,7 +509,7 @@ def test_importing_the_cli_loads_no_process_pool():
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env,
         timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
