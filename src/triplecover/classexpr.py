@@ -74,10 +74,9 @@ _DIAGNOSTIC_MAX_DEGREE = 48
 # (``_product_bits``) may have in all: 2^23.  (x+theta+1)^400 in (120, 120)
 # is bounded by 5.9 million bits, in (150, 150) by 9.2 million, and
 # (x+theta+1)^800 in (400, 400) by 129 million; the multinomial kernel
-# computes them in 12 ms, 19 ms and 0.17 s, where repeated squaring took
-# 5.4 s, 11.1 s and more than 60 s.  Products are still the costly step:
-# (x+theta+1)^200 squared in (400, 400), bounded by 51 million bits, ran
-# past 20 s (2-CPU VM, CPython 3.11).
+# computes them in 8 ms, 12 ms and 0.13 s.  Products cost more: the square
+# of (x+theta+1)^200 in (400, 400), bounded by 51 million bits, takes more
+# than 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23
 
 
@@ -175,12 +174,25 @@ def _monomials(cls: CohomClass, degree: int, theta: int) -> int:
     return (thetas + 1) * (top + 1) - thetas * (thetas + 1) // 2
 
 
+def _draws(n: int, k: int, cap: int) -> int:
+    """min(C(n + k - 1, k - 1), cap): the multisets of n terms drawn from k,
+    counted only as far as cap, so a huge n costs a step or two."""
+    count = 1
+    for i in range(1, k):
+        count = count * (n + i) // i  # C(n + i, i)
+        if count >= cap:
+            return cap
+    return min(count, cap)
+
+
 def _power_bits(base: CohomClass, n: int) -> int:
     """An upper bound on the total bit length of the numerators of base^n;
     for n >= 1 it bounds every power base^k with 1 <= k <= n too.
 
     base^n has at most T monomials: those with a + b <= min(d, n*D) and
-    b <= min(g, n*B), D and B the base's largest degree and theta power.
+    b <= min(g, n*B), D and B the base's largest degree and theta power,
+    and at most C(n + k - 1, k - 1), one for each way of drawing its n
+    factors from the base's k terms, whichever is fewer.
     Each numerator is bounded twice, and the smaller bound counts:
 
     * by S^n, S the sum of the base's |numerators|;
@@ -197,7 +209,7 @@ def _power_bits(base: CohomClass, n: int) -> int:
     if not numerators:
         return 0
     degree, theta = _reach(base)
-    monomials = _monomials(base, n * degree, n * theta)
+    monomials = _draws(n, len(numerators), _monomials(base, n * degree, n * theta))
     total = sum(map(abs, numerators.values()))
     rest = total - abs(numerators.get((0, 0), 0))
     constant = base.coefficient(0, 0)
@@ -210,16 +222,17 @@ def _power_bits(base: CohomClass, n: int) -> int:
 def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
     """An upper bound on the total bit length of the numerators of lhs * rhs.
 
-    The product has at most T monomials, counted as ``_power_bits`` counts
-    them from the sums of the factors' largest degrees and theta powers.
-    Over the product of the factors' denominators, each numerator is a sum
-    of at most min(T_l, T_r) term pairs, so it is bounded by
+    The product has at most T monomials: T_l * T_r, one for each term
+    pair, and those counted as ``_power_bits`` counts them from the sums of
+    the factors' largest degrees and theta powers, whichever is fewer.  Over
+    the product of the factors' denominators, each numerator is a sum of at
+    most min(T_l, T_r) term pairs, so it is bounded by
     max|n_l| * max|n_r| * min(T_l, T_r)."""
     left, right = lhs._numerators, rhs._numerators
     if not left or not right:
         return 0
     (left_degree, left_theta), (right_degree, right_theta) = _reach(lhs), _reach(rhs)
-    monomials = _monomials(lhs, left_degree + right_degree, left_theta + right_theta)
+    monomials = min(len(left) * len(right), _monomials(lhs, left_degree + right_degree, left_theta + right_theta))
     bits = (
         max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
         + min(len(left), len(right)).bit_length()

@@ -296,7 +296,12 @@ def sum_classes(first: CohomClass, *rest: CohomClass) -> CohomClass:
 # A base of at most this many terms is raised to a power by the multinomial
 # theorem.  The compositions of N into three parts number C(N+2, 2), the count
 # of monomials of degree at most N in x and theta, so the walk never outgrows
-# the untruncated power; compositions into four parts would grow as N^3.
+# the untruncated power; compositions into four parts grow as N^3, and the
+# walk can lose to squaring there.  Measured on a 2-CPU VM with CPython
+# 3.11, walk against squaring: (x+theta+x*theta+x^2)^40 untruncated 17.6 ms
+# against 7.3 ms, (x+theta+x*theta+x^2+1)^60 in (60, 60) 185 ms against
+# 68 ms, though (x+theta+x*theta+1)^240 in (120, 120) takes 99 ms against
+# 2.9 s.
 _MULTINOMIAL_TERMS = 3
 
 

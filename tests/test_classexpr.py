@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 import sys
@@ -16,6 +17,7 @@ from triplecover.classexpr import (
     _DIAGNOSTIC_MAX_DEGREE,
     _MAX_NESTING,
     _MAX_POWER_BITS,
+    _draws,
     _power_bits,
     _product_bits,
     Bn1IndexMismatch,
@@ -25,7 +27,7 @@ from triplecover.classexpr import (
     parse,
     parse_with_diagnostics,
 )
-from triplecover.cohomology import CohomClass, monomial, mul_classes, render_class, unit_class, zero_class
+from triplecover.cohomology import CohomClass, evaluate_top, monomial, mul_classes, render_class, unit_class, zero_class
 
 
 @st.composite
@@ -363,6 +365,26 @@ def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
         assert str(info.value).endswith(f"more than {square} bits in all, the limit for one product")
     # A product with a zero factor has no numerators at all.
     assert _product_bits(zero_class(9, 9), base) == 0
+
+
+def test_sparse_products_and_powers_in_a_large_ambient_are_within_the_budget():
+    # The rank-1 pairing bn1(d) * x^(2d-g-1) at (g, d) = (2200, 1500): bn1
+    # reaches degree 701, so the monomials under the factors' combined reach
+    # number 807,651, but the product has only 2 term pairs.
+    g, d = 2200, 1500
+    bn1, power = bn1_class(g, d), monomial(g, d, 2 * d - g - 1, 0)
+    assert _product_bits(bn1, power) <= _MAX_POWER_BITS
+    product = parse(f"bn1({d})*x^{2 * d - g - 1}", g, d)
+    assert product == mul_classes(bn1, power)
+    assert len(product._numerators) == 2
+    assert evaluate_top(product) == binomial(g, d - 1) - binomial(g, d)
+    # A power of a sparse base has at most one monomial per multiset of its
+    # terms: 3 for a square of two terms, 1 for any power of one term.
+    assert parse("(x^400*theta^300+1)^2", g, d) == parse("x^800*theta^600 + 2*x^400*theta^300 + 1", g, d)
+    assert parse("(x^700*theta^700)^2", g, d) == zero_class(g, d)
+    assert _draws(2, 2, 10**6) == 3 and _draws(10**4300, 1, 10**6) == 1
+    assert _draws(10**4300, 3, 10**6) == 10**6
+    assert all(_draws(n, k, 10**9) == math.comb(n + k - 1, k - 1) for n in range(9) for k in range(1, 9))
 
 
 def test_bn1_syntax_errors():
