@@ -145,24 +145,16 @@ def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
         return buffer.getvalue()
     # table
     cells = [[_cell(key, row[key]) for key in keys] for row in rows]
-    widths = [
-        max(len(keys[i]), *(len(line[i]) for line in cells)) if cells else len(keys[i])
-        for i in range(len(keys))
-    ]
+    widths = [max([len(key), *(len(line[i]) for line in cells)]) for i, key in enumerate(keys)]
     numeric = [
-        all(isinstance(row[key], (int, Fraction)) and not isinstance(row[key], bool) for row in rows)
-        if rows
-        else False
+        bool(rows) and all(isinstance(row[key], (int, Fraction)) and not isinstance(row[key], bool) for row in rows)
         for key in keys
     ]
-    lines = ["  ".join(key.ljust(widths[i]) for i, key in enumerate(keys)).rstrip()]
+    lines = ["  ".join(key.ljust(width) for key, width in zip(keys, widths)).rstrip()]
     for line in cells:
-        lines.append(
-            "  ".join(
-                (line[i].rjust(widths[i]) if numeric[i] else line[i].ljust(widths[i]))
-                for i in range(len(keys))
-            ).rstrip()
-        )
+        lines.append("  ".join(
+            cell.rjust(width) if right else cell.ljust(width) for cell, width, right in zip(line, widths, numeric)
+        ).rstrip())
     return "\n".join(lines) + "\n"
 
 

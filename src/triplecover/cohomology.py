@@ -50,6 +50,7 @@ __all__ = [
     "theta_class",
     "sum_classes",
     "mul_classes",
+    "top_numerator",
     "evaluate_top",
     "pushforward_B",
     "pair_via_pushforward",
@@ -208,7 +209,7 @@ def _store(cls: CohomClass, genus: int, sym_index: int, numerators: dict[tuple[i
            denominator: int) -> CohomClass:
     """Set ``cls`` to sum(n * x^a * theta^b) / denominator in lowest terms;
     the numerators are nonzero and their monomials survive."""
-    common = math.gcd(denominator, *numerators.values())
+    common = 1 if denominator == 1 else math.gcd(denominator, *numerators.values())
     if common != 1:
         numerators = {key: n // common for key, n in numerators.items()}
         denominator //= common
@@ -224,15 +225,10 @@ def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], d
     return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator)
 
 
-def _survives(genus: int, sym_index: int, a: int, b: int) -> bool:
-    """Whether x^a * theta^b survives in the ambient (genus, sym_index): it
-    vanishes when a + b > sym_index or b > genus."""
-    return a + b <= sym_index and b <= genus
-
-
 def _surviving(genus: int, sym_index: int, numerators: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """The nonzero numerators whose monomials survive in the ambient (genus, sym_index)."""
-    return {(a, b): n for (a, b), n in numerators.items() if n and _survives(genus, sym_index, a, b)}
+    """The nonzero numerators whose monomials survive in the ambient (genus,
+    sym_index): x^a * theta^b vanishes when a + b > sym_index or b > genus."""
+    return {(a, b): n for (a, b), n in numerators.items() if n and a + b <= sym_index and b <= genus}
 
 
 def _descending(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
@@ -258,7 +254,7 @@ def monomial(genus: int, sym_index: int, x_power: int, theta_power: int, coeff: 
     """
     if min(genus, sym_index, x_power, theta_power) < 0 or not isinstance(coeff, (int, Fraction)):
         return CohomClass(genus, sym_index, {(x_power, theta_power): coeff})
-    if coeff and _survives(genus, sym_index, x_power, theta_power):
+    if coeff and x_power + theta_power <= sym_index and theta_power <= genus:
         return _class(genus, sym_index, {(x_power, theta_power): coeff.numerator}, coeff.denominator)
     return _class(genus, sym_index, {}, 1)
 
@@ -391,7 +387,7 @@ def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
         genus_left, degree_left = genus - b0, sym_index - a0 - b0
         return _class(genus, sym_index, {
             (a + a0, b + b0): n * n0
-            for (a, b), n in other._numerators.items() if _survives(genus_left, degree_left, a, b)
+            for (a, b), n in other._numerators.items() if a + b <= degree_left and b <= genus_left
         }, denominator)
     pairs = len(lhs._numerators) * len(rhs._numerators)
     if pairs >= _DENSE_TERMS**2:
@@ -479,16 +475,18 @@ def _dense_product(
     return numerators
 
 
-def evaluate_top(cls: CohomClass) -> Fraction:
-    """Evaluate the top-degree part of a class against the fundamental class.
-
-    Only monomials with a + b == d contribute; each contributes its
-    coefficient times g!/(g-b)! by Poincare's formula.  Stored monomials
-    already satisfy b <= g, so the falling factorial is well defined.
-    """
+def top_numerator(cls: CohomClass) -> int:
+    """The top-degree value of a class times its denominator, an integer.
+    By Poincare's formula each monomial x^a * theta^b with a + b == d adds
+    its numerator times g!/(g-b)! (stored monomials have b <= g)."""
     g, d = cls.genus, cls.sym_index
-    total = sum(n * math.perm(g, b) for (a, b), n in cls._numerators.items() if a + b == d)
-    return Fraction(total, cls._denominator)
+    return sum(n * math.perm(g, b) for (a, b), n in cls._numerators.items() if a + b == d)
+
+
+def evaluate_top(cls: CohomClass) -> Fraction:
+    """Evaluate the top-degree part of a class against the fundamental class
+    (``top_numerator`` over the class's denominator)."""
+    return Fraction(top_numerator(cls), cls._denominator)
 
 
 def pushforward_B(k: int, cls: CohomClass) -> CohomClass:

@@ -19,12 +19,14 @@ the ``_odd`` suffix of the odd-case audit step names.
 
 ``verify_inequality`` computes the left side by two independent routes (the
 binomial closed form and a polynomial expansion evaluated by Poincare's
-formula) and insists they agree exactly.  ``audit_proof_chain`` replays the
-whole chain of auxiliary inequalities leading to the comparison, reporting
-each verdict without judging; near the smallest admissible genus some links
-of the chain fail arithmetically, and the audit's job is to say so.
-``sweep`` fans ``verify_inequality`` over (h, g) ranges, sharded by h, with
-results assembled in a deterministic order regardless of worker count.  With
+formula) and insists they agree, in integers.  ``audit_proof_chain`` replays
+the whole chain of auxiliary inequalities leading to the comparison,
+reporting each verdict without judging; near the smallest admissible genus
+some links of the chain fail arithmetically, and the audit's job is to say
+so.  ``verify_inequality`` is the one-genus call of a kernel that derives
+what depends only on h once, then runs both routes for each genus of a run;
+``sweep`` calls it once per base genus, sharded by h, and assembles results
+in a deterministic order regardless of worker count.  With
 W >= 2 workers the calling process computes every W-th base genus itself and
 forks W - 1 children directly (``os.fork``, no more children than they have
 tasks) for the rest.  Each child sends back the marshalled integer sides of
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, rho
-from .cohomology import evaluate_top, monomial, mul_classes
+from .cohomology import evaluate_top, monomial, mul_classes, top_numerator
 
 __all__ = [
     "InequalityReport",
@@ -170,33 +172,51 @@ def lhs_bits(h: int, g: int) -> int:
     return binomial_bits(g, m + 1) - (m + 2).bit_length()
 
 
-def _sides(h: int, g: int) -> tuple[int, int]:
-    """The closed-form sides (lhs, rhs) of the critical-degree comparison,
-    after checking the left side against its expansion route."""
-    m = _checked_half_bracket(h, g)
-    d = g - m - 1  # the critical degree
+def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
+    """The closed-form sides (lhs, rhs) of base genus h at each g of the
+    nonempty ``genera``, each lhs checked against the expansion route: the
+    rank-1 locus class paired against x^(2d-g-1) = x^(g-2m-3).  What depends
+    only on h is derived once, and admissibility checked at the least g.
+    The expansion is lhs exactly when Poincare's top-degree numerator is lhs
+    times the product's denominator; a ``Fraction`` is built only to report
+    a disagreement."""
+    m = _checked_half_bracket(h, genera[0])
     pullback = _pullback_degree(h)
-    lhs = _bn1_closed_form(g, d)
-    rhs = binomial(g - 2 * m - 3, 2 * pullback - h - 1) * _bn1_closed_form(h, pullback)
-    expansion = _bn1_pairing(g, d)
-    if expansion != lhs:
-        raise ArithmeticError(
-            f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
-            f"!= expansion {expansion}"
-        )
-    return lhs, rhs
+    draws = 2 * pullback - h - 1
+    base_pairing = _bn1_closed_form(h, pullback)
+    sides = []
+    for g in genera:
+        d = g - m - 1  # the critical degree
+        lhs = _bn1_closed_form(g, d)
+        product = mul_classes(bn1_class(g, d), monomial(g, d, g - 2 * m - 3, 0))
+        numerator = top_numerator(product)
+        if numerator != lhs * product._denominator:
+            raise ArithmeticError(
+                f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
+                f"!= expansion {Fraction(numerator, product._denominator)}"
+            )
+        sides.append((lhs, binomial(g - 2 * m - 3, draws) * base_pairing))
+    return sides
 
 
-def _report(h: int, g: int, lhs: int, rhs: int) -> InequalityReport:
-    """The report of sides that ``_sides`` computed for (h, g).  The two
-    routes agreed exactly, so the expansion's value is the closed form's."""
+def _sides(h: int, g: int) -> tuple[int, int]:
+    """The sides (lhs, rhs) of the critical-degree comparison at (h, g)."""
+    return _genus_sides(h, range(g, g + 1))[0]
+
+
+def _reports(h: int, g_lo: int, sides: list[tuple[int, int]]) -> list[InequalityReport]:
+    """The reports of base genus h from g = g_lo on, from the sides that
+    ``_genus_sides`` computed; the two routes agreed, so the expansion's
+    value is the closed form's."""
     parity, e = _parity_e(h)
-    lhs_value = Fraction(lhs)
-    # Positional arguments, in field order: keywords cost the serial sweep
-    # about 0.4 us per report.
-    return InequalityReport(
-        h, g, e, parity, g - _half_bracket(h) - 1, lhs_value, Fraction(rhs), lhs_value, lhs > rhs
-    )
+    offset = _half_bracket(h) + 1
+    reports = []
+    for g, (lhs, rhs) in enumerate(sides, g_lo):
+        lhs_value = Fraction(lhs)
+        # Positional arguments, in field order: keywords cost the serial
+        # sweep about 0.4 us per report.
+        reports.append(InequalityReport(h, g, e, parity, g - offset, lhs_value, Fraction(rhs), lhs_value, lhs > rhs))
+    return reports
 
 
 def verify_inequality(h: int, g: int) -> InequalityReport:
@@ -213,20 +233,13 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     stay ints until the report: comparing ints is cheaper than comparing
     Fractions.
     """
-    return _report(h, g, *_sides(h, g))
+    return _reports(h, g, [_sides(h, g)])[0]
 
 
 def _step(name: str, detail: str, lhs: Fraction | int, relation: str, rhs: Fraction | int) -> AuditStep:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
-    return AuditStep(
-        name=name,
-        lhs=lhs,
-        relation=relation,
-        rhs=rhs,
-        holds=_RELATIONS[relation](lhs, rhs),
-        detail=detail,
-    )
+    lhs = lhs if isinstance(lhs, Fraction) else Fraction(lhs)
+    rhs = rhs if isinstance(rhs, Fraction) else Fraction(rhs)
+    return AuditStep(name, lhs, relation, rhs, _RELATIONS[relation](lhs, rhs), detail)
 
 
 def audit_proof_chain(h: int, g: int) -> ProofAudit:
@@ -303,17 +316,12 @@ def _sweep_sides(args: tuple[int, int]) -> list[tuple[int, int]]:
     cheaply, unlike the reports."""
     h, g_margin = args
     base = genus_bound(h)
-    return [_sides(h, g) for g in range(base, base + g_margin + 1)]
-
-
-def _reports(h: int, sides: list[tuple[int, int]]) -> list[InequalityReport]:
-    """The reports of base genus h from the sides ``_sweep_sides`` computed."""
-    return [_report(h, g, lhs, rhs) for g, (lhs, rhs) in enumerate(sides, genus_bound(h))]
+    return _genus_sides(h, range(base, base + g_margin + 1))
 
 
 def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:
     """The reports of one sweep task, computed in this process."""
-    return _reports(args[0], _sweep_sides(args))
+    return _reports(args[0], genus_bound(args[0]), _sweep_sides(args))
 
 
 def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
@@ -377,8 +385,9 @@ def sweep(
     each with its own pipe, and verifies every W-th base genus from the
     first itself while child i = 1, 2, ... computes the integer sides of
     every W-th from the (i+1)-th on.  The caller then reads each child's
-    marshalled pairs, reaps it and builds its reports.  Both left-side
-    routes and their consistency check run for every case.  A child's
+    marshalled pairs, reaps it and builds its reports.  Each task is one
+    call of the per-base-genus kernel, which runs both left-side routes and
+    checks them against each other, in integers, for every case.  A child's
     exception is raised again with its type and message; a child that ends
     without its result raises ``ChildProcessError``; if the caller's own
     share raises, every child is killed and reaped first.  Without
@@ -419,5 +428,5 @@ def sweep(
             statuses.append(os.waitpid(pid, 0)[1])
     for share, status, payload in zip(shares, statuses, payloads):
         for (h, _), sides in zip(share, _received(share, status, payload)):
-            chunks[h] = _reports(h, sides)
+            chunks[h] = _reports(h, genus_bound(h), sides)
     return [report for h in range(h_lo, h_hi + 1) for report in chunks[h]]

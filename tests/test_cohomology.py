@@ -24,6 +24,7 @@ from triplecover.cohomology import (
     pushforward_B,
     render_class,
     theta_class,
+    top_numerator,
     unit_class,
     x_class,
     zero_class,
@@ -498,6 +499,30 @@ def test_poincare_grid_against_falling_product():
             for alpha in range(0, min(d, g) + 1):
                 value = evaluate_top(monomial(g, d, d - alpha, alpha))
                 assert value == falling(g, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes())
+def test_evaluate_top_is_the_top_numerator_over_the_denominator(cls):
+    # The strategy's monomials reach past d and past g, so some ambients
+    # truncate them, and some draws are the zero class.
+    numerator = top_numerator(cls)
+    assert type(numerator) is int
+    assert evaluate_top(cls) == Fraction(numerator, cls._denominator)
+    g, d = cls.genus, cls.sym_index
+    assert evaluate_top(cls) == sum(
+        (coeff * falling(g, b) for (a, b), coeff in cls.terms.items() if a + b == d), Fraction(0)
+    )
+
+
+def test_top_numerator_of_the_zero_class_and_of_a_scaled_class():
+    assert top_numerator(zero_class(3, 2)) == 0
+    # x and theta are below the top degree 2, and x^5 vanishes.
+    assert top_numerator(CohomClass(3, 2, {(1, 0): 1, (0, 1): 1, (5, 0): 7})) == 0
+    half = CohomClass(4, 3, {(0, 3): Fraction(1, 2), (1, 2): Fraction(1, 3)})
+    # (1/2)*24 + (1/3)*12 = 16, stored as (3*24 + 2*12)/6.
+    assert (top_numerator(half), half._denominator) == (96, 6)
+    assert evaluate_top(half) == 16
 
 
 def test_theta_power_beyond_genus_evaluates_to_zero():

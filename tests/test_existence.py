@@ -102,7 +102,9 @@ def test_verify_large_genus_memory_stays_bounded():
 
 
 def test_verify_route_disagreement_is_fatal(monkeypatch):
-    monkeypatch.setattr(existence, "evaluate_top", lambda cls: Fraction(-1))
+    # The kernel compares Poincare's top-degree numerator with the closed
+    # form times the product's denominator; -denominator reads as -1.
+    monkeypatch.setattr(existence, "top_numerator", lambda cls: -cls._denominator)
     with pytest.raises(ArithmeticError) as raised:
         verify_inequality(2, 28)
     assert str(raised.value) == "internal consistency failure at (h=2, g=28): closed form 77805 != expansion -1"
@@ -343,6 +345,47 @@ def test_pool_worker_task_returns_integer_sides():
     assert pairs == [(int(r.lhs), int(r.rhs)) for r in sweep((3, 3), 4, workers=1)]
 
 
+def test_sweep_kernel_equals_the_one_genus_call():
+    # The per-base-genus kernel derives m, p and the base-curve closed form
+    # once; every genus of its run must get the sides the one-genus call
+    # derives from scratch.
+    for h in range(1, 25):
+        base = genus_bound(h)
+        assert existence._sweep_sides((h, 20)) == [existence._sides(h, g) for g in range(base, base + 21)], h
+
+
+def test_sweep_reports_equal_single_verifications_field_by_field():
+    for report in sweep((1, 6), 12, workers=1):
+        single = verify_inequality(report.h, report.g)
+        for field in InequalityReport._fields:
+            value, expected = getattr(report, field), getattr(single, field)
+            assert type(value) is type(expected), field
+            assert value == expected, field
+        assert type(report.lhs) is type(report.rhs) is type(report.lhs_via_expansion) is Fraction
+        assert type(report.strict) is bool
+
+
+def test_serial_sweep_builds_one_expansion_product_per_case(monkeypatch):
+    # The two-route rule: every case of the acceptance sweep still expands
+    # the rank-1 locus class and multiplies it in the x/theta ring.
+    products, numerators = [], []
+    real_mul, real_top = existence.mul_classes, existence.top_numerator
+
+    def count_mul(lhs, rhs):
+        products.append((lhs.genus, lhs.sym_index))
+        return real_mul(lhs, rhs)
+
+    def count_top(cls):
+        numerators.append((cls.genus, cls.sym_index))
+        return real_top(cls)
+
+    monkeypatch.setattr(existence, "mul_classes", count_mul)
+    monkeypatch.setattr(existence, "top_numerator", count_top)
+    reports = sweep((1, 8), 300, workers=1)
+    assert len(reports) == len(products) == 2408
+    assert products == numerators == [(r.g, r.critical_degree) for r in reports]
+
+
 def _assert_no_child_left():
     # waitpid(-1) raises ChildProcessError only when no child, running or
     # a zombie, is left to reap.
@@ -425,12 +468,12 @@ def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
     # With 2 workers over h in [1, 5] the caller verifies h = 1, 3, 5 and one
     # child h = 2, 4.  The patch is in place before the child forks.
     bad_g = genus_bound(h) + 1
-    real = existence.evaluate_top
+    real = existence.top_numerator
 
     def disagree(cls):
-        return Fraction(-1) if cls.genus == bad_g else real(cls)
+        return -cls._denominator if cls.genus == bad_g else real(cls)
 
-    monkeypatch.setattr(existence, "evaluate_top", disagree)
+    monkeypatch.setattr(existence, "top_numerator", disagree)
     with pytest.raises(ArithmeticError) as serial:
         sweep((1, 5), 3, workers=1)
     with pytest.raises(ArithmeticError) as pooled:
