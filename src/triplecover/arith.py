@@ -15,7 +15,6 @@ from fractions import Fraction
 
 __all__ = [
     "factorial",
-    "recip_factorial",
     "binomial",
     "binomial_bits",
     "format_rat",
@@ -28,17 +27,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
     return math.factorial(n)
-
-
-def recip_factorial(n: int) -> Fraction:
-    """Return 1/n! for n >= 0 and 0 for n < 0.
-
-    The zero value for negative arguments reads 1/n! as the coefficient of a
-    term that is absent, such as theta^n/n! for n < 0.
-    """
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
 
 
 def binomial(n: int, k: int) -> int:

@@ -73,8 +73,8 @@ _DIAGNOSTIC_MAX_DEGREE = 48
 # The most bits the numerators of one power (``_power_bits``) or one product
 # (``_product_bits``) may have in all: 2^23.  (x+theta+1)^400 in (120, 120)
 # is bounded by 5.9 million bits, in (150, 150) by 9.2 million, and
-# (x+theta+1)^800 in (400, 400) by 129 million; the multinomial kernel
-# computes them in 8 ms, 12 ms and 0.13 s.  Products cost more: the square
+# (x+theta+1)^800 in (400, 400) by 129 million; Miller's recurrence
+# computes them in 7 ms, 10 ms and 0.12 s.  Products cost more: the square
 # of (x+theta+1)^200 in (400, 400), bounded by 51 million bits, takes more
 # than 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23

@@ -25,15 +25,17 @@ of the product, and its cost follows the factors, not the ambient (g, d).
 A product with a one-term factor shifts the other factor's monomials by that
 monomial.  Other products multiply term pairs.
 
-A power of a base with at most three terms is expanded by the multinomial
-theorem, walking only the exponents whose monomials survive truncation, so
-it builds no intermediate product; a power of a larger base is squared
-repeatedly.
+A power of a base with a term of least total degree and least theta power,
+such as 1 in x + theta + 1 or x in x + theta, follows J. C. P. Miller's
+power-series recurrence (Knuth, TAOCP vol. 2, section 4.7), one row at a
+time, computing only the surviving monomials and no intermediate product;
+a power of any other base, such as x^2 + theta, is squared repeatedly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -161,13 +163,18 @@ class CohomClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CohomClass":
-        """The class raised to a nonnegative integer power.  A base of at
-        most three terms is expanded by the multinomial theorem
-        (``_multinomial_power``); a larger base is squared repeatedly."""
+        """The class raised to a nonnegative integer power.  A base with a
+        term of least total degree and least theta power (any base with a
+        constant term, any one-term base, x + theta) takes Miller's
+        recurrence (``_series_power``); any other base is squared repeatedly."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"class exponent must be a nonnegative integer, got {exponent!r}")
-        if len(self._numerators) <= _MULTINOMIAL_TERMS:
-            return _multinomial_power(self, exponent)
+        numerators = self._numerators
+        if numerators:
+            low_theta = min(b for _, b in numerators)
+            lowest = (min(a + b for a, b in numerators) - low_theta, low_theta)
+            if lowest in numerators:
+                return _series_power(self, exponent, lowest)
         result = unit_class(self.genus, self.sym_index)
         base, e = self, exponent
         while e:
@@ -289,72 +296,76 @@ def sum_classes(first: CohomClass, *rest: CohomClass) -> CohomClass:
     return _class(first.genus, first.sym_index, {key: n for key, n in sums.items() if n}, denominator)
 
 
-# A base of at most this many terms is raised to a power by the multinomial
-# theorem.  The compositions of N into three parts number C(N+2, 2), the count
-# of monomials of degree at most N in x and theta, so the walk never outgrows
-# the untruncated power; compositions into four parts grow as N^3, and the
-# walk can lose to squaring there.  Measured on a 2-CPU VM with CPython
-# 3.11, walk against squaring: (x+theta+x*theta+x^2)^40 untruncated 17.6 ms
-# against 7.3 ms, (x+theta+x*theta+x^2+1)^60 in (60, 60) 185 ms against
-# 68 ms, though (x+theta+x*theta+1)^240 in (120, 120) takes 99 ms against
-# 2.9 s.
-_MULTINOMIAL_TERMS = 3
+def _series_power(base: CohomClass, exponent: int, lowest: tuple[int, int]) -> CohomClass:
+    """base ** exponent by Miller's power-series recurrence (Knuth, TAOCP
+    vol. 2, 4.7); c*m, at ``lowest``, has the base's least degree and theta.
 
+    The base is m*(c + Q)/L, with c/L = u/v in lowest terms, c = u*t and
+    L = v*t.  Q's monomials x^a * theta^b (a may be negative) raise neither
+    degree nor theta power, so base^N vanishes with m^N, and rows may be
+    truncated as they are built.  q_k is Q's part of weight a + b = k, or
+    a + 2b = k when another term shares m's degree (as in x + theta).  A
+    surviving monomial takes M = min(N, d) or fewer factors from Q (each of
+    degree 1 or more if m = 1, and N <= d otherwise), so the rows s_n of
+    weight n of c^M * (1 + Q/c)^N are integral, s_0 = c^M, and
 
-def _multinomial_power(base: CohomClass, exponent: int) -> CohomClass:
-    """base ** exponent, for a base of at most ``_MULTINOMIAL_TERMS`` terms.
+        n*c*s_n = sum over k of ((N+1)*k - n) * q_k * s_(n-k),
 
-    Write the base as (c + n_1*t_1 + ... + n_k*t_k)/L, with c its constant
-    numerator (0 when it has none) and t_i its nonconstant monomials.  Its
-    N-th power is the sum, over e_c + e_1 + ... + e_k = N, of
-    N!/(e_c! e_1! ... e_k!) * c^e_c * prod(n_i^e_i * t_i^e_i), over L^N.
-    Nested loops raise e_1, e_2, ... in turn; each step multiplies in one
-    nonconstant monomial and so raises a + b by at least 1, and a loop stops
-    at its first monomial with a + b > d or b > g, after which every
-    monomial vanishes too.  Without a constant term the last exponent takes
-    every factor left.  Compositions that reach one monomial are summed, and
-    the class is normalised once.
+    the division by n*c exact as s_n is integral.  Rows, dicts keyed by
+    theta power, are built in increasing order at the weights that nonzero
+    rows plus some k reach, and dropped once no later row reads them.
+    base^N = m^N * u^(N-M) * s_n over v^N * t^M, a divisor of L^N and of
+    v^N * L^min(N, d), over which ``_power_bits`` bounds the numerators: no
+    numerator, and so no row, passes that bound.
     """
     genus, sym_index = base.genus, base.sym_index
-    constant = base._numerators.get((0, 0), 0)
-    terms = [(key, n) for key, n in base._numerators.items() if key != (0, 0)]
-    # constant^(exponent - j) at index j, for the counts j of nonconstant
-    # factors reached so far.  The constant term c^N always survives, and
-    # the list grows by one exact division each time the walk reaches a
-    # monomial with one more nonconstant factor, so it holds no power that
-    # the result does not use.
-    powers = [constant**exponent]
-    if not terms:
-        return _class(genus, sym_index, {(0, 0): powers[0]} if powers[0] else {}, base._denominator ** exponent)
-    last = len(terms) - 1
-    sums: dict[tuple[int, int], int] = {}
-
-    def walk(index: int, a: int, b: int, coeff: int, left: int) -> None:
-        # coeff is N!/(e_1! ... e_index! left!) * prod(n_i^e_i) over the
-        # exponents chosen so far, (a, b) their monomial, and left the
-        # number of factors not yet taken.
-        (da, db), n = terms[index]
-        if index == last and not constant:
-            a, b = a + left * da, b + left * db
-            if a + b <= sym_index and b <= genus:
-                sums[a, b] = sums.get((a, b), 0) + coeff * n**left
-            return
-        for e in range(left + 1):
-            if a + b > sym_index or b > genus:
-                return
-            if index == last:
-                j = exponent - left + e
-                if j == len(powers):
-                    powers.append(powers[-1] // constant)
-                sums[a, b] = sums.get((a, b), 0) + coeff * powers[j]
-            else:
-                walk(index + 1, a, b, coeff, left - e)
-            coeff = coeff * n * (left - e) // (e + 1)
-            a += da
-            b += db
-
-    walk(0, 0, 0, 1, exponent)
-    return _class(genus, sym_index, {key: n for key, n in sums.items() if n}, base._denominator ** exponent)
+    a0, b0 = lowest
+    genus_left, degree_left = genus - exponent * b0, sym_index - exponent * (a0 + b0)
+    if genus_left < 0 or degree_left < 0:
+        return _class(genus, sym_index, {}, 1)
+    others = [(a - a0, b - b0, n) for (a, b), n in base._numerators.items() if (a, b) != lowest]
+    stride = 1 + any(a + b == 0 for a, b, _ in others)
+    parts: dict[int, list[tuple[int, int]]] = {}
+    for a, b, n in others:
+        parts.setdefault(a + stride * b, []).append((b, n))
+    reach = max(parts, default=0)
+    top = min(exponent * reach, degree_left + (stride - 1) * genus_left)
+    constant, scale = base._numerators[lowest], min(exponent, sym_index)
+    common = math.gcd(constant, base._denominator)
+    lead = (constant // common) ** (exponent - scale)
+    a0, b0 = exponent * a0, exponent * b0
+    rows = {0: {0: constant**scale}}
+    numerators = {(a0, b0): lead * constant**scale}
+    queue, last = sorted(k for k in parts if k <= top), 0
+    while queue:
+        n = queue.pop(0)
+        if n == last:
+            continue  # reached from two rows
+        last, low, divisor = n, n - degree_left, n * constant
+        sums: dict[int, int] = {}
+        for k, terms in parts.items():
+            previous = rows.get(n - k)
+            if previous is None:
+                continue
+            weight = (exponent + 1) * k - n
+            for db, p in terms:
+                factor = weight * p
+                for b, r in previous.items():
+                    b += db
+                    if low <= b <= genus_left:
+                        sums[b] = sums.get(b, 0) + factor * r
+        row = {}
+        for b, s in sums.items():
+            if s:
+                row[b] = r = s // divisor
+                numerators[a0 + n - stride * b, b0 + b] = r if lead == 1 else lead * r
+        if row:
+            rows[n] = row
+            for k in parts:
+                if n + k <= top:
+                    insort(queue, n + k)
+        rows.pop(n - reach, None)  # no later row reads it
+    return _class(genus, sym_index, numerators, (base._denominator // common) ** exponent * common**scale)
 
 
 # A product is packed when it has at least _DENSE_TERMS ** 2 term pairs and

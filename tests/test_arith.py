@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from triplecover.arith import binomial, binomial_bits, exceeds_str_digits, factorial, format_rat, recip_factorial
+from triplecover.arith import binomial, binomial_bits, exceeds_str_digits, factorial, format_rat
 
 
 def repeated_multiplication(n: int) -> int:
@@ -42,13 +42,6 @@ def test_factorial_matches_repeated_multiplication():
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         factorial(-1)
-
-
-def test_recip_factorial_values():
-    assert recip_factorial(3) == Fraction(1, 6)
-    assert recip_factorial(0) == 1
-    assert recip_factorial(-1) == 0
-    assert recip_factorial(-17) == 0
 
 
 def test_binomial_examples():
@@ -86,11 +79,6 @@ def test_binomial_bits_bounds_the_binomial(n, k):
     bits = binomial_bits(n, k)
     assert 0 <= bits <= binomial(n, k).bit_length()
     assert binomial(n, k) >= 2**bits
-
-
-@given(st.integers(min_value=0, max_value=300))
-def test_recip_factorial_inverts_factorial(n):
-    assert recip_factorial(n) * factorial(n) == 1
 
 
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)

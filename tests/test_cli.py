@@ -390,7 +390,7 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
 
 
 def test_dense_power_in_a_large_ambient_is_quick(child_env):
-    # (x+theta+1)^200 in (60, 60) is expanded by the multinomial theorem;
+    # (x+theta+1)^200 in (60, 60) is expanded by Miller's recurrence;
     # the product of two 1,891-term halves is packed by Kronecker
     # substitution.  Its top degree is
     # sum_b n!/((d-b)! b! (n-d)!) * g!/(g-b)! with n = 200.
@@ -415,7 +415,7 @@ def test_dense_power_in_a_large_ambient_is_quick(child_env):
 
 
 def test_dense_power_in_a_huge_ambient_stays_small(capsys, child_env):
-    # The multinomial walk stops at degree 16, and the packed slots of the
+    # The recurrence stops at degree 16, and the packed slots of the
     # product follow the factors' theta support, not the genus, so
     # (x+theta+1)^16 and (x+theta+1)^8 squared cost the same in
     # (10^7, 10^7) as in (16, 16).  The child runs under a 1 GiB

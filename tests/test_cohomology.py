@@ -690,12 +690,12 @@ def test_class_power_matches_repeated_mul():
 
 @st.composite
 def small_bases(draw):
-    """A base of 0-3 terms, with or without a constant term, with signed
+    """A base of 0-7 terms, with or without a constant term, with signed
     rational coefficients, in an ambient small enough that b > g or
     a + b > d truncates most powers."""
     g = draw(st.integers(min_value=0, max_value=7))
     d = draw(st.integers(min_value=0, max_value=7))
-    size = draw(st.integers(min_value=0, max_value=3))
+    size = draw(st.integers(min_value=0, max_value=7))
     constant = size and draw(st.booleans())
     nonconstant = [(a, b) for a in range(4) for b in range(4) if a or b]
     keys = draw(st.lists(st.sampled_from(nonconstant), min_size=size - constant, max_size=size - constant, unique=True))
@@ -706,16 +706,33 @@ def small_bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_bases())
 def test_powers_of_small_bases_match_repeated_mul(base):
-    # The multinomial kernel against a left fold of products, N in 0..12.
-    assert len(base.terms) <= 3
+    # Both power kernels (the recurrence, squaring) against a left fold of
+    # products, N in 0..12.
+    assert len(base.terms) <= 7
     power = unit_class(base.genus, base.sym_index)
     for n in range(13):
         assert base**n == power, n
         power = mul_classes(power, base)
 
 
-def test_powers_of_bases_past_three_terms_square(monkeypatch):
-    # A four-term base is squared; a three-term base multiplies no classes.
+def test_powers_dispatch_on_a_lowest_term(monkeypatch):
+    # A base with a term of least total degree and least theta power
+    # multiplies no classes: any base with a constant term, whatever its term
+    # count, a one-term base, and constant-free bases such as x + theta^2 and
+    # x - theta + x*theta.  A base without one, such as x^2 + theta, is
+    # squared.
+    x, theta, one = x_class(9, 9), theta_class(9, 9), unit_class(9, 9)
+    with_constant = [one, x + one, x + theta + one, x + theta + x * theta + one]
+    with_constant.append(with_constant[-1] + x * x + theta * theta + x * x * theta)
+    single = 2 * x * theta
+    lowest = [*with_constant, single, x + theta * theta, x - theta + x * theta]
+    pair = x * x + theta
+    expected = {}
+    for base in [*lowest, pair]:
+        power = one
+        for _ in range(8):
+            power = mul_classes(power, base)
+        expected[base] = power
     squares = []
 
     def spy(lhs, rhs):
@@ -723,16 +740,82 @@ def test_powers_of_bases_past_three_terms_square(monkeypatch):
         return mul_classes(lhs, rhs)
 
     monkeypatch.setattr(cohomology, "mul_classes", spy)
-    x, theta, one = x_class(9, 9), theta_class(9, 9), unit_class(9, 9)
-    assert len(((x + theta + one) ** 8).terms) == 45
+    assert [len(base.terms) for base in with_constant] == [1, 2, 3, 4, 7]
+    for base in lowest:
+        assert base**8 == expected[base]
+    assert len((with_constant[3] ** 8).terms) == 53  # (1+x)^8 * (1+theta)^8
+    assert single**4 == monomial(9, 9, 4, 4, 16) and single**8 == expected[single] == zero_class(9, 9)
     assert squares == []
-    assert len(((x + theta + x * theta + one) ** 8).terms) == 53  # (1+x)^8 * (1+theta)^8
-    assert squares.count(True) == 3
+    assert pair**8 == expected[pair]
+    assert squares == [True, True, True, False]
+
+
+def test_powers_of_four_terms_and_more_are_quick():
+    # (x+theta+x*theta+1)^240 = (1+x)^240 * (1+theta)^240 in (120, 120), and
+    # a seven-term power there: the recurrence computes rows of total degree
+    # up to 120, not the 240-fold product.
+    n, g = 240, 120
+    seven = "(x+theta+x*theta+x^2+theta^2+x^2*theta+1)"
+    start = time.perf_counter()
+    power = parse(f"(x+theta+x*theta+1)^{n}", g, g)
+    assert len(parse(f"{seven}^{n}", g, g).terms) == (g + 1) * (g + 2) // 2
+    assert time.perf_counter() - start < 2
+    assert power == CohomClass(g, g, {
+        (a, b): math.comb(n, a) * math.comb(n, b) for a in range(g + 1) for b in range(g + 1 - a)
+    })
+    assert parse(f"{seven}^{n}", 30, 30) == parse(f"{seven}^{n - 100}*{seven}^100", 30, 30)
+
+
+def test_a_sparse_power_in_a_huge_ambient_visits_only_the_degrees_it_reaches():
+    # (x^400+3)^16 in (10^7, 10^7): 17 rows, of degrees 400*j, rather than a
+    # row for every degree up to 6,400 or a slot for every theta power.  The
+    # rows of (x^5000000+x+1)^2 are those of degrees 0, 1, 2, 5000000,
+    # 5000001 and 10^7, though every degree up to 10^7 is a sum of 1s; the
+    # rows of degrees 3 and 5000002, reached but zero, reach no further.
+    g = d = 10**7
+    base = monomial(g, d, 400, 0) + 3 * unit_class(g, d)
+    wide = monomial(g, d, 5 * 10**6, 0) + x_class(g, d) + unit_class(g, d)
+    tracemalloc.start()
+    try:
+        power, square = base**16, wide**2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert power == CohomClass(g, d, {(400 * j, 0): math.comb(16, j) * 3 ** (16 - j) for j in range(17)})
+    assert square == mul_classes(wide, wide)
+
+
+def test_constant_free_powers_with_a_lowest_term_are_quick():
+    # x is the lowest term of x + theta and of x + theta + x*theta, so their
+    # powers take the recurrence, graded by a + 2b, in (10^7, 10^7): these
+    # took 0.5 s and 2.7 s by squaring.
+    g = d = 10**7
+    start = time.perf_counter()
+    power = parse("(x+theta)^2000", g, d)
+    triple = parse("(x+theta+x*theta)^200", g, d)
+    assert time.perf_counter() - start < 0.5
+    assert power == CohomClass(g, d, {(2000 - j, j): math.comb(2000, j) for j in range(2001)})
+    # x^(200-i-j) * theta^i * (x*theta)^j over every i + j <= 200.
+    assert triple == CohomClass(g, d, {
+        (200 - i, i + j): math.comb(200, i + j) * math.comb(i + j, j) for i in range(201) for j in range(201 - i)
+    })
+
+
+def test_huge_powers_in_a_small_ambient_are_quick():
+    # Neither c^N nor L^N is computed: (x/2+1)^N in (5, 5) is six terms
+    # C(N, j)/2^j, and (x/2)^N and (x/2+theta/3)^N vanish there.
+    n = 10**12
+    start = time.perf_counter()
+    assert parse(f"(x/2+1)^{n}", 5, 5) == CohomClass(5, 5, {(j, 0): Fraction(math.comb(n, j), 2**j) for j in range(6)})
+    assert parse(f"(x/2)^{n}", 5, 5) == zero_class(5, 5)
+    assert parse(f"(x/2+theta/3)^{n // 10}", 5, 5) == zero_class(5, 5)
+    assert time.perf_counter() - start < 1
 
 
 def test_products_of_powers_still_pack(monkeypatch):
-    # A power of x + theta + 1 takes the multinomial path; the product of
-    # two such powers is packed, in a large ambient and in a huge one.
+    # A power of x + theta + 1 takes the recurrence; the product of two such
+    # powers is packed, in a large ambient and in a huge one.
     packed = []
     dense_product = cohomology._dense_product
 
@@ -750,8 +833,8 @@ def test_products_of_powers_still_pack(monkeypatch):
 
 
 def test_a_huge_power_that_the_ambient_truncates_is_quick():
-    # (x+theta+1)^100000 in (10, 10): the walk stops at degree 10, so it
-    # costs 66 multinomial coefficients N!/(a! b! (N-a-b)!).
+    # (x+theta+1)^100000 in (10, 10): the recurrence stops at degree 10, so
+    # it computes 11 rows, 66 coefficients N!/(a! b! (N-a-b)!) in all.
     n = 100000
     start = time.perf_counter()
     power = parse(f"(x+theta+1)^{n}", 10, 10)

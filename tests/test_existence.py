@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from triplecover import cohomology, existence
-from triplecover.arith import binomial, factorial, recip_factorial
+from triplecover.arith import binomial, factorial
 from triplecover.brill_noether import bn1_class, castelnuovo_count, rho
 from triplecover.cohomology import evaluate_top, monomial, mul_classes, pair_via_pushforward
 from triplecover.existence import (
@@ -587,9 +587,14 @@ def _base_pairing(h: int, m: int, x_power: int) -> Fraction:
     return evaluate_top(mul_classes(bn1_class(h, m), monomial(h, m, x_power, 0)))
 
 
+def _recip_factorial(n: int) -> Fraction:
+    """1/n! for n >= 0, and 0 for n < 0, where the term is absent."""
+    return Fraction(1, factorial(n)) if n >= 0 else Fraction(0)
+
+
 def _reference_odd_count(e: int) -> Fraction:
     return factorial(2 * e + 1) * (
-        recip_factorial(e) * recip_factorial(e + 1) - recip_factorial(e - 1) * recip_factorial(e + 2)
+        _recip_factorial(e) * _recip_factorial(e + 1) - _recip_factorial(e - 1) * _recip_factorial(e + 2)
     )
 
 
