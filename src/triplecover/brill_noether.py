@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import binomial, factorial
-from .cohomology import CohomClass, _class, _surviving
+from .cohomology import CohomClass, _class
 
 __all__ = [
     "rho",
@@ -98,25 +98,29 @@ def castelnuovo_count_bits(g: int, r: int, d: int) -> int:
     return g * (a.bit_length() - 1) - (a - 1) * g.bit_length() - a * (a - 1) // 2 * b.bit_length()
 
 
-def _bn1_numerators(g: int, d: int) -> tuple[dict[tuple[int, int], int], int]:
-    """Integer numerators, keyed by (x power, theta power), over one
-    denominator of the untruncated rank-1 locus class.  With k = g - d,
+def _bn1(genus: int, sym_index: int, g: int, d: int) -> CohomClass:
+    """The rank-1 locus class of the curve data (g, d) placed in the ring
+    (genus, sym_index), without the monomials the ring kills.  With k = g - d,
 
         theta^(k+1)/(k+1)! - x*theta^k/k! = (theta^(k+1) - (k+1)*x*theta^k) / (k+1)!
 
     in lowest terms.  A term whose factorial argument would be negative is
-    absent, so k = -1 leaves the unit class and k < -1 the zero class.
+    absent, so k = -1 leaves the unit class and k < -1 the zero class.  When
+    the ring kills both monomials (k+1 > sym_index or k > genus) the zero
+    class comes back before any factorial is computed; otherwise only
+    theta^(k+1) can vanish, when k = genus.
     """
     if d < 1:
         raise ValueError(f"symmetric-product index must be at least 1, got {d}")
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
     k = g - d
-    if k < -1:
-        return {}, 1
+    if k < -1 or k + 1 > sym_index or k > genus:
+        return _class(genus, sym_index, {}, 1)
     if k == -1:
-        return {(0, 0): 1}, 1
-    return {(0, k + 1): 1, (1, k): -(k + 1)}, factorial(k + 1)
+        return _class(genus, sym_index, {(0, 0): 1}, 1)
+    numerators = {(1, k): -(k + 1)} if k == genus else {(0, k + 1): 1, (1, k): -(k + 1)}
+    return _class(genus, sym_index, numerators, factorial(k + 1))
 
 
 def bn1_class(g: int, d: int) -> CohomClass:
@@ -127,8 +131,7 @@ def bn1_class(g: int, d: int) -> CohomClass:
     Meaningful for 1 <= d <= g; d == g + 1 yields the unit class (every
     divisor moves) and larger d yields zero.
     """
-    numerators, denominator = _bn1_numerators(g, d)
-    return _class(g, d, _surviving(g, d, numerators), denominator)
+    return _bn1(g, d, g, d)
 
 
 def cs_max_degree(g: int, h: int) -> int:

@@ -48,8 +48,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import exceeds_str_digits
-from .brill_noether import _bn1_numerators
-from .cohomology import CohomClass, _class, _surviving, monomial, monomial_text, mul_classes, sum_classes, unit_class
+from .brill_noether import _bn1
+from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
 
 __all__ = [
     "ClassExprError",
@@ -414,8 +414,7 @@ class _Parser:
                         raise ClassExprError(
                             token.position, "bn1(0) is undefined: the symmetric-product index must be at least 1"
                         )
-                    numerators, denominator = _bn1_numerators(g, d)
-                    return _class(*ring, _surviving(*ring, numerators), denominator)
+                    return _bn1(*ring, g, d)
                 return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":

@@ -25,14 +25,9 @@ reporting each verdict without judging; near the smallest admissible genus
 some links of the chain fail arithmetically, and the audit's job is to say
 so.  ``verify_inequality`` is the one-genus call of a kernel that derives
 what depends only on h once, then runs both routes for each genus of a run;
-``sweep`` calls it once per base genus, sharded by h, and assembles results
-in a deterministic order regardless of worker count.  With
-W >= 2 workers the calling process computes every W-th base genus itself and
-forks W - 1 children directly (``os.fork``, no more children than they have
-tasks) for the rest.  Each child sends back the marshalled integer sides of
-its cases through a pipe, and the caller builds their reports; an error in a
-child comes back with the serial type and message.  Where ``os.fork`` does
-not exist the sweep runs serially, with the same output.
+``sweep`` calls it once per base genus, sharded by h across forked
+processes (its docstring has the protocol), and assembles results in a
+deterministic order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, rho
-from .cohomology import evaluate_top, monomial, mul_classes, top_numerator
+from .cohomology import monomial, mul_classes, top_numerator
 
 __all__ = [
     "InequalityReport",
@@ -139,11 +134,13 @@ def _bn1_closed_form(genus: int, d: int) -> int:
     return binomial(genus, d - 1) - binomial(genus, d)
 
 
-def _bn1_pairing(genus: int, d: int) -> Fraction:
+def _bn1_expansion(genus: int, d: int) -> tuple[int, int]:
     """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
-    ring and evaluated by Poincare's formula.  It takes a factorial and
-    falling factorials but no binomial, so the two routes stay independent."""
-    return evaluate_top(mul_classes(bn1_class(genus, d), monomial(genus, d, 2 * d - genus - 1, 0)))
+    ring: Poincare's top-degree numerator of the product and its denominator.
+    It takes a factorial and falling factorials but no binomial, so the two
+    routes stay independent."""
+    product = mul_classes(bn1_class(genus, d), monomial(genus, d, 2 * d - genus - 1, 0))
+    return top_numerator(product), product._denominator
 
 
 def _pullback_degree(h: int) -> int:
@@ -174,12 +171,11 @@ def lhs_bits(h: int, g: int) -> int:
 
 def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     """The closed-form sides (lhs, rhs) of base genus h at each g of the
-    nonempty ``genera``, each lhs checked against the expansion route: the
-    rank-1 locus class paired against x^(2d-g-1) = x^(g-2m-3).  What depends
-    only on h is derived once, and admissibility checked at the least g.
-    The expansion is lhs exactly when Poincare's top-degree numerator is lhs
-    times the product's denominator; a ``Fraction`` is built only to report
-    a disagreement."""
+    nonempty ``genera``, each lhs checked against ``_bn1_expansion`` at the
+    critical degree d, where 2d-g-1 = g-2m-3.  What depends only on h is
+    derived once, and admissibility checked at the least g.  The expansion
+    is lhs exactly when its numerator is lhs times its denominator; a
+    ``Fraction`` is built only to report a disagreement."""
     m = _checked_half_bracket(h, genera[0])
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1
@@ -188,20 +184,14 @@ def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     for g in genera:
         d = g - m - 1  # the critical degree
         lhs = _bn1_closed_form(g, d)
-        product = mul_classes(bn1_class(g, d), monomial(g, d, g - 2 * m - 3, 0))
-        numerator = top_numerator(product)
-        if numerator != lhs * product._denominator:
+        numerator, denominator = _bn1_expansion(g, d)
+        if numerator != lhs * denominator:
             raise ArithmeticError(
                 f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
-                f"!= expansion {Fraction(numerator, product._denominator)}"
+                f"!= expansion {Fraction(numerator, denominator)}"
             )
         sides.append((lhs, binomial(g - 2 * m - 3, draws) * base_pairing))
     return sides
-
-
-def _sides(h: int, g: int) -> tuple[int, int]:
-    """The sides (lhs, rhs) of the critical-degree comparison at (h, g)."""
-    return _genus_sides(h, range(g, g + 1))[0]
 
 
 def _reports(h: int, g_lo: int, sides: list[tuple[int, int]]) -> list[InequalityReport]:
@@ -233,7 +223,7 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     stay ints until the report: comparing ints is cheaper than comparing
     Fractions.
     """
-    return _reports(h, g, [_sides(h, g)])[0]
+    return _reports(h, g, _genus_sides(h, range(g, g + 1)))[0]
 
 
 def _step(name: str, detail: str, lhs: Fraction | int, relation: str, rhs: Fraction | int) -> AuditStep:
@@ -302,7 +292,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
         ("mm_vs_cs", "the Martens-Mumford cap fits inside the Castelnuovo-Severi "
          f"window: {beta_cap} <= (g-3h)/2", beta_cap, "<=", window),
         ("castelnuovo_pairing", "pairing the rank-1 locus class on the base curve reproduces the "
-         "Castelnuovo count", _bn1_pairing(h, pullback), "==", _bn1_closed_form(h, pullback)),
+         "Castelnuovo count", Fraction(*_bn1_expansion(h, pullback)), "==", _bn1_closed_form(h, pullback)),
         ("final_strict", "the rank-1 locus pairs strictly above the pulled-back pencil "
          "contribution at the critical degree", report.lhs, ">", report.rhs),
     ]
@@ -319,16 +309,10 @@ def _sweep_sides(args: tuple[int, int]) -> list[tuple[int, int]]:
     return _genus_sides(h, range(base, base + g_margin + 1))
 
 
-def _sweep_one_h(args: tuple[int, int]) -> list[InequalityReport]:
-    """The reports of one sweep task, computed in this process."""
-    return _reports(args[0], genus_bound(args[0]), _sweep_sides(args))
-
-
 def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
-    """Fork a child that runs ``_sweep_sides`` on each task of ``share`` and
-    writes the result to a pipe; return the child's pid and the pipe's read
-    end.  The child sends the marshalled list of int-pair lists and exits 0,
-    or sends its pickled exception and exits 1.  It leaves through
+    """Fork a child for ``share`` (see ``sweep``); return its pid and the
+    read end of its pipe.  The child writes its payload and exits 0, or
+    writes its pickled exception and exits 1.  It leaves through
     ``os._exit``, so it never returns into the caller's stack and never
     flushes the stdio buffers it inherited."""
     read_end, write_end = os.pipe()
@@ -378,20 +362,22 @@ def sweep(
     """Verify the comparison for every h in h_range (inclusive) and every
     g from genus_bound(h) to genus_bound(h) + g_margin.
 
-    Work is sharded by h; the result order (h ascending, then g ascending)
-    is independent of the worker count W, which defaults to the number of
-    processors this process may run on.  With W >= 2 and at least two base
-    genera, the calling process forks min(W - 1, the other tasks) children,
-    each with its own pipe, and verifies every W-th base genus from the
-    first itself while child i = 1, 2, ... computes the integer sides of
-    every W-th from the (i+1)-th on.  The caller then reads each child's
-    marshalled pairs, reaps it and builds its reports.  Each task is one
-    call of the per-base-genus kernel, which runs both left-side routes and
-    checks them against each other, in integers, for every case.  A child's
-    exception is raised again with its type and message; a child that ends
-    without its result raises ``ChildProcessError``; if the caller's own
-    share raises, every child is killed and reaped first.  Without
-    ``os.fork`` the sweep runs serially.
+    Work is sharded by h, one task per base genus; the result order (h
+    ascending, then g ascending) is independent of the worker count W, which
+    defaults to the number of processors this process may run on.  With
+    P = min(W, the number of tasks) processes, the calling process forks
+    P - 1 children (``os.fork``), each with its own pipe, and verifies every
+    P-th base genus from the first itself while child i = 1, 2, ... computes
+    the integer sides of every P-th from the (i+1)-th on and sends them back
+    marshalled.  The caller builds the reports of its own share, then reads
+    each child's pairs, reaps it and builds its reports.  The serial sweep is
+    this path with P = 1: W < 2, a single task, or no ``os.fork`` forks no
+    child.  Each task is one call of the per-base-genus kernel, which runs
+    both left-side routes and checks them against each other, in integers,
+    for every case.  A child's exception is raised again with its type and
+    message; a child that ends without its result raises
+    ``ChildProcessError``; if the caller's own share raises, every child is
+    killed and reaped first.
     """
     h_lo, h_hi = h_range
     if g_margin < 0:
@@ -399,19 +385,16 @@ def sweep(
     if h_lo <= h_hi:
         _require_base_genus(h_lo)  # before one task is built for each h
     tasks = [(h, g_margin) for h in range(h_lo, h_hi + 1)]
-    if not tasks:
-        return []
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if workers <= 1 or len(tasks) == 1 or not hasattr(os, "fork"):
-        return [report for task in tasks for report in _sweep_one_h(task)]
-    shares = [tasks[i::workers] for i in range(1, min(workers, len(tasks)))]
+    processes = max(1, min(workers, len(tasks))) if hasattr(os, "fork") else 1
+    shares = [tasks[i::processes] for i in range(1, processes)]
     children = []  # (pid, read end) of each child forked so far
     statuses = []
     try:
         for share in shares:
             children.append(_fork_share(share))
-        chunks = {task[0]: _sweep_one_h(task) for task in tasks[::workers]}
+        chunks = {h: _reports(h, genus_bound(h), _sweep_sides((h, g_margin))) for h, _ in tasks[::processes]}
         payloads = []
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:

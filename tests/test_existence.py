@@ -143,7 +143,7 @@ def test_expansion_route_needs_no_binomials(monkeypatch):
     monkeypatch.setattr(existence, "binomial", refuse)
     monkeypatch.setattr(cohomology, "binomial", refuse)
     for (g, d), value in expected.items():
-        assert existence._bn1_pairing(g, d) == value
+        assert Fraction(*existence._bn1_expansion(g, d)) == value
 
 
 def test_verifier_multiplies_term_pairs(monkeypatch):
@@ -351,7 +351,8 @@ def test_sweep_kernel_equals_the_one_genus_call():
     # derives from scratch.
     for h in range(1, 25):
         base = genus_bound(h)
-        assert existence._sweep_sides((h, 20)) == [existence._sides(h, g) for g in range(base, base + 21)], h
+        one_genus = [existence._genus_sides(h, range(g, g + 1))[0] for g in range(base, base + 21)]
+        assert existence._sweep_sides((h, 20)) == one_genus, h
 
 
 def test_sweep_reports_equal_single_verifications_field_by_field():
@@ -445,6 +446,22 @@ def test_each_child_takes_every_wth_base_genus(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_counts_below_one_sweep_in_the_caller(monkeypatch, workers):
+    # The serial sweep is the forked path with no child: W < 1 forks nothing.
+    shares = []
+    real = existence._fork_share
+
+    def spy(share):
+        shares.append(share)
+        return real(share)
+
+    monkeypatch.setattr(existence, "_fork_share", spy)
+    assert sweep((1, 8), 5, workers=workers) == sweep((1, 8), 5, workers=1)
+    assert shares == []
+    _assert_no_child_left()
+
+
 @_needs_fork
 def test_default_worker_count_follows_cpu_affinity(monkeypatch):
     # One CPU the process may run on, on a machine with four: no child.
@@ -508,14 +525,14 @@ def test_killed_child_raises_child_process_error_naming_its_base_genera(monkeypa
 def test_caller_error_kills_a_stuck_child_at_once(monkeypatch):
     # The caller verifies h = 1 and fails; the child (h = 2) would sleep for
     # a minute, and is killed and reaped instead of awaited.
-    def stuck(task):
+    caller = os.getpid()
+
+    def stuck_or_fail(task):
+        if os.getpid() == caller:
+            raise ArithmeticError("the caller's share failed")
         time.sleep(60)
 
-    def fail(task):
-        raise ArithmeticError("the caller's share failed")
-
-    monkeypatch.setattr(existence, "_sweep_sides", stuck)
-    monkeypatch.setattr(existence, "_sweep_one_h", fail)
+    monkeypatch.setattr(existence, "_sweep_sides", stuck_or_fail)
     start = time.monotonic()
     with pytest.raises(ArithmeticError, match="the caller's share failed"):
         sweep((1, 2), 0, workers=2)
