@@ -98,7 +98,7 @@ def castelnuovo_count_bits(g: int, r: int, d: int) -> int:
     return g * (a.bit_length() - 1) - (a - 1) * g.bit_length() - a * (a - 1) // 2 * b.bit_length()
 
 
-def _bn1(genus: int, sym_index: int, g: int, d: int) -> CohomClass:
+def _bn1(genus: int, sym_index: int, g: int, d: int, max_bits: int | None = None) -> CohomClass:
     """The rank-1 locus class of the curve data (g, d) placed in the ring
     (genus, sym_index), without the monomials the ring kills.  With k = g - d,
 
@@ -108,7 +108,9 @@ def _bn1(genus: int, sym_index: int, g: int, d: int) -> CohomClass:
     absent, so k = -1 leaves the unit class and k < -1 the zero class.  When
     the ring kills both monomials (k+1 > sym_index or k > genus) the zero
     class comes back before any factorial is computed; otherwise only
-    theta^(k+1) can vanish, when k = genus.
+    theta^(k+1) can vanish, when k = genus.  With ``max_bits`` given, a
+    (k+1)! that could have more bits, bounded by (k+1)*bitlen(k+1), raises
+    ``OverflowError`` before it is computed.
     """
     if d < 1:
         raise ValueError(f"symmetric-product index must be at least 1, got {d}")
@@ -119,6 +121,8 @@ def _bn1(genus: int, sym_index: int, g: int, d: int) -> CohomClass:
         return _class(genus, sym_index, {}, 1)
     if k == -1:
         return _class(genus, sym_index, {(0, 0): 1}, 1)
+    if max_bits is not None and (k + 1) * (k + 1).bit_length() > max_bits:
+        raise OverflowError(f"({k + 1})! could have more than {max_bits} bits")
     numerators = {(1, k): -(k + 1)} if k == genus else {(0, k + 1): 1, (1, k): -(k + 1)}
     return _class(genus, sym_index, numerators, factorial(k + 1))
 

@@ -39,6 +39,10 @@ when its numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in
 all; an error at the power's caret reports either refusal.  Every product
 of two classes is sized the same way from its factors (``_product_bits``)
 before they are multiplied, and an error at its ``*`` reports a refusal.
+``bn1(k)`` in a ring that keeps one of its monomials is refused at its
+position when its denominator (g-k+1)! could have more than
+``_MAX_POWER_BITS`` bits, bounded by (g-k+1)*bitlen(g-k+1); in a ring that
+kills both monomials it is zero, and no factorial is computed.
 """
 
 from __future__ import annotations
@@ -71,10 +75,12 @@ _MAX_NESTING = 100
 _DIAGNOSTIC_MAX_DEGREE = 48
 
 # The most bits the numerators of one power (``_power_bits``) or one product
-# (``_product_bits``) may have in all: 2^23.  (x+theta+1)^400 in (120, 120)
-# is bounded by 5.9 million bits, in (150, 150) by 9.2 million, and
-# (x+theta+1)^800 in (400, 400) by 129 million; Miller's recurrence
-# computes them in 7 ms, 10 ms and 0.12 s.  Products cost more: the square
+# (``_product_bits``), or the denominator of one ``bn1(k)``, may have in
+# all: 2^23.  (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits,
+# in (150, 150) by 9.2 million, and (x+theta+1)^800 in (400, 400) by 129
+# million; Miller's recurrence computes them in 7 ms, 10 ms and 0.12 s.
+# bn1 with the largest denominator allowed, 441505!, takes 2.6 s to build;
+# math.factorial of 10^6 takes 8.2 s.  Products cost more: the square
 # of (x+theta+1)^200 in (400, 400), bounded by 51 million bits, takes more
 # than 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23
@@ -414,7 +420,14 @@ class _Parser:
                         raise ClassExprError(
                             token.position, "bn1(0) is undefined: the symmetric-product index must be at least 1"
                         )
-                    return _bn1(*ring, g, d)
+                    try:
+                        return _bn1(*ring, g, d, _MAX_POWER_BITS)
+                    except OverflowError:
+                        raise ClassExprError(
+                            token.position,
+                            f"bn1({d})'s denominator ({g - d + 1})! could have more than "
+                            f"{_MAX_POWER_BITS} bits, the limit for one class",
+                        ) from None
                 return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":

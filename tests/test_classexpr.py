@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from triplecover import classexpr
+from triplecover import brill_noether, classexpr
 from triplecover.arith import binomial
 from triplecover.brill_noether import bn1_class
 from triplecover.classexpr import (
@@ -95,6 +95,33 @@ def test_division_requires_integer_literal():
         parse("x/theta", 4, 3)
     with pytest.raises(ExprSyntaxError):
         parse("x/(2)", 4, 3)
+
+
+def test_bn1_that_the_ring_kills_computes_no_factorial():
+    # bn1(1) at g = 10^7 needs (10^7)!, which takes minutes; the ambient
+    # (10^7, 1) kills both of its monomials, so the class is zero at once.
+    start = time.perf_counter()
+    assert parse("bn1(1)", 10**7, 1) == zero_class(10**7, 1)
+    assert parse("x + bn1(1)", 10**6, 1) == monomial(10**6, 1, 1, 0)
+    assert time.perf_counter() - start < 1
+
+
+def test_bn1_with_an_oversized_denominator_is_refused_before_it_is_computed():
+    # (9000001)! could have 9000001 * 24 bits, past the bit budget; the
+    # refusal is at bn1's own position.
+    start = time.perf_counter()
+    with pytest.raises(ClassExprError) as info:
+        parse("x + bn1(10000000)", 19 * 10**6, 10**7)
+    assert time.perf_counter() - start < 1
+    assert info.value.position == 5
+    assert str(info.value) == (
+        f"at position 5: bn1(10000000)'s denominator (9000001)! could have more than "
+        f"{_MAX_POWER_BITS} bits, the limit for one class"
+    )
+    # The bound on (k+1)! is (k+1) * bitlen(k+1) bits: 10 * 4 at (19, 10).
+    assert brill_noether._bn1(19, 10, 19, 10, 40) == bn1_class(19, 10) != zero_class(19, 10)
+    with pytest.raises(OverflowError):
+        brill_noether._bn1(19, 10, 19, 10, 39)
 
 
 def test_bn1_index_mismatch():
