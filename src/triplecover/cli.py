@@ -49,7 +49,7 @@ from .brill_noether import (
     rho,
 )
 from .classexpr import parse, parse_with_diagnostics
-from .cohomology import evaluate_top, pushforward_B
+from .cohomology import evaluate_top, pushforward_B, pushforward_bits
 from .cyclic_cover import (
     CyclicCoverProfile,
     Feasibility,
@@ -196,7 +196,12 @@ def _cmd_eval(args):
 
 
 def _cmd_pushpull(args):
-    pushed = pushforward_B(args.k, parse(args.expr, args.g, args.d))
+    # A result too long to print is refused before its binomials are
+    # computed: C(2000000, 1000000) alone takes 11 s.
+    cls = parse(args.expr, args.g, args.d)
+    if exceeds_str_digits(pushforward_bits(args.k, cls)):
+        raise _too_many_digits("result")
+    pushed = pushforward_B(args.k, cls)
     return _echo(args, result=pushed, result_sym_index=pushed.sym_index)
 
 

@@ -39,7 +39,7 @@ from bisect import insort
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .arith import binomial
+from .arith import binomial, binomial_bits
 
 __all__ = [
     "AmbientMismatchError",
@@ -55,6 +55,7 @@ __all__ = [
     "top_numerator",
     "evaluate_top",
     "pushforward_B",
+    "pushforward_bits",
     "pair_via_pushforward",
     "monomial_text",
     "render_class",
@@ -500,14 +501,7 @@ def evaluate_top(cls: CohomClass) -> Fraction:
     return Fraction(top_numerator(cls), cls._denominator)
 
 
-def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
-    """Push a pure x-polynomial k symmetric-product steps down.
-
-    Acts on monomials by x^a -> C(a, k) * x^(a-k), extended linearly; the
-    result lives on (genus, sym_index - k).  Classes containing theta are
-    rejected: this operator is only modelled on the x-powers that arise as
-    pairing partners.
-    """
+def _require_pushable(k: int, cls: CohomClass) -> None:
     if k < 0:
         raise ValueError(f"push-forward index must be nonnegative, got {k}")
     if k > cls.sym_index:
@@ -519,9 +513,31 @@ def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
             raise MixedMonomialError(
                 f"push-forward is only defined on polynomials in x; found x^{a}*theta^{b}"
             )
+
+
+def pushforward_B(k: int, cls: CohomClass) -> CohomClass:
+    """Push a pure x-polynomial k symmetric-product steps down.
+
+    Acts on monomials by x^a -> C(a, k) * x^(a-k), extended linearly; the
+    result lives on (genus, sym_index - k).  Classes containing theta are
+    rejected: this operator is only modelled on the x-powers that arise as
+    pairing partners.
+    """
+    _require_pushable(k, cls)
     return _class(cls.genus, cls.sym_index - k, {
         (a - k, 0): n * binomial(a, k) for (a, _), n in cls._numerators.items() if a >= k
     }, cls._denominator)
+
+
+def pushforward_bits(k: int, cls: CohomClass) -> int:
+    """An integer j such that pushforward_B(k, cls), in lowest terms, has a
+    numerator of magnitude at least 2**j when j > 0, found without computing
+    a binomial; invalid arguments raise pushforward_B's errors.  A term
+    n*x^a/L with a >= k pushes to n*C(a, k)/L * x^(a-k), whose reduced
+    numerator is at least C(a, k)/L, and L < 2**L.bit_length()."""
+    _require_pushable(k, cls)
+    bits = max((binomial_bits(a, min(k, a - k)) for a, _ in cls._numerators if a >= k), default=0)
+    return bits - cls._denominator.bit_length()
 
 
 def pair_via_pushforward(small: CohomClass, k: int, x_power: int) -> Fraction:

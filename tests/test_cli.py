@@ -165,6 +165,25 @@ def test_pushpull_rejects_theta(capsys):
     assert "polynomials in x" in err
 
 
+def test_pushpull_refuses_an_unprintable_result_before_its_binomials(capsys):
+    # C(2000000, 1000000) alone took 11 s, and rendering then refused the
+    # result; the bound refuses it first, with the renderer's message.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pushpull", "--g", "5", "--d", "2000000", "--k", "1000000", "--expr", "x^2000000")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: column 'result' holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for converting integers to text\n"
+    )
+    # pushforward_B's own checks come first and keep their messages.
+    code, _, err = run(capsys, "pushpull", "--g", "5", "--d", "2000000", "--k", "-1", "--expr", "x^2000000")
+    assert (code, err) == (2, "error: push-forward index must be nonnegative, got -1\n")
+    code, _, err = run(capsys, "pushpull", "--g", "5", "--d", "2000000", "--k", "1000000", "--expr", "x^2000000+theta")
+    assert code == 2
+    assert "polynomials in x" in err
+
+
 def test_cs_bound_and_lemma11(capsys):
     code, out, _ = run(capsys, "cs-bound", "--g", "28", "--h", "2", "--format", "json")
     assert code == 0
