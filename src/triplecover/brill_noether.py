@@ -24,6 +24,7 @@ __all__ = [
     "castelnuovo_count_bits",
     "bn1_class",
     "cs_max_degree",
+    "pencil_dimension_genus",
     "pencil_dimension_hypothesis",
 ]
 
@@ -151,14 +152,17 @@ def cs_max_degree(g: int, h: int) -> int:
     return (g - 3 * h) // 2
 
 
-def pencil_dimension_hypothesis(g: int, n: int) -> bool:
-    """Whether genus g satisfies the bound making the pencil loci W^1_d
+def pencil_dimension_genus(n: int) -> int:
+    """The least genus satisfying the bound that makes the pencil loci W^1_d
     equi-dimensional of the minimal dimension 2d - 2 - g in the top degree
-    window: g >= (2n-3)(n-1), with the small-n branch g >= 2n-1 for n <= 2.
+    window: (2n-3)(n-1), with the small-n branch 2n-1 for n <= 2.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if n <= 2:
-        return g >= 2 * n - 1
-    return g >= (2 * n - 3) * (n - 1)
+    return 2 * n - 1 if n <= 2 else (2 * n - 3) * (n - 1)
+
+
+def pencil_dimension_hypothesis(g: int, n: int) -> bool:
+    """Whether genus g is at least ``pencil_dimension_genus(n)``."""
+    return g >= pencil_dimension_genus(n)
 

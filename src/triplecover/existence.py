@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
-from .brill_noether import bn1_class, rho
+from .brill_noether import bn1_class, pencil_dimension_genus, rho
 from .cohomology import monomial, mul_classes, top_numerator
 
 __all__ = [
@@ -118,8 +118,7 @@ def _half_bracket(h: int) -> int:
 def genus_bound(h: int) -> int:
     """Smallest genus the existence statement covers for base genus h."""
     _require_base_genus(h)
-    m = _half_bracket(h)
-    return (2 * m + 1) * (m + 1)
+    return pencil_dimension_genus(_half_bracket(h) + 2)
 
 
 def critical_degree(h: int, g: int) -> int:

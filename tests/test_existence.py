@@ -13,7 +13,7 @@ import pytest
 
 from triplecover import cohomology, existence
 from triplecover.arith import binomial, factorial
-from triplecover.brill_noether import bn1_class, castelnuovo_count, rho
+from triplecover.brill_noether import bn1_class, castelnuovo_count, pencil_dimension_hypothesis, rho
 from triplecover.cohomology import evaluate_top, monomial, mul_classes, pair_via_pushforward
 from triplecover.existence import (
     InequalityReport,
@@ -717,6 +717,14 @@ def test_vanishing_margins_match_the_per_parity_reference():
                 bound_l=Fraction(-g + 6 * h + 2, 2),
                 vanishing_guaranteed=g > 6 * h + 4 if even else g > 6 * h + 7,
             )
+
+
+def test_genus_bound_is_the_equidimensionality_bound_at_n_equal_m_plus_2():
+    for h in range(1, 61):
+        n = (3 * h + 1) // 2 + 2
+        bound = genus_bound(h)
+        for g in range(bound - 3, bound + 4):
+            assert pencil_dimension_hypothesis(g, n) is (g >= bound), (h, g)
 
 
 def test_bn1_pairing_closed_form_for_every_genus():
