@@ -19,13 +19,9 @@ longer than the interpreter's int-to-str digit limit, outputs of more than
 --h-range``; refused before any row is built) and ``--out`` targets that
 cannot be written are input errors; running out of memory exits 2 too.
 
-``theorem-a --h-range`` sweeps the base genera in parallel, one task per
-base genus; the worker count W is taken from the ``TRIPLECOVER_WORKERS``
-environment variable and defaults to the number of processors this process
-may run on.  With W >= 2 the calling process computes every W-th base genus
-itself and forks W - 1 children (never more than their tasks) for the rest,
-which send back the integer sides of each comparison for the caller to
-report.
+``theorem-a --h-range`` runs ``existence.sweep``, one task per base genus,
+with the worker count W taken from the ``TRIPLECOVER_WORKERS`` environment
+variable; ``sweep``'s docstring describes how it forks.
 """
 
 from __future__ import annotations
