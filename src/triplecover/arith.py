@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 __all__ = [
     "factorial",
     "binomial",
     "binomial_bits",
-    "format_rat",
     "exceeds_str_digits",
 ]
 
@@ -43,13 +41,6 @@ def binomial_bits(n: int, k: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"binomial_bits requires 0 <= k <= n, got n={n}, k={k}")
     return k * ((n // k).bit_length() - 1) if k else 0
-
-
-def format_rat(value: Fraction | int) -> str:
-    """Render a rational as ``p`` or ``p/q`` in lowest terms, never a float."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def exceeds_str_digits(bits: int) -> bool:

@@ -2,10 +2,13 @@
 
 Every subcommand prints a flat record stream in one of three formats
 (``--format table|csv|json``, default table) to standard output or to a
-file given with ``--out``.  JSON output is a single array of objects with
-identical key sets; rationals are rendered as ``p/q`` strings and big
-integers as decimal strings, never as floats.  CSV carries a mandatory
-header row.
+file given with ``--out``.  One pass turns each value into text once
+(``_cell``): rationals are ``p/q`` and big integers decimal strings, never
+floats.  CSV writes those texts under a mandatory header row; the table pads
+them, right-aligning a column of ints and Fractions only; JSON is the layout
+of ``json.dumps(rows, indent=2)``, a single array of objects with identical
+key sets, built from the texts quoted by the C escaper that ``json.dumps``
+uses, with None and booleans as JSON literals.
 
 The parser tree is built once per process.  A call whose first argument
 names a subcommand is parsed in one argparse pass, by that subcommand's
@@ -30,13 +33,13 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
-from .arith import exceeds_str_digits, format_rat
+from .arith import exceeds_str_digits
 from .brill_noether import (
     castelnuovo_count,
     castelnuovo_count_bits,
@@ -103,13 +106,15 @@ def _workers_from_env() -> int | None:
 # rendering
 
 def _cell(key: str, value) -> str:
-    """The text of one value in column ``key``; classes render canonically."""
+    """The text of one value in column ``key``: None is empty, booleans are
+    true/false, and anything else is its ``str()``, which is ``p`` or ``p/q``
+    for a Fraction and the canonical form for a class."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
     try:
-        return format_rat(value) if isinstance(value, Fraction) else str(value)
+        return str(value)
     except ValueError:
         # The int-to-str digit limit (CVE-2020-10735) stays in force; name
         # the column instead of repeating CPython's advice to raise it.
@@ -124,33 +129,31 @@ def _too_many_digits(key: str) -> ValueError:
     )
 
 
-def _json_value(key: str, value):
-    return value if value is None or isinstance(value, bool) else _cell(key, value)
-
-
 def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
+    cells = [[_cell(key, row[key]) for key in keys] for row in rows]
     if fmt == "json":
-        payload = [{key: _json_value(key, row[key]) for key in keys} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        # json.dumps(rows, indent=2), from the cell texts (module docstring).
+        names = [f"    {encode_basestring_ascii(key)}: " for key in keys]
+        objects = ["  {\n" + ",\n".join([
+            name + ("null" if row[key] is None else text if type(row[key]) is bool else encode_basestring_ascii(text))
+            for name, key, text in zip(names, keys, line)
+        ]) + "\n  }" for row, line in zip(rows, cells)]
+        return "[\n" + ",\n".join(objects) + "\n]\n" if rows else "[]\n"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_cell(key, row[key]) for key in keys])
+        writer.writerows(cells)
         return buffer.getvalue()
-    # table
-    cells = [[_cell(key, row[key]) for key in keys] for row in rows]
+    # table: a column of ints and Fractions only is right-aligned
     widths = [max([len(key), *(len(line[i]) for line in cells)]) for i, key in enumerate(keys)]
-    numeric = [
-        bool(rows) and all(isinstance(row[key], (int, Fraction)) and not isinstance(row[key], bool) for row in rows)
+    pads = [
+        str.rjust if rows and all(type(row[key]) in (int, Fraction) for row in rows) else str.ljust
         for key in keys
     ]
     lines = ["  ".join(key.ljust(width) for key, width in zip(keys, widths)).rstrip()]
     for line in cells:
-        lines.append("  ".join(
-            cell.rjust(width) if right else cell.ljust(width) for cell, width, right in zip(line, widths, numeric)
-        ).rstrip())
+        lines.append("  ".join([pad(cell, width) for pad, cell, width in zip(pads, line, widths)]).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -188,7 +191,9 @@ def _cmd_eval(args):
             print(f"note: {note}", file=sys.stderr)
     else:
         cls = parse(args.expr, args.g, args.d)
-    return _echo(args, canonical=cls, value=evaluate_top(cls))
+    # The class is printed before it is evaluated: a class too long to print
+    # is refused before evaluate_top builds its value.
+    return _echo(args, canonical=_cell("canonical", cls), value=evaluate_top(cls))
 
 
 def _cmd_pushpull(args):

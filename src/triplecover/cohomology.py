@@ -119,7 +119,7 @@ class CohomClass:
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms in canonical order: descending theta power, then descending x power."""
         denominator = self._denominator
-        return [(key, Fraction(n, denominator)) for key, n in sorted(self._numerators.items(), key=_descending)]
+        return [((a, b), Fraction(n, denominator)) for a, b, n in _canonical_terms(self)]
 
     def coefficient(self, x_power: int, theta_power: int) -> Fraction:
         """The coefficient of x^x_power * theta^theta_power, 0 when absent."""
@@ -239,10 +239,13 @@ def _surviving(genus: int, sym_index: int, numerators: dict[tuple[int, int], int
     return {(a, b): n for (a, b), n in numerators.items() if n and a + b <= sym_index and b <= genus}
 
 
-def _descending(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
-    """Sort key of the canonical term order: descending theta power, then descending x power."""
-    (a, b), _ = item
-    return -b, -a
+def _canonical_terms(cls: CohomClass) -> list[tuple[int, int, int]]:
+    """The stored (x power, theta power, numerator) triples in canonical order:
+    descending theta power, then descending x power.  A stored monomial has
+    a <= d, so b*(d+1) + a is one integer per term that sorts them so."""
+    base = cls.sym_index + 1
+    terms = {b * base + a: (a, b, n) for (a, b), n in cls._numerators.items()}
+    return [terms[key] for key in sorted(terms, reverse=True)]
 
 
 def _check_ambient(lhs: CohomClass, rhs: CohomClass) -> None:
@@ -573,18 +576,17 @@ def render_class(cls: CohomClass) -> str:
     """
     denominator = cls._denominator
     parts: list[str] = []
-    for (a, b), n in sorted(cls._numerators.items(), key=_descending):
-        common = math.gcd(n, denominator)
-        p, q = abs(n) // common, denominator // common
-        magnitude = str(p) if q == 1 else f"{p}/{q}"
-        if a == b == 0:
-            piece = magnitude
-        elif magnitude == "1":
-            piece = monomial_text(a, b)
-        else:
-            piece = magnitude + "*" + monomial_text(a, b)
-        if not parts:
-            parts.append("-" + piece if n < 0 else piece)
-        else:
-            parts.append((" - " if n < 0 else " + ") + piece)
+    theta_power = None
+    for a, b, n in _canonical_terms(cls):
+        if b != theta_power:  # the theta factor, built once per theta power
+            theta_power, theta = b, ("" if not b else "theta" if b == 1 else f"theta^{b}")
+        x = "" if not a else "x" if a == 1 else f"x^{a}"
+        factors = x + "*" + theta if x and theta else x or theta
+        p = -n if n < 0 else n
+        common = 1 if denominator == 1 else math.gcd(p, denominator)
+        q = denominator // common
+        magnitude = str(p // common) if q == 1 else f"{p // common}/{q}"
+        piece = magnitude if not factors else factors if magnitude == "1" else magnitude + "*" + factors
+        sign = (" - " if n < 0 else " + ") if parts else ("-" if n < 0 else "")
+        parts.append(sign + piece)
     return "".join(parts) or "0"

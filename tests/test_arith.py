@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from triplecover.arith import binomial, binomial_bits, exceeds_str_digits, factorial, format_rat
+from triplecover.arith import binomial, binomial_bits, exceeds_str_digits, factorial
 
 
 def repeated_multiplication(n: int) -> int:
@@ -113,13 +112,6 @@ def test_factorial_cache_safe_under_concurrent_extension():
     for n, value in zip(targets, results):
         assert value == factorial(n)
     assert factorial(490) == repeated_multiplication(490)
-
-
-def test_format_rat():
-    assert format_rat(5) == "5"
-    assert format_rat(Fraction(3, 6)) == "1/2"
-    assert format_rat(Fraction(-7, 2)) == "-7/2"
-    assert format_rat(Fraction(-4, 2)) == "-2"
 
 
 def test_exceeds_str_digits_only_past_the_limit():

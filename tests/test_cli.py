@@ -30,6 +30,7 @@ from triplecover import (
 )
 from triplecover.classexpr import _Token
 from triplecover.cli import main
+from triplecover.cohomology import CohomClass
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -681,17 +682,152 @@ def test_a_product_past_the_bit_budget_exits_two_at_once(child_env):
 
 
 def test_oversized_class_coefficient_names_the_canonical_column(capsys):
-    # 2^28000 has about 8,400 digits; the class itself reaches the renderer,
-    # which names the first column it cannot print.
+    # 2^28000 has about 8,400 digits; the class is printed before it is
+    # evaluated, so the refusal names column 'canonical' and evaluate_top
+    # is never called.
     limit = sys.get_int_max_str_digits()
+    with mock.patch.object(cli, "evaluate_top", wraps=cli.evaluate_top) as spy:
+        for fmt in ("table", "csv", "json"):
+            code, out, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "2^14000*2^14000", "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"error: column 'canonical' holds an integer of more than {limit} digits, "
+                "the interpreter's limit for converting integers to text\n"
+            )
+        spy.assert_not_called()
+        assert run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "2^14000")[0] == 0
+        spy.assert_called_once()
+
+
+def test_cell_text_of_ints_and_rationals():
+    # A Fraction's own str() is p or p/q in lowest terms.
+    assert cli._cell("c", 5) == "5"
+    assert cli._cell("c", Fraction(3, 6)) == "1/2"
+    assert cli._cell("c", Fraction(-7, 2)) == "-7/2"
+    assert cli._cell("c", Fraction(-4, 2)) == "-2"
+
+
+def format_rat(value: Fraction | int) -> str:
+    """Render a rational as ``p`` or ``p/q`` in lowest terms, never a float."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _reference_cell(key: str, value) -> str:
+    """The cell formatter before the one-pass renderer, by isinstance checks."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    try:
+        return format_rat(value) if isinstance(value, Fraction) else str(value)
+    except ValueError:
+        raise cli._too_many_digits(key) from None
+
+
+def _reference_render(keys: list[str], rows: list[dict], fmt: str) -> str:
+    """The renderer before the one-pass rewrite: json.dumps for JSON, a
+    csv.writer row per row, and isinstance checks for table alignment."""
+    if fmt == "json":
+        payload = [
+            {key: row[key] if row[key] is None or isinstance(row[key], bool) else _reference_cell(key, row[key])
+             for key in keys}
+            for row in rows
+        ]
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(keys)
+        for row in rows:
+            writer.writerow([_reference_cell(key, row[key]) for key in keys])
+        return buffer.getvalue()
+    cells = [[_reference_cell(key, row[key]) for key in keys] for row in rows]
+    widths = [max([len(key), *(len(line[i]) for line in cells)]) for i, key in enumerate(keys)]
+    numeric = [
+        bool(rows) and all(isinstance(row[key], (int, Fraction)) and not isinstance(row[key], bool) for row in rows)
+        for key in keys
+    ]
+    lines = ["  ".join(key.ljust(width) for key, width in zip(keys, widths)).rstrip()]
+    for line in cells:
+        lines.append("  ".join(
+            cell.rjust(width) if right else cell.ljust(width) for cell, width, right in zip(line, widths, numeric)
+        ).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _rendered(render, keys, rows, fmt) -> str:
+    """The renderer's text, or its refusal as ``error: <message>``."""
+    try:
+        return render(keys, rows, fmt)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+_LIMIT_DIGITS = 10 ** (sys.get_int_max_str_digits() - 1)
+_cell_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.sampled_from([_LIMIT_DIGITS, -_LIMIT_DIGITS, 10 * _LIMIT_DIGITS]),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
+    st.builds(
+        lambda terms: CohomClass(3, 3, terms),
+        st.dictionaries(
+            st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=1)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=9),
+            max_size=4,
+        ),
+    ),
+    # Quotes, backslashes, control characters and non-ASCII text, all of
+    # which JSON escapes and CSV may quote.
+    st.text(alphabet=st.sampled_from('ab ,"\\\n\r\t\x00\x1f\x7f\u00e9\u03b8\u2028\U0001f600'), max_size=8),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: _cell_values for key in keys}), max_size=5))
+    return keys, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables(), st.sampled_from(["table", "csv", "json"]))
+def test_renderer_matches_the_reference(table, fmt):
+    keys, rows = table
+    assert _rendered(cli._render, keys, rows, fmt) == _rendered(_reference_render, keys, rows, fmt)
+
+
+def test_renderer_edge_shapes_match_the_reference():
+    mixed = [{"n": 7, "s": "x"}, {"n": "seven", "s": -3}, {"n": Fraction(-1, 3), "s": None}]
+    numbers = [{"n": -12, "s": Fraction(5, 2)}, {"n": 3, "s": 10**30}]
+    one = [{"n": True, "s": 'a "b" \\ \u00e9\n'}]
+    for rows in ([], one, mixed, numbers):
+        for fmt in ("table", "csv", "json"):
+            assert cli._render(["n", "s"], rows, fmt) == _reference_render(["n", "s"], rows, fmt)
+    assert cli._render(["n", "s"], [], "json") == "[]\n"
+    assert json.loads(cli._render(["n", "s"], one, "json")) == [{"n": True, "s": 'a "b" \\ \u00e9\n'}]
+    # A column that mixes ints and strings is left-aligned; one of ints and
+    # Fractions only is right-aligned.
+    assert cli._render(["n", "s"], mixed, "table").splitlines()[1] == "7      x"
+    assert cli._render(["n", "s"], numbers, "table").splitlines()[1:] == ["-12  " + "5/2".rjust(31), "  3  " + "1" + "0" * 30]
+
+
+def test_renderer_names_the_first_unprintable_column_in_row_order():
+    # Row 1 fails in column 'b'; row 2 would fail earlier, in column 'a'.
+    big = 10 ** sys.get_int_max_str_digits()
+    rows = [{"a": 1, "b": 2, "c": 3}, {"a": 4, "b": big, "c": big}, {"a": -big, "b": 5, "c": 6}]
+    expected = (
+        f"error: column 'b' holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for converting integers to text"
+    )
     for fmt in ("table", "csv", "json"):
-        code, out, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "2^14000*2^14000", "--format", fmt)
-        assert code == 2
-        assert out == ""
-        assert err == (
-            f"error: column 'canonical' holds an integer of more than {limit} digits, "
-            "the interpreter's limit for converting integers to text\n"
-        )
+        assert _rendered(cli._render, ["a", "b", "c"], rows, fmt) == expected
+        assert _rendered(_reference_render, ["a", "b", "c"], rows, fmt) == expected
 
 
 def test_oversized_literals_and_constant_powers_exit_two_quickly(capsys):

@@ -682,6 +682,69 @@ def test_render_matches_the_fraction_formatter_and_reparses(cls):
     assert parse(text, cls.genus, cls.sym_index) == cls
 
 
+def monomial_text(x_power: int, theta_power: int) -> str:
+    """Canonical text of x^a * theta^b, unit exponents suppressed: e.g.
+    ``x*theta^2``, ``theta``, and ``1`` for the unit monomial."""
+    factors: list[str] = []
+    if x_power:
+        factors.append("x" if x_power == 1 else f"x^{x_power}")
+    if theta_power:
+        factors.append("theta" if theta_power == 1 else f"theta^{theta_power}")
+    return "*".join(factors) or "1"
+
+
+def pre_change_render(cls: CohomClass) -> str:
+    """``render_class`` before its one-integer sort key: a (-b, -a) key call
+    and a ``monomial_text`` call per term, and a gcd per coefficient."""
+    denominator = cls._denominator
+    parts: list[str] = []
+    for (a, b), n in sorted(cls._numerators.items(), key=lambda item: (-item[0][1], -item[0][0])):
+        common = math.gcd(n, denominator)
+        p, q = abs(n) // common, denominator // common
+        magnitude = str(p) if q == 1 else f"{p}/{q}"
+        if a == b == 0:
+            piece = magnitude
+        elif magnitude == "1":
+            piece = monomial_text(a, b)
+        else:
+            piece = magnitude + "*" + monomial_text(a, b)
+        if not parts:
+            parts.append("-" + piece if n < 0 else piece)
+        else:
+            parts.append((" - " if n < 0 else " + ") + piece)
+    return "".join(parts) or "0"
+
+
+@st.composite
+def wide_render_cases(draw):
+    """Classes in small ambients and in ambients up to 10^6, where the sort
+    key b*(d+1) + a is large: x-only, theta-only and constant terms, unit
+    and negative coefficients, and half of them with integer coefficients,
+    so that the denominator is 1."""
+    small = st.integers(min_value=0, max_value=8)
+    g = draw(st.one_of(small, st.integers(min_value=0, max_value=10**6)))
+    d = draw(st.one_of(small, st.integers(min_value=0, max_value=10**6)))
+    coeffs = (
+        st.integers(min_value=-(10**30), max_value=10**30) | st.sampled_from([1, -1])
+        if draw(st.booleans()) else _render_coeffs
+    )
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        a = draw(st.sampled_from([0, min(1, d), d]) | st.integers(min_value=0, max_value=d))
+        top = min(g, d - a)
+        b = draw(st.sampled_from([0, min(1, top), top]) | st.integers(min_value=0, max_value=top))
+        terms[(a, b)] = draw(coeffs)
+    return CohomClass(g, d, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_render_cases())
+def test_render_matches_the_pre_change_formatter_and_reparses(cls):
+    text = render_class(cls)
+    assert text == pre_change_render(cls)
+    assert parse(text, cls.genus, cls.sym_index) == cls
+
+
 def test_class_power_matches_repeated_mul():
     base = CohomClass(6, 6, {(1, 0): 1, (0, 1): Fraction(1, 3)})
     assert base**0 == unit_class(6, 6)
