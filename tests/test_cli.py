@@ -814,7 +814,10 @@ def test_renderer_edge_shapes_match_the_reference():
     # A column that mixes ints and strings is left-aligned; one of ints and
     # Fractions only is right-aligned.
     assert cli._render(["n", "s"], mixed, "table").splitlines()[1] == "7      x"
-    assert cli._render(["n", "s"], numbers, "table").splitlines()[1:] == ["-12  " + "5/2".rjust(31), "  3  " + "1" + "0" * 30]
+    assert cli._render(["n", "s"], numbers, "table").splitlines()[1:] == [
+        "-12  " + "5/2".rjust(31),
+        "  3  1" + "0" * 30,
+    ]
 
 
 def test_renderer_names_the_first_unprintable_column_in_row_order():
