@@ -28,17 +28,16 @@ at the first token past the cap.
 ``parse_with_diagnostics`` lists dropped monomials only while the
 expression's total degree is at most ``_DIAGNOSTIC_MAX_DEGREE`` (48); past
 that it returns a single note saying the listing was omitted and naming the
-degree bound, or saying that the bound has more than L digits when it is
-past the limit L below.  Under the interpreter's int-to-str digit limit L
+degree bound.  Under the interpreter's int-to-str digit limit L
 (``sys.get_int_max_str_digits()``, 0 meaning none), a number literal longer
-than L digits is rejected, and so is a power ``base^N`` whose base has a
-constant term p/q with max(|p|, q)^N certainly above L digits: that term of
-the result could not be printed.  Every other power is sized before it is
-computed (``_power_bits``, which needs no loop over degrees) and rejected
-when its numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in
-all; an error at the power's caret reports either refusal.  Every product
-of two classes is sized the same way from its factors (``_product_bits``)
-before they are multiplied, and an error at its ``*`` reports a refusal.
+than L digits is rejected, and a note writes a longer number as "a number
+with more than L digits".  Every power is sized before it is computed, by
+``cohomology``'s closed forms, and rejected at its caret when its
+numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in all
+(``_power_bits``) or its denominator more than ``_MAX_POWER_BITS`` bits
+(``_power_denom_bits``).  Every product of two classes is sized the
+same way from its factors (``_product_bits``) before they are multiplied,
+and an error at its ``*`` reports a refusal.
 ``bn1(k)`` in a ring that keeps one of its monomials is refused at its
 position when its denominator (g-k+1)! could have more than
 ``_MAX_POWER_BITS`` bits, bounded by (g-k+1)*bitlen(g-k+1); in a ring that
@@ -51,9 +50,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import exceeds_str_digits
 from .brill_noether import _bn1
 from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
+from .cohomology import _power_bits, _power_denom_bits, _product_bits
 
 __all__ = [
     "ClassExprError",
@@ -75,14 +74,14 @@ _MAX_NESTING = 100
 _DIAGNOSTIC_MAX_DEGREE = 48
 
 # The most bits the numerators of one power (``_power_bits``) or one product
-# (``_product_bits``), or the denominator of one ``bn1(k)``, may have in
-# all: 2^23.  (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits,
-# in (150, 150) by 9.2 million, and (x+theta+1)^800 in (400, 400) by 129
-# million; Miller's recurrence computes them in 7 ms, 10 ms and 0.12 s.
-# bn1 with the largest denominator allowed, 441505!, takes 2.6 s to build;
-# math.factorial of 10^6 takes 8.2 s.  Products cost more: the square
-# of (x+theta+1)^200 in (400, 400), bounded by 51 million bits, takes more
-# than 20 s (2-CPU VM, CPython 3.11).
+# (``_product_bits``), or the denominator of one power or one ``bn1(k)``,
+# may have in all: 2^23.  (x+theta+1)^400 in (120, 120) is bounded by 5.9
+# million bits, in (150, 150) by 9.2 million, and (x+theta+1)^800 in
+# (400, 400) by 129 million; Miller's recurrence computes them in 7 ms,
+# 10 ms and 0.12 s.  bn1 with the largest denominator allowed, 441505!,
+# takes 2.6 s to build; math.factorial of 10^6 takes 8.2 s.  Products cost
+# more: the square of (x+theta+1)^200 in (400, 400), bounded by 51 million
+# bits, takes more than 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23
 
 
@@ -115,6 +114,11 @@ class Bn1IndexMismatch(ClassExprError):
             f"bn1({index}) does not live on the ambient symmetric product "
             f"(expected bn1({sym_index}))",
         )
+
+
+def _past_budget(position: int, subject: str, tail: str) -> ClassExprError:
+    """The refusal of ``subject``, which could have more than ``_MAX_POWER_BITS`` bits."""
+    return ClassExprError(position, f"{subject} could have more than {_MAX_POWER_BITS} bits{tail}")
 
 
 # ----------------------------------------------------------------------
@@ -160,90 +164,6 @@ def _tokenize(text: str) -> list[_Token]:
             raise ExprSyntaxError(start + 1, repr(ch), ("a token",))
     tokens.append(_Token("end", "", n + 1))
     return tokens
-
-
-# ----------------------------------------------------------------------
-# the size of a power or a product
-
-def _reach(cls: CohomClass) -> tuple[int, int]:
-    """The largest total degree and the largest theta power of the monomials
-    of a nonzero class."""
-    numerators = cls._numerators
-    return max(a + b for a, b in numerators), max(b for _, b in numerators)
-
-
-def _monomials(cls: CohomClass, degree: int, theta: int) -> int:
-    """How many monomials x^a * theta^b with a + b <= degree and b <= theta
-    survive in the ambient of ``cls``: a closed form, with no loop over degrees."""
-    top = min(cls.sym_index, degree)
-    thetas = min(cls.genus, theta, top)
-    return (thetas + 1) * (top + 1) - thetas * (thetas + 1) // 2
-
-
-def _draws(n: int, k: int, cap: int) -> int:
-    """min(C(n + k - 1, k - 1), cap): the multisets of n terms drawn from k,
-    counted only as far as cap, so a huge n costs a step or two."""
-    count = 1
-    for i in range(1, k):
-        count = count * (n + i) // i  # C(n + i, i)
-        if count >= cap:
-            return cap
-    return min(count, cap)
-
-
-def _power_bits(base: CohomClass, n: int) -> int:
-    """An upper bound on the total bit length of the numerators of base^n;
-    for n >= 1 it bounds every power base^k with 1 <= k <= n too.
-
-    base^n has at most T monomials: those with a + b <= min(d, n*D) and
-    b <= min(g, n*B), D and B the base's largest degree and theta power,
-    and at most C(n + k - 1, k - 1), one for each way of drawing its n
-    factors from the base's k terms, whichever is fewer.
-    Each numerator is bounded twice, and the smaller bound counts:
-
-    * by S^n, S the sum of the base's |numerators|;
-    * by (K+1) * m^n * (n*L*s)^K, where the base is c + P over the
-      denominator L, c = p/q its constant term, m = max(|p|, q), and s the
-      sum of P's |numerators|.  P's terms have degree 1 or more, so at most
-      K = min(n, d) of the n factors of a surviving term come from P.
-
-    The first is the tighter for a dense base; the second keeps a huge n
-    cheap when the ambient truncates the power."""
-    numerators = base._numerators
-    if not n:
-        return 1  # the unit class
-    if not numerators:
-        return 0
-    degree, theta = _reach(base)
-    monomials = _draws(n, len(numerators), _monomials(base, n * degree, n * theta))
-    total = sum(map(abs, numerators.values()))
-    rest = total - abs(numerators.get((0, 0), 0))
-    constant = base.coefficient(0, 0)
-    m = max(abs(constant.numerator), constant.denominator)
-    k = min(n, base.sym_index) if rest else 0
-    truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
-    return monomials * min(n * total.bit_length(), truncated + (k + 1).bit_length())
-
-
-def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
-    """An upper bound on the total bit length of the numerators of lhs * rhs.
-
-    The product has at most T monomials: T_l * T_r, one for each term
-    pair, and those counted as ``_power_bits`` counts them from the sums of
-    the factors' largest degrees and theta powers, whichever is fewer.  Over
-    the product of the factors' denominators, each numerator is a sum of at
-    most min(T_l, T_r) term pairs, so it is bounded by
-    max|n_l| * max|n_r| * min(T_l, T_r)."""
-    left, right = lhs._numerators, rhs._numerators
-    if not left or not right:
-        return 0
-    (left_degree, left_theta), (right_degree, right_theta) = _reach(lhs), _reach(rhs)
-    monomials = min(len(left) * len(right), _monomials(lhs, left_degree + right_degree, left_theta + right_theta))
-    bits = (
-        max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
-        + min(len(left), len(right)).bit_length()
-    )
-    return monomials * bits
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +249,7 @@ class _Parser:
                 position, factor = step
                 value = factor(*ring)
                 if _product_bits(result, value) > _MAX_POWER_BITS:
-                    raise ClassExprError(
-                        position,
-                        f"the product's numerators could have more than {_MAX_POWER_BITS} bits "
-                        "in all, the limit for one product",
-                    )
+                    raise _past_budget(position, "the product's numerators", " in all, the limit for one product")
                 result = mul_classes(result, value)
             return result
         return degree, evaluate
@@ -356,23 +272,10 @@ class _Parser:
 
         def evaluate(*ring):
             value = base(*ring)
-            # The constant term of base^N is c^N.  With m = max(|p|, q) for
-            # c = p/q, m^N >= 2^(k*N) where k = bit_length(m) - 1.
-            constant = value.coefficient(0, 0)
-            bits = max(abs(constant.numerator), constant.denominator).bit_length() - 1
-            if exceeds_str_digits(bits * exponent):
-                limit = sys.get_int_max_str_digits()
-                raise ClassExprError(
-                    caret.position,
-                    f"the power's constant term would have more than {limit} digits, "
-                    "the interpreter's limit for converting integers to text",
-                )
             if _power_bits(value, exponent) > _MAX_POWER_BITS:
-                raise ClassExprError(
-                    caret.position,
-                    f"the power's numerators could have more than {_MAX_POWER_BITS} bits "
-                    "in all, the limit for one power",
-                )
+                raise _past_budget(caret.position, "the power's numerators", " in all, the limit for one power")
+            if _power_denom_bits(value, exponent) > _MAX_POWER_BITS:
+                raise _past_budget(caret.position, "the power's denominator", ", the limit for one power")
             return value ** exponent
         return exponent * degree, evaluate
 
@@ -423,11 +326,8 @@ class _Parser:
                     try:
                         return _bn1(*ring, g, d, _MAX_POWER_BITS)
                     except OverflowError:
-                        raise ClassExprError(
-                            token.position,
-                            f"bn1({d})'s denominator ({g - d + 1})! could have more than "
-                            f"{_MAX_POWER_BITS} bits, the limit for one class",
-                        ) from None
+                        subject = f"bn1({d})'s denominator ({g - d + 1})!"
+                        raise _past_budget(token.position, subject, ", the limit for one class") from None
                 return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":
@@ -472,12 +372,8 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
     if degree <= min(g, d):
         return result, []  # no monomial can vanish
     if degree > _DIAGNOSTIC_MAX_DEGREE:
-        try:
-            reach = str(degree)
-        except ValueError:  # more digits than the interpreter's int-to-str limit
-            reach = f"a number with more than {sys.get_int_max_str_digits()} digits"
         return result, [
-            f"dropped-monomial listing omitted: the expression's degree can reach {reach}, "
+            f"dropped-monomial listing omitted: the expression's degree can reach {_number_text(degree)}, "
             f"above the listing limit of {_DIAGNOSTIC_MAX_DEGREE}"
         ]
     kept = result.terms
@@ -486,6 +382,15 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
         if (a, b) in kept:
             continue
         reason = f"theta power {b} exceeds g = {g}" if b > g else f"codimension {a + b} exceeds d = {d}"
-        notes.append(f"dropped {monomial_text(a, b)} (coefficient {coeff}): {reason}")
+        notes.append(f"dropped {monomial_text(a, b)} (coefficient {_number_text(coeff)}): {reason}")
     return result, notes
+
+
+def _number_text(value: int | Fraction) -> str:
+    """``str(value)``, or "a number with more than L digits" when it has more
+    digits than the interpreter's int-to-str limit L."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a number with more than {sys.get_int_max_str_digits()} digits"
 

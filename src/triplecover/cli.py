@@ -200,8 +200,7 @@ def _cmd_pushpull(args):
     # A result too long to print is refused before its binomials are
     # computed: C(2000000, 1000000) alone takes 11 s.
     cls = parse(args.expr, args.g, args.d)
-    if exceeds_str_digits(pushforward_bits(args.k, cls)):
-        raise _too_many_digits("result")
+    _refuse_unprintable("result", pushforward_bits(args.k, cls))
     pushed = pushforward_B(args.k, cls)
     return _echo(args, result=pushed, result_sym_index=pushed.sym_index)
 
@@ -210,8 +209,8 @@ def _cmd_count(args):
     # A count too long to print is refused before it is computed: a
     # 600,000-digit count takes most of a minute.
     value = rho(args.g, args.r, args.d)
-    if value == 0 and exceeds_str_digits(castelnuovo_count_bits(args.g, args.r, args.d)):
-        raise _too_many_digits("count")
+    if value == 0:
+        _refuse_unprintable("count", castelnuovo_count_bits(args.g, args.r, args.d))
     return _echo(args, rho=value, count=castelnuovo_count(args.g, args.r, args.d))
 
 
@@ -223,11 +222,11 @@ def _refuse_rows(rows: Sequence[int]) -> None:
         raise ValueError(f"the output would have more than {_MAX_ROWS} rows, the limit for one run")
 
 
-def _refuse_unprintable_lhs(h: int, g: int) -> None:
-    # A left side too long to print is refused before it is computed:
-    # theorem-a at (20000, 1800090001) spent 1.8 s on a 156,381-digit one.
-    if exceeds_str_digits(lhs_bits(h, g)):
-        raise _too_many_digits("lhs")
+def _refuse_unprintable(column: str, bits: int) -> None:
+    """Refuse a value of at least 2**bits in magnitude, too long to print,
+    before it is computed, with the renderer's message for ``column``."""
+    if exceeds_str_digits(bits):
+        raise _too_many_digits(column)
 
 
 def _cmd_theorem_a(args):
@@ -240,12 +239,14 @@ def _cmd_theorem_a(args):
             if h_lo >= 1:
                 # The sweep's last case has its largest (h, g); a row the
                 # renderer would refuse is refused before the sweep runs.
-                _refuse_unprintable_lhs(h_hi, genus_bound(h_hi) + args.g_margin)
+                _refuse_unprintable("lhs", lhs_bits(h_hi, genus_bound(h_hi) + args.g_margin))
         reports = sweep((h_lo, h_hi), args.g_margin, workers=_workers_from_env())
     else:
         if args.h is None or args.g is None:
             raise ValueError("theorem-a needs either --h and --g, or --h-range")
-        _refuse_unprintable_lhs(args.h, args.g)
+        # A left side too long to print is refused before it is computed:
+        # theorem-a at (20000, 1800090001) spent 1.8 s on a 156,381-digit one.
+        _refuse_unprintable("lhs", lhs_bits(args.h, args.g))
         reports = [verify_inequality(args.h, args.g)]
     return _records(InequalityReport, reports, any(not report.strict for report in reports))
 
@@ -253,7 +254,7 @@ def _cmd_theorem_a(args):
 def _cmd_audit(args):
     # One row per step: the audit's scalar fields, then the step's fields,
     # with the step's name in a column called "step".
-    _refuse_unprintable_lhs(args.h, args.g)
+    _refuse_unprintable("lhs", lhs_bits(args.h, args.g))
     audit = audit_proof_chain(args.h, args.g)
     head_keys, (head,), _ = _records(ProofAudit, [audit])
     step_keys, steps, _ = _records(AuditStep, audit.steps)

@@ -30,6 +30,9 @@ such as 1 in x + theta + 1 or x in x + theta, follows J. C. P. Miller's
 power-series recurrence (Knuth, TAOCP vol. 2, section 4.7), one row at a
 time, computing only the surviving monomials and no intermediate product;
 a power of any other base, such as x^2 + theta, is squared repeatedly.
+The module also sizes its products and powers: ``_product_bits``,
+``_power_bits`` and ``_power_denom_bits`` bound their results' bits
+in closed form, so that a caller can refuse one before it is computed.
 """
 
 from __future__ import annotations
@@ -320,7 +323,8 @@ def _series_power(base: CohomClass, exponent: int, lowest: tuple[int, int]) -> C
     rows plus some k reach, and dropped once no later row reads them.
     base^N = m^N * u^(N-M) * s_n over v^N * t^M, a divisor of L^N and of
     v^N * L^min(N, d), over which ``_power_bits`` bounds the numerators: no
-    numerator, and so no row, passes that bound.
+    numerator, and so no row, passes that bound.  ``_power_denom_bits``
+    bounds v^N * t^M.
     """
     genus, sym_index = base.genus, base.sym_index
     a0, b0 = lowest
@@ -430,6 +434,92 @@ def _extent(cls: CohomClass) -> tuple[int, int, int, int]:
     degrees = [a + b for a, b in cls._numerators]
     thetas = [b for _, b in cls._numerators]
     return min(degrees), max(degrees), min(thetas), max(thetas)
+
+
+def _monomials(cls: CohomClass, degree: int, theta: int) -> int:
+    """How many monomials x^a * theta^b with a + b <= degree and b <= theta
+    survive in the ambient of ``cls``: a closed form, with no loop over degrees."""
+    top = min(cls.sym_index, degree)
+    thetas = min(cls.genus, theta, top)
+    return (thetas + 1) * (top + 1) - thetas * (thetas + 1) // 2
+
+
+def _draws(n: int, k: int, cap: int) -> int:
+    """min(C(n + k - 1, k - 1), cap): the multisets of n terms drawn from k,
+    counted only as far as cap, so a huge n costs a step or two."""
+    count = 1
+    for i in range(1, k):
+        count = count * (n + i) // i  # C(n + i, i)
+        if count >= cap:
+            return cap
+    return min(count, cap)
+
+
+def _power_bits(base: CohomClass, n: int) -> int:
+    """An upper bound on the total bit length of the numerators of base^n;
+    for n >= 1 it bounds every power base^k with 1 <= k <= n too.
+
+    base^n has at most T monomials: those with a + b <= min(d, n*D) and
+    b <= min(g, n*B), D and B the base's largest degree and theta power,
+    and at most C(n + k - 1, k - 1), one for each way of drawing its n
+    factors from the base's k terms, whichever is fewer.
+    Each numerator is bounded twice, and the smaller bound counts:
+
+    * by S^n, S the sum of the base's |numerators|, which has one bit when
+      S = 1 (a one-term base with numerator +-1);
+    * by (K+1) * m^n * (n*L*s)^K, where the base is c + P over the
+      denominator L, c = p/q its constant term, m = max(|p|, q), and s the
+      sum of P's |numerators|.  P's terms have degree 1 or more, so at most
+      K = min(n, d) of the n factors of a surviving term come from P.
+
+    The first is the tighter for a dense base; the second keeps a huge n
+    cheap when the ambient truncates the power."""
+    numerators = base._numerators
+    if not n:
+        return 1  # the unit class
+    if not numerators:
+        return 0
+    _, degree, _, theta = _extent(base)
+    monomials = _draws(n, len(numerators), _monomials(base, n * degree, n * theta))
+    total = sum(map(abs, numerators.values()))
+    rest = total - abs(numerators.get((0, 0), 0))
+    constant = base.coefficient(0, 0)
+    m = max(abs(constant.numerator), constant.denominator)
+    k = min(n, base.sym_index) if rest else 0
+    truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
+    return monomials * min(n * total.bit_length() if total > 1 else 1, truncated + (k + 1).bit_length())
+
+
+def _power_denom_bits(base: CohomClass, n: int) -> int:
+    """An upper bound on log2 of the denominator of base^k, 0 <= k <= n, in
+    lowest terms and as ``_series_power`` builds it.  With c/L the base's
+    constant term (c = 0 when it has none), t = gcd(c, L) and v = L/t, that
+    denominator divides v^k * t^min(k, d): without a constant term every
+    factor has degree 1 or more, so no power past k = d survives."""
+    t = math.gcd(base._numerators.get((0, 0), 0), base._denominator)
+    v = base._denominator // t
+    return (n * v.bit_length() if v > 1 else 0) + (min(n, base.sym_index) * t.bit_length() if t > 1 else 0)
+
+
+def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
+    """An upper bound on the total bit length of the numerators of lhs * rhs.
+
+    The product has at most T monomials: T_l * T_r, one for each term
+    pair, and those counted as ``_power_bits`` counts them from the sums of
+    the factors' largest degrees and theta powers, whichever is fewer.  Over
+    the product of the factors' denominators, each numerator is a sum of at
+    most min(T_l, T_r) term pairs, so it is bounded by
+    max|n_l| * max|n_r| * min(T_l, T_r)."""
+    left, right = lhs._numerators, rhs._numerators
+    if not left or not right:
+        return 0
+    (_, left_degree, _, left_theta), (_, right_degree, _, right_theta) = _extent(lhs), _extent(rhs)
+    monomials = min(len(left) * len(right), _monomials(lhs, left_degree + right_degree, left_theta + right_theta))
+    bits = (
+        max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
+        + min(len(left), len(right)).bit_length()
+    )
+    return monomials * bits
 
 
 def _pack(numerators: dict[tuple[int, int], int], low: tuple[int, int], cap: int, stride: int, kb: int) -> int:

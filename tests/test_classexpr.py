@@ -17,9 +17,6 @@ from triplecover.classexpr import (
     _DIAGNOSTIC_MAX_DEGREE,
     _MAX_NESTING,
     _MAX_POWER_BITS,
-    _draws,
-    _power_bits,
-    _product_bits,
     Bn1IndexMismatch,
     ClassExprError,
     DivisionByZeroLiteral,
@@ -27,7 +24,20 @@ from triplecover.classexpr import (
     parse,
     parse_with_diagnostics,
 )
-from triplecover.cohomology import CohomClass, evaluate_top, monomial, mul_classes, render_class, unit_class, zero_class
+from triplecover.cli import main
+from triplecover.cohomology import (
+    CohomClass,
+    _draws,
+    _power_bits,
+    _power_denom_bits,
+    _product_bits,
+    evaluate_top,
+    monomial,
+    mul_classes,
+    render_class,
+    unit_class,
+    zero_class,
+)
 
 
 @st.composite
@@ -304,26 +314,67 @@ def test_oversized_number_literals_are_positioned_errors(digit_limit):
         assert f"more than {digit_limit} digits" in str(info.value)
 
 
-def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
-    # 2^n has more than 4300 digits for certain once 3n >= 43000.
+def test_constant_powers_are_bounded_before_they_are_computed(capsys, digit_limit):
+    # The bit budget refuses a large constant power at its caret; it does
+    # not look at the digit limit.
+    for text, position in (("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
+        for call in (parse, parse_with_diagnostics):
+            with pytest.raises(ClassExprError) as info:
+                call(text, 4, 3)
+            assert info.value.position == position
+            assert str(info.value).endswith(f"more than {_MAX_POWER_BITS} bits in all, the limit for one power")
+    # 2^14334 has more than 4300 digits but fits the budget: the library
+    # returns it, and the CLI refuses to print it, naming the column.
     first = -(-10 * digit_limit // 3)
-    assert parse(f"2^{first - 1}", 4, 3) == unit_class(4, 3).scale(2 ** (first - 1))
-    for text, position in ((f"2^{first}", 2), ("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
-        with pytest.raises(ClassExprError) as info:
-            parse(text, 4, 3)
-        assert info.value.position == position
-        assert "constant term" in str(info.value)
-    with pytest.raises(ClassExprError):
-        parse_with_diagnostics("(2*x+2)^100000000", 4, 3)
-    # Constant term 0 or +-1: coefficients grow polynomially, no bound.
+    assert parse(f"2^{first}", 4, 3) == unit_class(4, 3).scale(2**first)
+    start = time.perf_counter()
+    assert main(["eval", "--g", "4", "--d", "3", "--expr", f"2^{first}"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "column 'canonical'" in capsys.readouterr().err
+    # Constant term 0 or +-1: coefficients grow polynomially.
     assert parse("(x+theta)^1000000000", 4, 3) == zero_class(4, 3)
     assert parse("(-1)^1000000001", 4, 3) == unit_class(4, 3).scale(-1)
     assert parse("(x-1)^1000000000", 4, 3) == CohomClass(
         4, 3, {(k, 0): (-1) ** k * binomial(10**9, k) for k in range(4)}
     )
-    # A limit of 0 disables the bound.
+    # With no digit limit at all, an in-budget constant power is computed.
     sys.set_int_max_str_digits(0)
     assert parse(f"(2*x+2)^{first}", 4, 3).terms[(0, 0)] == 2**first
+
+
+def test_unit_sum_powers_have_one_bit_numerators():
+    # A one-term base with numerator +-1 keeps numerator +-1 in every power.
+    for text in ("x", "theta", "x/3", "-x"):
+        base = parse(text, 10**9, 10**9)
+        for n in (_MAX_POWER_BITS + 1, 10**9):
+            assert _power_bits(base, n) == 1, (text, n)
+    n = _MAX_POWER_BITS + 1
+    assert parse(f"x^{n}", 0, n) == monomial(0, n, n, 0)
+    assert parse(render_class(monomial(0, n, n, 0)), 0, n) == monomial(0, n, n, 0)
+
+
+@given(classes(), st.integers(min_value=0, max_value=12))
+def test_power_denominator_bits_bound_every_power(cls, n):
+    for k in range(n + 1):
+        assert (cls**k)._denominator <= 2 ** _power_denom_bits(cls, k)
+        assert _power_denom_bits(cls, k) <= _power_denom_bits(cls, n)
+
+
+def test_powers_with_a_large_denominator_are_positioned_errors():
+    # Their numerators are +-1, within the budget, but their denominators
+    # are not: (x/1000001)^8388608 ran past 20 s, and (1/3)^1000000000
+    # would build 3^1000000000.  A truncating ambient keeps one cheap.
+    for text, g, d, position in (
+        ("(x/1000001)^8388608", 0, 8388608, 12), ("(1/3)^1000000000", 4, 3, 6), ("(x/3)^8388608", 0, 8388608, 6),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ClassExprError) as info:
+            parse(text, g, d)
+        assert time.perf_counter() - start < 1
+        assert info.value.position == position
+        assert str(info.value).endswith(f"denominator could have more than {_MAX_POWER_BITS} bits, the limit for one power")
+    assert _power_denom_bits(parse("x/2+1", 5, 5), 10**12) == 5 * 2
+    assert parse("(x/3)^1000000000", 4, 3) == zero_class(4, 3)
 
 
 @given(classes(), st.integers(min_value=0, max_value=12))
@@ -440,8 +491,8 @@ def test_diagnostics_of_a_negated_power():
 
 
 def test_syntax_errors_come_before_evaluation_errors():
-    # bn1(2) mismatches the ambient and the power's constant term is over
-    # the digit limit, but the whole text is parsed first.
+    # bn1(2) mismatches the ambient and the power is past the bit budget,
+    # but the whole text is parsed first.
     for text, position in (("bn1(2) + x+*theta", 12), ("(2*x+2)^100000000 )", 19)):
         for call in (parse, parse_with_diagnostics):
             with pytest.raises(ExprSyntaxError) as info:

@@ -717,13 +717,13 @@ def pre_change_render(cls: CohomClass) -> str:
 
 @st.composite
 def wide_render_cases(draw):
-    """Classes in small ambients and in ambients up to 10^6, where the sort
+    """Classes in small ambients and in ambients up to 10^9, where the sort
     key b*(d+1) + a is large: x-only, theta-only and constant terms, unit
     and negative coefficients, and half of them with integer coefficients,
     so that the denominator is 1."""
     small = st.integers(min_value=0, max_value=8)
-    g = draw(st.one_of(small, st.integers(min_value=0, max_value=10**6)))
-    d = draw(st.one_of(small, st.integers(min_value=0, max_value=10**6)))
+    g = draw(st.one_of(small, st.integers(min_value=0, max_value=10**9)))
+    d = draw(st.one_of(small, st.integers(min_value=0, max_value=10**9)))
     coeffs = (
         st.integers(min_value=-(10**30), max_value=10**30) | st.sampled_from([1, -1])
         if draw(st.booleans()) else _render_coeffs
