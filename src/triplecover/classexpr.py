@@ -31,13 +31,18 @@ that it returns a single note saying the listing was omitted and naming the
 degree bound.  Under the interpreter's int-to-str digit limit L
 (``sys.get_int_max_str_digits()``, 0 meaning none), a number literal longer
 than L digits is rejected, and a note writes a longer number as "a number
-with more than L digits".  Every power is sized before it is computed, by
-``cohomology``'s closed forms, and rejected at its caret when its
+with more than L digits".  A power ``base^N`` whose base has a constant
+term p/q with max(|p|, q)^N certainly above L digits is rejected at its
+caret: that term of the result could not be printed, and reducing it
+could take tens of seconds.  Every other power is sized before it is
+computed, by ``cohomology``'s bounds, and rejected at its caret when its
 numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in all
 (``_power_bits``) or its denominator more than ``_MAX_POWER_BITS`` bits
-(``_power_denom_bits``).  Every product of two classes is sized the
-same way from its factors (``_product_bits``) before they are multiplied,
-and an error at its ``*`` reports a refusal.
+(``_power_denom_bits``).  Every product of two classes is sized the same
+way from its factors (``_product_bits``, ``_product_denom_bits``) before
+they are multiplied, and the denominator of every sum from its terms'
+(``_sum_denom_bits``) before they are added; an error at the ``*``, ``+``
+or ``-`` where a bound first passes the budget reports a refusal.
 ``bn1(k)`` in a ring that keeps one of its monomials is refused at its
 position when its denominator (g-k+1)! could have more than
 ``_MAX_POWER_BITS`` bits, bounded by (g-k+1)*bitlen(g-k+1); in a ring that
@@ -50,9 +55,11 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .arith import exceeds_str_digits
 from .brill_noether import _bn1
 from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
-from .cohomology import _power_bits, _power_denom_bits, _product_bits
+from .cohomology import _constant_power_bits, _power_bits, _power_denom_bits, _product_bits, _product_denom_bits
+from .cohomology import _sum_denom_bits
 
 __all__ = [
     "ClassExprError",
@@ -73,15 +80,15 @@ _MAX_NESTING = 100
 # ring has (D+1)(D+2)/2 monomials at degree D, so the cost grows as D^4.
 _DIAGNOSTIC_MAX_DEGREE = 48
 
-# The most bits the numerators of one power (``_power_bits``) or one product
-# (``_product_bits``), or the denominator of one power or one ``bn1(k)``,
-# may have in all: 2^23.  (x+theta+1)^400 in (120, 120) is bounded by 5.9
-# million bits, in (150, 150) by 9.2 million, and (x+theta+1)^800 in
-# (400, 400) by 129 million; Miller's recurrence computes them in 7 ms,
-# 10 ms and 0.12 s.  bn1 with the largest denominator allowed, 441505!,
-# takes 2.6 s to build; math.factorial of 10^6 takes 8.2 s.  Products cost
-# more: the square of (x+theta+1)^200 in (400, 400), bounded by 51 million
-# bits, takes more than 20 s (2-CPU VM, CPython 3.11).
+# The most bits the numerators of one power or product, or the denominator
+# of one power, product, sum or ``bn1(k)``, may have in all: 2^23.
+# (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits, in
+# (150, 150) by 9.2 million, and (x+theta+1)^800 in (400, 400) by 129
+# million; Miller's recurrence computes them in 7 ms, 10 ms and 0.12 s.
+# bn1 with the largest denominator allowed, 441505!, takes 2.6 s to build;
+# math.factorial of 10^6 takes 8.2 s.  Products cost more: the square
+# of (x+theta+1)^200 in (400, 400), bounded by 51 million bits, takes more
+# than 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23
 
 
@@ -116,9 +123,19 @@ class Bn1IndexMismatch(ClassExprError):
         )
 
 
-def _past_budget(position: int, subject: str, tail: str) -> ClassExprError:
-    """The refusal of ``subject``, which could have more than ``_MAX_POWER_BITS`` bits."""
-    return ClassExprError(position, f"{subject} could have more than {_MAX_POWER_BITS} bits{tail}")
+def _check_budget(position: int, what: str, *, numerator_bits: int = 0, denominator_bits: int) -> None:
+    """Refuse the ``what`` ("power", "product" or "sum") at ``position`` when
+    its numerators in all, or its denominator, could have more than
+    ``_MAX_POWER_BITS`` bits."""
+    if numerator_bits > _MAX_POWER_BITS:
+        raise ClassExprError(
+            position, f"the {what}'s numerators could have more than {_MAX_POWER_BITS} bits in all, "
+            f"the limit for one {what}"
+        )
+    if denominator_bits > _MAX_POWER_BITS:
+        raise ClassExprError(
+            position, f"the {what}'s denominator could have more than {_MAX_POWER_BITS} bits, the limit for one {what}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -206,17 +223,23 @@ class _Parser:
 
     def parse_expr(self):
         degree, first = self.parse_term()
-        signed = [("+", first)]
+        rest = []  # (the '+' or '-' token, a term's evaluate)
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+            operator = self.advance()
             term_degree, term = self.parse_term()
             degree = max(degree, term_degree)
-            signed.append((op, term))
-        if len(signed) == 1:
+            rest.append((operator, term))
+        if not rest:
             return degree, first
 
         def evaluate(*ring):
-            return sum_classes(*(term(*ring) if op == "+" else -term(*ring) for op, term in signed))
+            values = [first(*ring)]
+            values += [term(*ring) if operator.kind == "+" else -term(*ring) for operator, term in rest]
+            sizes = _sum_denom_bits(values)
+            next(sizes)  # the first term alone
+            for (operator, _), bits in zip(rest, sizes):
+                _check_budget(operator.position, "sum", denominator_bits=bits)
+            return sum_classes(*values)
         return degree, evaluate
 
     def parse_term(self):
@@ -248,8 +271,10 @@ class _Parser:
                     continue
                 position, factor = step
                 value = factor(*ring)
-                if _product_bits(result, value) > _MAX_POWER_BITS:
-                    raise _past_budget(position, "the product's numerators", " in all, the limit for one product")
+                _check_budget(
+                    position, "product",
+                    numerator_bits=_product_bits(result, value), denominator_bits=_product_denom_bits(result, value),
+                )
                 result = mul_classes(result, value)
             return result
         return degree, evaluate
@@ -272,10 +297,16 @@ class _Parser:
 
         def evaluate(*ring):
             value = base(*ring)
-            if _power_bits(value, exponent) > _MAX_POWER_BITS:
-                raise _past_budget(caret.position, "the power's numerators", " in all, the limit for one power")
-            if _power_denom_bits(value, exponent) > _MAX_POWER_BITS:
-                raise _past_budget(caret.position, "the power's denominator", ", the limit for one power")
+            if exceeds_str_digits(_constant_power_bits(value, exponent)):
+                raise ClassExprError(
+                    caret.position,
+                    f"the power's constant term would have more than {sys.get_int_max_str_digits()} digits, "
+                    "the interpreter's limit for converting integers to text",
+                )
+            _check_budget(
+                caret.position, "power",
+                numerator_bits=_power_bits(value, exponent), denominator_bits=_power_denom_bits(value, exponent),
+            )
             return value ** exponent
         return exponent * degree, evaluate
 
@@ -326,8 +357,11 @@ class _Parser:
                     try:
                         return _bn1(*ring, g, d, _MAX_POWER_BITS)
                     except OverflowError:
-                        subject = f"bn1({d})'s denominator ({g - d + 1})!"
-                        raise _past_budget(token.position, subject, ", the limit for one class") from None
+                        raise ClassExprError(
+                            token.position,
+                            f"bn1({d})'s denominator ({g - d + 1})! could have more than "
+                            f"{_MAX_POWER_BITS} bits, the limit for one class",
+                        ) from None
                 return max(g - d + 1, 0), evaluate
             self.fail(("'x'", "'theta'", "'bn1'"))
         if token.kind == "(":

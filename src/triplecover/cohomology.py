@@ -30,16 +30,17 @@ such as 1 in x + theta + 1 or x in x + theta, follows J. C. P. Miller's
 power-series recurrence (Knuth, TAOCP vol. 2, section 4.7), one row at a
 time, computing only the surviving monomials and no intermediate product;
 a power of any other base, such as x^2 + theta, is squared repeatedly.
-The module also sizes its products and powers: ``_product_bits``,
-``_power_bits`` and ``_power_denom_bits`` bound their results' bits
-in closed form, so that a caller can refuse one before it is computed.
+The module also sizes its powers, products and sums: ``_power_bits``,
+``_power_denom_bits``, ``_product_bits``, ``_product_denom_bits`` and
+``_sum_denom_bits`` bound their results' bits without computing them, so
+that a caller can refuse one first.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .arith import binomial, binomial_bits
@@ -497,8 +498,19 @@ def _power_denom_bits(base: CohomClass, n: int) -> int:
     denominator divides v^k * t^min(k, d): without a constant term every
     factor has degree 1 or more, so no power past k = d survives."""
     t = math.gcd(base._numerators.get((0, 0), 0), base._denominator)
-    v = base._denominator // t
-    return (n * v.bit_length() if v > 1 else 0) + (min(n, base.sym_index) * t.bit_length() if t > 1 else 0)
+    return n * _log2_bound(base._denominator // t) + min(n, base.sym_index) * _log2_bound(t)
+
+
+def _constant_power_bits(base: CohomClass, n: int) -> int:
+    """A lower bound on the bit length of the constant term c^n of base^n: with
+    c = p/q and m = max(|p|, q), m^n >= 2^(k*n) for k = bitlen(m) - 1."""
+    constant = base.coefficient(0, 0)
+    return (max(abs(constant.numerator), constant.denominator).bit_length() - 1) * n
+
+
+def _log2_bound(value: int) -> int:
+    """An upper bound on log2 of a positive integer: its bit length, or 0 for 1."""
+    return value.bit_length() if value > 1 else 0
 
 
 def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
@@ -520,6 +532,25 @@ def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
         + min(len(left), len(right)).bit_length()
     )
     return monomials * bits
+
+
+def _product_denom_bits(lhs: CohomClass, rhs: CohomClass) -> int:
+    """An upper bound on log2 of the denominator of lhs * rhs, which divides
+    the product of the factors' denominators."""
+    return _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
+
+
+def _sum_denom_bits(classes: Iterable[CohomClass]) -> Iterator[int]:
+    """For k = 1, 2, ... in turn, an upper bound on log2 of the denominator
+    of the sum of the first k classes: that denominator, their least common
+    multiple, divides the product of their distinct denominators."""
+    bits = 0
+    seen = set()
+    for cls in classes:
+        if cls._denominator not in seen:
+            seen.add(cls._denominator)
+            bits += _log2_bound(cls._denominator)
+        yield bits
 
 
 def _pack(numerators: dict[tuple[int, int], int], low: tuple[int, int], cap: int, stride: int, kb: int) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -24,17 +25,19 @@ from triplecover.classexpr import (
     parse,
     parse_with_diagnostics,
 )
-from triplecover.cli import main
 from triplecover.cohomology import (
     CohomClass,
     _draws,
     _power_bits,
     _power_denom_bits,
     _product_bits,
+    _product_denom_bits,
+    _sum_denom_bits,
     evaluate_top,
     monomial,
     mul_classes,
     render_class,
+    sum_classes,
     unit_class,
     zero_class,
 )
@@ -314,30 +317,24 @@ def test_oversized_number_literals_are_positioned_errors(digit_limit):
         assert f"more than {digit_limit} digits" in str(info.value)
 
 
-def test_constant_powers_are_bounded_before_they_are_computed(capsys, digit_limit):
-    # The bit budget refuses a large constant power at its caret; it does
-    # not look at the digit limit.
-    for text, position in (("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
-        for call in (parse, parse_with_diagnostics):
-            with pytest.raises(ClassExprError) as info:
-                call(text, 4, 3)
-            assert info.value.position == position
-            assert str(info.value).endswith(f"more than {_MAX_POWER_BITS} bits in all, the limit for one power")
-    # 2^14334 has more than 4300 digits but fits the budget: the library
-    # returns it, and the CLI refuses to print it, naming the column.
+def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
+    # 2^n has more than 4300 digits for certain once 3n >= 43000.
     first = -(-10 * digit_limit // 3)
-    assert parse(f"2^{first}", 4, 3) == unit_class(4, 3).scale(2**first)
-    start = time.perf_counter()
-    assert main(["eval", "--g", "4", "--d", "3", "--expr", f"2^{first}"]) == 2
-    assert time.perf_counter() - start < 1
-    assert "column 'canonical'" in capsys.readouterr().err
-    # Constant term 0 or +-1: coefficients grow polynomially.
+    assert parse(f"2^{first - 1}", 4, 3) == unit_class(4, 3).scale(2 ** (first - 1))
+    for text, position in ((f"2^{first}", 2), ("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == position
+        assert "constant term" in str(info.value)
+    with pytest.raises(ClassExprError):
+        parse_with_diagnostics("(2*x+2)^100000000", 4, 3)
+    # Constant term 0 or +-1: coefficients grow polynomially, no bound.
     assert parse("(x+theta)^1000000000", 4, 3) == zero_class(4, 3)
     assert parse("(-1)^1000000001", 4, 3) == unit_class(4, 3).scale(-1)
     assert parse("(x-1)^1000000000", 4, 3) == CohomClass(
         4, 3, {(k, 0): (-1) ** k * binomial(10**9, k) for k in range(4)}
     )
-    # With no digit limit at all, an in-budget constant power is computed.
+    # A limit of 0 disables the bound.
     sys.set_int_max_str_digits(0)
     assert parse(f"(2*x+2)^{first}", 4, 3).terms[(0, 0)] == 2**first
 
@@ -360,21 +357,68 @@ def test_power_denominator_bits_bound_every_power(cls, n):
         assert _power_denom_bits(cls, k) <= _power_denom_bits(cls, n)
 
 
-def test_powers_with_a_large_denominator_are_positioned_errors():
+def _parse_error(child_env, text: str, g: int, d: int, digit_limit: int) -> str:
+    """The last stderr line of ``parse(text, g, d)`` in a child process under
+    the digit limit ``digit_limit``; a child that runs past 5 s fails the
+    test instead of stalling it."""
+    code = f"import sys; from triplecover.classexpr import parse; sys.set_int_max_str_digits({digit_limit}); " \
+        f"parse({text!r}, {g}, {d})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=5)
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_powers_with_a_large_denominator_are_positioned_errors(child_env):
     # Their numerators are +-1, within the budget, but their denominators
     # are not: (x/1000001)^8388608 ran past 20 s, and (1/3)^1000000000
     # would build 3^1000000000.  A truncating ambient keeps one cheap.
     for text, g, d, position in (
         ("(x/1000001)^8388608", 0, 8388608, 12), ("(1/3)^1000000000", 4, 3, 6), ("(x/3)^8388608", 0, 8388608, 6),
     ):
-        start = time.perf_counter()
-        with pytest.raises(ClassExprError) as info:
-            parse(text, g, d)
-        assert time.perf_counter() - start < 1
-        assert info.value.position == position
-        assert str(info.value).endswith(f"denominator could have more than {_MAX_POWER_BITS} bits, the limit for one power")
+        assert _parse_error(child_env, text, g, d, 0) == (
+            f"triplecover.classexpr.ClassExprError: at position {position}: "
+            f"the power's denominator could have more than {_MAX_POWER_BITS} bits, the limit for one power"
+        )
     assert _power_denom_bits(parse("x/2+1", 5, 5), 10**12) == 5 * 2
     assert parse("(x/3)^1000000000", 4, 3) == zero_class(4, 3)
+
+
+def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_env, monkeypatch):
+    # Each power's denominator is within the budget, 3^3000000 having 4.8
+    # million bits, but two of them are not: unchecked, four factors of
+    # (1/3)^4194304 ran for 20 s, and a sum reaches math.lcm of two such
+    # numbers.  With the digit limit on, the constant-term check refuses
+    # the first power.
+    for text, limit, message in (
+        ("*".join(["(1/3)^4194304"] * 4), 4300, "at position 6: the power's constant term would have more than"),
+        ("*".join(["(1/3)^3000000"] * 4), 0, "at position 14: the product's denominator could have more than"),
+        ("(1/3)^3000000+(1/5)^2000000", 0, "at position 14: the sum's denominator could have more than"),
+    ):
+        assert message in _parse_error(child_env, text, 4, 3, limit), (text, limit)
+    # A canonical rendering sums 861 terms whose denominators divide 30^40:
+    # counted once each, its distinct denominators stay far inside the budget.
+    cls = parse("(x/2+theta/3+1/5)^40", 40, 40)
+    assert parse(render_class(cls), 40, 40) == cls
+    # The bounds are checked at the operator where they first pass the
+    # budget; a sum counts each distinct denominator once.
+    monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", 11)
+    assert parse("(x/64)*(x/8)", 9, 9) == monomial(9, 9, 2, 0, Fraction(1, 512))
+    assert parse("1/64 + x/64 + theta/64 + x/8", 9, 9) == parse("(1 + 9*x + theta)/64", 9, 9)
+    for text, position, what in (
+        ("x/8 * (x/64) * (x/64)", 14, "product's denominator could have more than 11 bits, the limit for one product"),
+        ("1/64 + x/64 + theta/27", 13, "sum's denominator could have more than 11 bits, the limit for one sum"),
+    ):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 9, 9)
+        assert info.value.position == position, text
+        assert str(info.value).endswith(what)
+
+
+@given(st.data())
+def test_sum_denominator_bits_bound_every_sum(data):
+    first = data.draw(classes())
+    terms = [first] + data.draw(st.lists(classes(first.genus, first.sym_index), max_size=4))
+    for k, bits in enumerate(_sum_denom_bits(terms), 1):
+        assert sum_classes(*terms[:k])._denominator <= 2**bits
 
 
 @given(classes(), st.integers(min_value=0, max_value=12))
@@ -424,8 +468,9 @@ def test_powers_past_the_bit_budget_are_positioned_errors():
 def test_product_bits_bound_every_product(data):
     lhs = data.draw(classes())
     rhs = data.draw(classes(lhs.genus, lhs.sym_index))
-    bits = sum(abs(v).bit_length() for v in mul_classes(lhs, rhs)._numerators.values())
-    assert bits <= _product_bits(lhs, rhs)
+    product = mul_classes(lhs, rhs)
+    assert sum(abs(v).bit_length() for v in product._numerators.values()) <= _product_bits(lhs, rhs)
+    assert product._denominator <= 2 ** _product_denom_bits(lhs, rhs)
 
 
 def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
