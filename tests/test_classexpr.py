@@ -369,7 +369,8 @@ def _parse_error(child_env, text: str, g: int, d: int, digit_limit: int) -> str:
 
 def test_powers_with_a_large_denominator_are_positioned_errors(child_env):
     # Their numerators are +-1, within the budget, but their denominators
-    # are not: (x/1000001)^8388608 ran past 20 s, and (1/3)^1000000000
+    # are not: (x/1000001)^8388608 ran past 20 s, and with the digit limit
+    # off, so that no constant-term check comes first, (1/3)^1000000000
     # would build 3^1000000000.  A truncating ambient keeps one cheap.
     for text, g, d, position in (
         ("(x/1000001)^8388608", 0, 8388608, 12), ("(1/3)^1000000000", 4, 3, 6), ("(x/3)^8388608", 0, 8388608, 6),
@@ -536,8 +537,8 @@ def test_diagnostics_of_a_negated_power():
 
 
 def test_syntax_errors_come_before_evaluation_errors():
-    # bn1(2) mismatches the ambient and the power is past the bit budget,
-    # but the whole text is parsed first.
+    # bn1(2) mismatches the ambient and the power's constant term is over
+    # the digit limit, but the whole text is parsed first.
     for text, position in (("bn1(2) + x+*theta", 12), ("(2*x+2)^100000000 )", 19)):
         for call in (parse, parse_with_diagnostics):
             with pytest.raises(ExprSyntaxError) as info:
