@@ -34,15 +34,12 @@ than L digits is rejected, and a note writes a longer number as "a number
 with more than L digits".  A power ``base^N`` whose base has a constant
 term p/q with max(|p|, q)^N certainly above L digits is rejected at its
 caret: that term of the result could not be printed, and reducing it
-could take tens of seconds.  Every other power is sized before it is
-computed, by ``cohomology``'s bounds, and rejected at its caret when its
-numerators could have more than ``_MAX_POWER_BITS`` (2^23) bits in all
-(``_power_bits``) or its denominator more than ``_MAX_POWER_BITS`` bits
-(``_power_denom_bits``).  Every product of two classes is sized the same
-way from its factors (``_product_bits``, ``_product_denom_bits``) before
-they are multiplied, and the denominator of every sum from its terms'
-(``_sum_denom_bits``) before they are added; an error at the ``*``, ``+``
-or ``-`` where a bound first passes the budget reports a refusal.
+could take tens of seconds.  Every other power, and every product of two
+classes, is sized before it is computed by one ``cohomology`` bound on its
+numerators and denominator together (``_power_bits``, ``_product_bits``);
+a sum is sized by its denominator alone (``_sum_denom_bits``).  An error
+at the ``^``, ``*``, ``+`` or ``-`` where a bound first passes
+``_MAX_POWER_BITS`` (2^23) bits reports a refusal.
 ``bn1(k)`` in a ring that keeps one of its monomials is refused at its
 position when its denominator (g-k+1)! could have more than
 ``_MAX_POWER_BITS`` bits, bounded by (g-k+1)*bitlen(g-k+1); in a ring that
@@ -58,8 +55,7 @@ from typing import NamedTuple
 from .arith import exceeds_str_digits
 from .brill_noether import _bn1
 from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
-from .cohomology import _constant_power_bits, _power_bits, _power_denom_bits, _product_bits, _product_denom_bits
-from .cohomology import _sum_denom_bits
+from .cohomology import _constant_power_bits, _power_bits, _product_bits, _sum_denom_bits
 
 __all__ = [
     "ClassExprError",
@@ -80,8 +76,8 @@ _MAX_NESTING = 100
 # ring has (D+1)(D+2)/2 monomials at degree D, so the cost grows as D^4.
 _DIAGNOSTIC_MAX_DEGREE = 48
 
-# The most bits the numerators of one power or product, or the denominator
-# of one power, product, sum or ``bn1(k)``, may have in all: 2^23.
+# The most bits one power or product, numerators and denominator together,
+# or the denominator of one sum or ``bn1(k)``, may have: 2^23.
 # (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits, in
 # (150, 150) by 9.2 million, and (x+theta+1)^800 in (400, 400) by 129
 # million; Miller's recurrence computes them in 7 ms, 10 ms and 0.12 s.
@@ -123,18 +119,12 @@ class Bn1IndexMismatch(ClassExprError):
         )
 
 
-def _check_budget(position: int, what: str, *, numerator_bits: int = 0, denominator_bits: int) -> None:
+def _check_budget(position: int, what: str, bits: int) -> None:
     """Refuse the ``what`` ("power", "product" or "sum") at ``position`` when
-    its numerators in all, or its denominator, could have more than
-    ``_MAX_POWER_BITS`` bits."""
-    if numerator_bits > _MAX_POWER_BITS:
+    its bound ``bits`` is past ``_MAX_POWER_BITS``."""
+    if bits > _MAX_POWER_BITS:
         raise ClassExprError(
-            position, f"the {what}'s numerators could have more than {_MAX_POWER_BITS} bits in all, "
-            f"the limit for one {what}"
-        )
-    if denominator_bits > _MAX_POWER_BITS:
-        raise ClassExprError(
-            position, f"the {what}'s denominator could have more than {_MAX_POWER_BITS} bits, the limit for one {what}"
+            position, f"the {what} could have more than {_MAX_POWER_BITS} bits, the limit for one {what}"
         )
 
 
@@ -238,7 +228,7 @@ class _Parser:
             sizes = _sum_denom_bits(values)
             next(sizes)  # the first term alone
             for (operator, _), bits in zip(rest, sizes):
-                _check_budget(operator.position, "sum", denominator_bits=bits)
+                _check_budget(operator.position, "sum", bits)
             return sum_classes(*values)
         return degree, evaluate
 
@@ -271,10 +261,7 @@ class _Parser:
                     continue
                 position, factor = step
                 value = factor(*ring)
-                _check_budget(
-                    position, "product",
-                    numerator_bits=_product_bits(result, value), denominator_bits=_product_denom_bits(result, value),
-                )
+                _check_budget(position, "product", _product_bits(result, value))
                 result = mul_classes(result, value)
             return result
         return degree, evaluate
@@ -303,10 +290,7 @@ class _Parser:
                     f"the power's constant term would have more than {sys.get_int_max_str_digits()} digits, "
                     "the interpreter's limit for converting integers to text",
                 )
-            _check_budget(
-                caret.position, "power",
-                numerator_bits=_power_bits(value, exponent), denominator_bits=_power_denom_bits(value, exponent),
-            )
+            _check_budget(caret.position, "power", _power_bits(value, exponent))
             return value ** exponent
         return exponent * degree, evaluate
 
@@ -399,7 +383,9 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
     The dropped monomials come from evaluating the expression again in an
     ambient (D, D), D an upper bound on its total degree, where nothing
     vanishes.  Above degree ``_DIAGNOSTIC_MAX_DEGREE`` that evaluation is
-    skipped and a single note says so.
+    skipped, and when it raises ``ClassExprError`` it is given up; either
+    way a single note says so, and the result and its errors stay those of
+    (g, d).
     """
     degree, evaluate = _parse(text, g, d)
     result = evaluate(g, d)
@@ -410,9 +396,13 @@ def parse_with_diagnostics(text: str, g: int, d: int) -> tuple[CohomClass, list[
             f"dropped-monomial listing omitted: the expression's degree can reach {_number_text(degree)}, "
             f"above the listing limit of {_DIAGNOSTIC_MAX_DEGREE}"
         ]
+    try:
+        untruncated = evaluate(degree, degree)
+    except ClassExprError as error:
+        return result, [f"dropped-monomial listing omitted: {error}"]
     kept = result.terms
     notes = []
-    for (a, b), coeff in evaluate(degree, degree).sorted_terms():
+    for (a, b), coeff in untruncated.sorted_terms():
         if (a, b) in kept:
             continue
         reason = f"theta power {b} exceeds g = {g}" if b > g else f"codimension {a + b} exceeds d = {d}"

@@ -30,10 +30,10 @@ such as 1 in x + theta + 1 or x in x + theta, follows J. C. P. Miller's
 power-series recurrence (Knuth, TAOCP vol. 2, section 4.7), one row at a
 time, computing only the surviving monomials and no intermediate product;
 a power of any other base, such as x^2 + theta, is squared repeatedly.
-The module also sizes its powers, products and sums: ``_power_bits``,
-``_power_denom_bits``, ``_product_bits``, ``_product_denom_bits`` and
-``_sum_denom_bits`` bound their results' bits without computing them, so
-that a caller can refuse one first.
+The module also sizes its powers, products and sums without computing
+them, so that a caller can refuse one first: ``_power_bits`` and
+``_product_bits`` bound a result's numerators and denominator together,
+and ``_sum_denom_bits`` a sum's denominator alone.
 """
 
 from __future__ import annotations
@@ -324,8 +324,7 @@ def _series_power(base: CohomClass, exponent: int, lowest: tuple[int, int]) -> C
     rows plus some k reach, and dropped once no later row reads them.
     base^N = m^N * u^(N-M) * s_n over v^N * t^M, a divisor of L^N and of
     v^N * L^min(N, d), over which ``_power_bits`` bounds the numerators: no
-    numerator, and so no row, passes that bound.  ``_power_denom_bits``
-    bounds v^N * t^M.
+    numerator, and so no row, passes that bound.  It bounds v^N * t^M too.
     """
     genus, sym_index = base.genus, base.sym_index
     a0, b0 = lowest
@@ -457,8 +456,9 @@ def _draws(n: int, k: int, cap: int) -> int:
 
 
 def _power_bits(base: CohomClass, n: int) -> int:
-    """An upper bound on the total bit length of the numerators of base^n;
-    for n >= 1 it bounds every power base^k with 1 <= k <= n too.
+    """An upper bound on the bits of base^n as stored: the bit lengths of its
+    numerators and of its denominator in all, a denominator of 1 counting
+    none; for n >= 1 it bounds every power base^k with 1 <= k <= n too.
 
     base^n has at most T monomials: those with a + b <= min(d, n*D) and
     b <= min(g, n*B), D and B the base's largest degree and theta power,
@@ -474,7 +474,12 @@ def _power_bits(base: CohomClass, n: int) -> int:
       K = min(n, d) of the n factors of a surviving term come from P.
 
     The first is the tighter for a dense base; the second keeps a huge n
-    cheap when the ambient truncates the power."""
+    cheap when the ambient truncates the power.
+
+    With q = 1 when the base has no constant term, and t = L/q, the
+    denominator divides q^n * t^min(n, d), as ``_series_power`` builds it:
+    without a constant term every factor has degree 1 or more, so no power
+    past n = d survives."""
     numerators = base._numerators
     if not n:
         return 1  # the unit class
@@ -488,17 +493,11 @@ def _power_bits(base: CohomClass, n: int) -> int:
     m = max(abs(constant.numerator), constant.denominator)
     k = min(n, base.sym_index) if rest else 0
     truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
-    return monomials * min(n * total.bit_length() if total > 1 else 1, truncated + (k + 1).bit_length())
-
-
-def _power_denom_bits(base: CohomClass, n: int) -> int:
-    """An upper bound on log2 of the denominator of base^k, 0 <= k <= n, in
-    lowest terms and as ``_series_power`` builds it.  With c/L the base's
-    constant term (c = 0 when it has none), t = gcd(c, L) and v = L/t, that
-    denominator divides v^k * t^min(k, d): without a constant term every
-    factor has degree 1 or more, so no power past k = d survives."""
-    t = math.gcd(base._numerators.get((0, 0), 0), base._denominator)
-    return n * _log2_bound(base._denominator // t) + min(n, base.sym_index) * _log2_bound(t)
+    q = constant.denominator
+    return (
+        monomials * min(n * total.bit_length() if total > 1 else 1, truncated + (k + 1).bit_length())
+        + n * _log2_bound(q) + min(n, base.sym_index) * _log2_bound(base._denominator // q)
+    )
 
 
 def _constant_power_bits(base: CohomClass, n: int) -> int:
@@ -514,14 +513,16 @@ def _log2_bound(value: int) -> int:
 
 
 def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
-    """An upper bound on the total bit length of the numerators of lhs * rhs.
+    """An upper bound on the bits of lhs * rhs as stored, counted as
+    ``_power_bits`` counts them.
 
     The product has at most T monomials: T_l * T_r, one for each term
     pair, and those counted as ``_power_bits`` counts them from the sums of
     the factors' largest degrees and theta powers, whichever is fewer.  Over
     the product of the factors' denominators, each numerator is a sum of at
     most min(T_l, T_r) term pairs, so it is bounded by
-    max|n_l| * max|n_r| * min(T_l, T_r)."""
+    max|n_l| * max|n_r| * min(T_l, T_r).  The denominator divides that
+    product of denominators."""
     left, right = lhs._numerators, rhs._numerators
     if not left or not right:
         return 0
@@ -531,13 +532,7 @@ def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
         max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
         + min(len(left), len(right)).bit_length()
     )
-    return monomials * bits
-
-
-def _product_denom_bits(lhs: CohomClass, rhs: CohomClass) -> int:
-    """An upper bound on log2 of the denominator of lhs * rhs, which divides
-    the product of the factors' denominators."""
-    return _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
+    return monomials * bits + _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
 
 
 def _sum_denom_bits(classes: Iterable[CohomClass]) -> Iterator[int]:

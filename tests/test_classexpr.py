@@ -29,9 +29,7 @@ from triplecover.cohomology import (
     CohomClass,
     _draws,
     _power_bits,
-    _power_denom_bits,
     _product_bits,
-    _product_denom_bits,
     _sum_denom_bits,
     evaluate_top,
     monomial,
@@ -340,21 +338,15 @@ def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
 
 
 def test_unit_sum_powers_have_one_bit_numerators():
-    # A one-term base with numerator +-1 keeps numerator +-1 in every power.
-    for text in ("x", "theta", "x/3", "-x"):
+    # A one-term base with numerator +-1 keeps numerator +-1 in every power;
+    # (x/3)^n adds its denominator 3^n, bounded by 2n bits.
+    for text, denominator_bits in (("x", 0), ("theta", 0), ("x/3", 2), ("-x", 0)):
         base = parse(text, 10**9, 10**9)
         for n in (_MAX_POWER_BITS + 1, 10**9):
-            assert _power_bits(base, n) == 1, (text, n)
+            assert _power_bits(base, n) == 1 + denominator_bits * n, (text, n)
     n = _MAX_POWER_BITS + 1
     assert parse(f"x^{n}", 0, n) == monomial(0, n, n, 0)
     assert parse(render_class(monomial(0, n, n, 0)), 0, n) == monomial(0, n, n, 0)
-
-
-@given(classes(), st.integers(min_value=0, max_value=12))
-def test_power_denominator_bits_bound_every_power(cls, n):
-    for k in range(n + 1):
-        assert (cls**k)._denominator <= 2 ** _power_denom_bits(cls, k)
-        assert _power_denom_bits(cls, k) <= _power_denom_bits(cls, n)
 
 
 def _parse_error(child_env, text: str, g: int, d: int, digit_limit: int) -> str:
@@ -368,18 +360,21 @@ def _parse_error(child_env, text: str, g: int, d: int, digit_limit: int) -> str:
 
 
 def test_powers_with_a_large_denominator_are_positioned_errors(child_env):
-    # Their numerators are +-1, within the budget, but their denominators
-    # are not: (x/1000001)^8388608 ran past 20 s, and with the digit limit
-    # off, so that no constant-term check comes first, (1/3)^1000000000
-    # would build 3^1000000000.  A truncating ambient keeps one cheap.
+    # Their numerators are +-1, but their denominators are past the budget:
+    # (x/1000001)^8388608 ran past 20 s, and with the digit limit off, so
+    # that no constant-term check comes first, (1/3)^1000000000 would build
+    # 3^1000000000.  (x/3)^4194304 is past it with its one numerator bit.
     for text, g, d, position in (
         ("(x/1000001)^8388608", 0, 8388608, 12), ("(1/3)^1000000000", 4, 3, 6), ("(x/3)^8388608", 0, 8388608, 6),
+        ("(x/3)^4194304", 0, 10**9, 6),
     ):
         assert _parse_error(child_env, text, g, d, 0) == (
             f"triplecover.classexpr.ClassExprError: at position {position}: "
-            f"the power's denominator could have more than {_MAX_POWER_BITS} bits, the limit for one power"
+            f"the power could have more than {_MAX_POWER_BITS} bits, the limit for one power"
         )
-    assert _power_denom_bits(parse("x/2+1", 5, 5), 10**12) == 5 * 2
+    # A truncating ambient keeps one cheap: six monomials of at most
+    # 5*bitlen(2*10^12) + bitlen(6) bits each, over a divisor of 2^5.
+    assert _power_bits(parse("x/2+1", 5, 5), 10**12) == 6 * (5 * 41 + 3) + 5 * 2
     assert parse("(x/3)^1000000000", 4, 3) == zero_class(4, 3)
 
 
@@ -391,8 +386,8 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
     # the first power.
     for text, limit, message in (
         ("*".join(["(1/3)^4194304"] * 4), 4300, "at position 6: the power's constant term would have more than"),
-        ("*".join(["(1/3)^3000000"] * 4), 0, "at position 14: the product's denominator could have more than"),
-        ("(1/3)^3000000+(1/5)^2000000", 0, "at position 14: the sum's denominator could have more than"),
+        ("*".join(["(1/3)^3000000"] * 4), 0, "at position 14: the product could have more than"),
+        ("(1/3)^3000000+(1/5)^2000000", 0, "at position 14: the sum could have more than"),
     ):
         assert message in _parse_error(child_env, text, 4, 3, limit), (text, limit)
     # A canonical rendering sums 861 terms whose denominators divide 30^40:
@@ -400,13 +395,14 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
     cls = parse("(x/2+theta/3+1/5)^40", 40, 40)
     assert parse(render_class(cls), 40, 40) == cls
     # The bounds are checked at the operator where they first pass the
-    # budget; a sum counts each distinct denominator once.
-    monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", 11)
+    # budget: a product counts its numerator bits, 3 here, and both
+    # denominators; a sum counts each distinct denominator once.
+    monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", 14)
     assert parse("(x/64)*(x/8)", 9, 9) == monomial(9, 9, 2, 0, Fraction(1, 512))
     assert parse("1/64 + x/64 + theta/64 + x/8", 9, 9) == parse("(1 + 9*x + theta)/64", 9, 9)
     for text, position, what in (
-        ("x/8 * (x/64) * (x/64)", 14, "product's denominator could have more than 11 bits, the limit for one product"),
-        ("1/64 + x/64 + theta/27", 13, "sum's denominator could have more than 11 bits, the limit for one sum"),
+        ("x/8 * (x/64) * (x/64)", 14, "product could have more than 14 bits, the limit for one product"),
+        ("1/64 + x/64 + theta/729", 13, "sum could have more than 14 bits, the limit for one sum"),
     ):
         with pytest.raises(ClassExprError) as info:
             parse(text, 9, 9)
@@ -422,13 +418,19 @@ def test_sum_denominator_bits_bound_every_sum(data):
         assert sum_classes(*terms[:k])._denominator <= 2**bits
 
 
+def _stored_bits(cls: CohomClass) -> int:
+    """The bits of a class as stored: its numerators' bit lengths in all,
+    plus its denominator's, a denominator of 1 counting none."""
+    numerator_bits = sum(abs(v).bit_length() for v in cls._numerators.values())
+    return numerator_bits + (cls._denominator.bit_length() if cls._denominator > 1 else 0)
+
+
 @given(classes(), st.integers(min_value=0, max_value=12))
 def test_power_bits_bound_every_power(cls, n):
     # Every power cls^k with k <= n, such as those that repeated squaring
     # builds on the way to cls^n, is within the bound for cls^n.
     for k in range(n + 1):
-        bits = sum(abs(v).bit_length() for v in (cls**k)._numerators.values())
-        assert bits <= _power_bits(cls, k)
+        assert _stored_bits(cls**k) <= _power_bits(cls, k)
         assert k == 0 or _power_bits(cls, k) <= _power_bits(cls, n)
 
 
@@ -455,7 +457,7 @@ def test_powers_past_the_bit_budget_are_positioned_errors():
         with pytest.raises(ClassExprError) as info:
             parse(text, g, d)
         assert info.value.position == position
-        assert str(info.value).endswith(f"more than {_MAX_POWER_BITS} bits in all, the limit for one power")
+        assert str(info.value).endswith(f"power could have more than {_MAX_POWER_BITS} bits, the limit for one power")
     assert time.perf_counter() - start < 1
     # The monomial count is a closed form: a huge ambient and exponent cost nothing.
     huge = 10**30
@@ -469,9 +471,7 @@ def test_powers_past_the_bit_budget_are_positioned_errors():
 def test_product_bits_bound_every_product(data):
     lhs = data.draw(classes())
     rhs = data.draw(classes(lhs.genus, lhs.sym_index))
-    product = mul_classes(lhs, rhs)
-    assert sum(abs(v).bit_length() for v in product._numerators.values()) <= _product_bits(lhs, rhs)
-    assert product._denominator <= 2 ** _product_denom_bits(lhs, rhs)
+    assert _stored_bits(mul_classes(lhs, rhs)) <= _product_bits(lhs, rhs)
 
 
 def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
@@ -486,7 +486,7 @@ def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
         with pytest.raises(ClassExprError) as info:
             parse(text, 9, 9)
         assert info.value.position == position, text
-        assert str(info.value).endswith(f"more than {square} bits in all, the limit for one product")
+        assert str(info.value).endswith(f"the product could have more than {square} bits, the limit for one product")
     # A product with a zero factor has no numerators at all.
     assert _product_bits(zero_class(9, 9), base) == 0
 

@@ -117,6 +117,20 @@ def test_eval_counts_trigonal_pencils(capsys):
     assert row[-1] == "2"
 
 
+def test_eval_negative_canonical_cell_round_trips_through_expr_equals(capsys):
+    # argparse reads "-x*theta" after a space as a flag, so an expression
+    # that starts with '-', such as a one-term negative class's canonical
+    # cell, is passed as --expr=...
+    code, _, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "-x*theta")
+    assert code == 2
+    assert "argument --expr: expected one argument" in err
+    code, out, _ = run(capsys, "eval", "--g", "4", "--d", "3", "--expr=-x*theta", "--format", "csv")
+    assert code == 0
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    assert row["canonical"] == "-x*theta"
+    assert run(capsys, "eval", "--g", "4", "--d", "3", f"--expr={row['canonical']}", "--format", "csv") == (0, out, "")
+
+
 def test_eval_verbose_notes_on_stderr(capsys):
     code, out, err = run(
         capsys, "eval", "--g", "4", "--d", "3", "--expr", "x^4 + x", "--verbose",
@@ -663,7 +677,7 @@ def test_a_power_past_the_bit_budget_exits_two_at_once(child_env):
         timeout=5,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: at position 12: the power's numerators could have more than")
+    assert proc.stderr.startswith("error: at position 12: the power could have more than")
 
 
 def test_a_product_past_the_bit_budget_exits_two_at_once(child_env):
@@ -678,7 +692,7 @@ def test_a_product_past_the_bit_budget_exits_two_at_once(child_env):
         timeout=5,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: at position 16: the product's numerators could have more than")
+    assert proc.stderr.startswith("error: at position 16: the product could have more than")
 
 
 def test_oversized_class_coefficient_names_the_canonical_column(capsys):
@@ -870,6 +884,20 @@ def test_verbose_coefficient_note_past_the_digit_limit(capsys, digit_limit):
         f"note: dropped x^48 (coefficient a number with more than {digit_limit} digits): "
         "codimension 48 exceeds d = 3\n"
     )
+
+def test_verbose_note_when_the_untruncated_listing_passes_the_bit_budget(capsys):
+    # In (4, 3) the power keeps four monomials; the untruncated listing
+    # evaluates it again in (48, 48), where it passes the bit budget.
+    # --verbose used to turn the plain call's exit 0 into exit 2 there.
+    argv = ["eval", "--g", "4", "--d", "3", "--expr", "(2^4000*x+2^4000*theta+1)^48", "--format", "csv"]
+    code, out, err = run(capsys, *argv, "--verbose")
+    assert (code, out) == run(capsys, *argv)[:2]
+    assert code == 0
+    assert err == (
+        "note: dropped-monomial listing omitted: at position 26: the power could have more than 8388608 bits, "
+        "the limit for one power\n"
+    )
+
 
 # Flags per subcommand for the fuzz test.
 _FUZZ_FLAGS = {
