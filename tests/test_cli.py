@@ -885,8 +885,9 @@ def test_verbose_coefficient_note_past_the_digit_limit(capsys, digit_limit):
         "codimension 48 exceeds d = 3\n"
     )
 
+
 def test_verbose_note_when_the_untruncated_listing_passes_the_bit_budget(capsys):
-    # In (4, 3) the power keeps four monomials; the untruncated listing
+    # In (4, 3) the power keeps ten monomials; the untruncated listing
     # evaluates it again in (48, 48), where it passes the bit budget.
     # --verbose used to turn the plain call's exit 0 into exit 2 there.
     argv = ["eval", "--g", "4", "--d", "3", "--expr", "(2^4000*x+2^4000*theta+1)^48", "--format", "csv"]
