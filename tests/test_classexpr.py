@@ -434,6 +434,19 @@ def test_power_bits_bound_every_power(cls, n):
         assert k == 0 or _power_bits(cls, k) <= _power_bits(cls, n)
 
 
+@given(classes(), st.integers(min_value=0, max_value=12))
+def test_power_denominator_bits_bound_every_power(cls, n):
+    # The denominator share of _power_bits rests on cls^k's denominator
+    # dividing q^k * t^min(k, d), q the constant term's denominator and
+    # t = L/q, L the base's denominator.
+    q = cls.coefficient(0, 0).denominator
+    t = cls._denominator // q
+    for k in range(n + 1):
+        denominator = (cls**k)._denominator
+        assert (q**k * t ** min(k, cls.sym_index)) % denominator == 0
+        assert denominator <= 2 ** _power_bits(cls, k)
+
+
 def test_power_bits_count_the_surviving_monomials():
     # (x+theta+1)^n and (x+1)^n have every monomial the count T allows,
     # nothing cancels, and for 1 <= n <= d each numerator is bounded by
