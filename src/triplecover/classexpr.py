@@ -31,15 +31,12 @@ that it returns a single note saying the listing was omitted and naming the
 degree bound.  Under the interpreter's int-to-str digit limit L
 (``sys.get_int_max_str_digits()``, 0 meaning none), a number literal longer
 than L digits is rejected, and a note writes a longer number as "a number
-with more than L digits".  A power ``base^N`` whose base has a constant
-term p/q with max(|p|, q)^N certainly above L digits is rejected at its
-caret: that term of the result could not be printed, and reducing it
-could take tens of seconds.  Every other power, and every product of two
-classes, is sized before it is computed by one ``cohomology`` bound on its
-numerators and denominator together (``_power_bits``, ``_product_bits``);
-a sum is sized by its denominator alone (``_sum_denom_bits``).  An error
-at the ``^``, ``*``, ``+`` or ``-`` where a bound first passes
-``_MAX_POWER_BITS`` (2^23) bits reports a refusal.
+with more than L digits".  Each power, product of two classes and sum is
+sized before it is computed by ``cohomology`` bounds N and D on its
+numerator and denominator bits (``_power_bits``, ``_product_bits``,
+``_sum_bits``): an error at the ``^``, ``*``, ``+`` or ``-`` where N + D
+first passes ``_MAX_POWER_BITS`` (2^23), or N * D, the work of reducing
+it, ``_MAX_REDUCTION_WORK`` (2^38), reports a refusal.
 ``bn1(k)`` in a ring that keeps one of its monomials is refused at its
 position when its denominator (g-k+1)! could have more than
 ``_MAX_POWER_BITS`` bits, bounded by (g-k+1)*bitlen(g-k+1); in a ring that
@@ -52,10 +49,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import exceeds_str_digits
 from .brill_noether import _bn1
 from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
-from .cohomology import _constant_power_bits, _power_bits, _product_bits, _sum_denom_bits
+from .cohomology import _power_bits, _product_bits, _sum_bits
 
 __all__ = [
     "ClassExprError",
@@ -76,8 +72,8 @@ _MAX_NESTING = 100
 # ring has (D+1)(D+2)/2 monomials at degree D, so the cost grows as D^4.
 _DIAGNOSTIC_MAX_DEGREE = 48
 
-# The most bits one power or product, numerators and denominator together,
-# or the denominator of one sum or ``bn1(k)``, may have: 2^23.
+# The most bits one power, product or sum, numerators and denominator
+# together, or the denominator of one ``bn1(k)``, may have: 2^23.
 # (x+theta+1)^400 in (120, 120) is bounded by 5.9 million bits, in
 # (150, 150) by 9.2 million, and (x+theta+1)^800 in (400, 400) by 129
 # million; Miller's recurrence computes them in 7 ms, 10 ms and 0.12 s.
@@ -86,6 +82,13 @@ _DIAGNOSTIC_MAX_DEGREE = 48
 # of (x+theta+1)^200 in (400, 400), bounded by 51 million bits, takes more
 # than 20 s (2-CPU VM, CPython 3.11).
 _MAX_POWER_BITS = 1 << 23
+
+# The most work, numerator bits times denominator bits, that reducing one
+# power, product or sum may take: 2^38 > 2^23 * 14,284, which spares any
+# such result in the bit budget whose denominator fits 4,300 digits.  The
+# gcd is quadratic: gcd(2^N, 3^N) takes 2.1 ps per product of bit lengths,
+# 0.9 s at N = 2^19, and 2^38 of them 0.6 s (2-CPU VM, CPython 3.11.7).
+_MAX_REDUCTION_WORK = 1 << 38
 
 
 class ClassExprError(ValueError):
@@ -119,12 +122,18 @@ class Bn1IndexMismatch(ClassExprError):
         )
 
 
-def _check_budget(position: int, what: str, bits: int) -> None:
+def _check_budget(position: int, what: str, numerator_bits: int, denominator_bits: int) -> None:
     """Refuse the ``what`` ("power", "product" or "sum") at ``position`` when
-    its bound ``bits`` is past ``_MAX_POWER_BITS``."""
-    if bits > _MAX_POWER_BITS:
+    the bounds N and D on its numerator and denominator bits have N + D
+    past ``_MAX_POWER_BITS`` or N * D past ``_MAX_REDUCTION_WORK``."""
+    if numerator_bits + denominator_bits > _MAX_POWER_BITS:
         raise ClassExprError(
             position, f"the {what} could have more than {_MAX_POWER_BITS} bits, the limit for one {what}"
+        )
+    if numerator_bits * denominator_bits > _MAX_REDUCTION_WORK:
+        raise ClassExprError(
+            position, f"reducing the {what} to lowest terms could take more than {_MAX_REDUCTION_WORK} "
+            f"bit operations, the limit for one {what}"
         )
 
 
@@ -225,10 +234,8 @@ class _Parser:
         def evaluate(*ring):
             values = [first(*ring)]
             values += [term(*ring) if operator.kind == "+" else -term(*ring) for operator, term in rest]
-            sizes = _sum_denom_bits(values)
-            next(sizes)  # the first term alone
-            for (operator, _), bits in zip(rest, sizes):
-                _check_budget(operator.position, "sum", bits)
+            for k, bits in _sum_bits(values):
+                _check_budget(rest[k - 1][0].position, "sum", *bits)
             return sum_classes(*values)
         return degree, evaluate
 
@@ -261,7 +268,7 @@ class _Parser:
                     continue
                 position, factor = step
                 value = factor(*ring)
-                _check_budget(position, "product", _product_bits(result, value))
+                _check_budget(position, "product", *_product_bits(result, value))
                 result = mul_classes(result, value)
             return result
         return degree, evaluate
@@ -284,13 +291,7 @@ class _Parser:
 
         def evaluate(*ring):
             value = base(*ring)
-            if exceeds_str_digits(_constant_power_bits(value, exponent)):
-                raise ClassExprError(
-                    caret.position,
-                    f"the power's constant term would have more than {sys.get_int_max_str_digits()} digits, "
-                    "the interpreter's limit for converting integers to text",
-                )
-            _check_budget(caret.position, "power", _power_bits(value, exponent))
+            _check_budget(caret.position, "power", *_power_bits(value, exponent))
             return value ** exponent
         return exponent * degree, evaluate
 

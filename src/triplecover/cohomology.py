@@ -31,9 +31,10 @@ power-series recurrence (Knuth, TAOCP vol. 2, section 4.7), one row at a
 time, computing only the surviving monomials and no intermediate product;
 a power of any other base, such as x^2 + theta, is squared repeatedly.
 The module also sizes its powers, products and sums without computing
-them, so that a caller can refuse one first: ``_power_bits`` and
-``_product_bits`` bound a result's numerators and denominator together,
-and ``_sum_denom_bits`` a sum's denominator alone.
+them, so that a caller can refuse one first: ``_power_bits``,
+``_product_bits`` and ``_sum_bits`` bound a result's numerator bits N
+and denominator bits D apart; N + D bounds its size, and N * D the work
+of the quadratic gcd that puts it in lowest terms.
 """
 
 from __future__ import annotations
@@ -191,15 +192,8 @@ class CohomClass:
         return result
 
     def scale(self, scalar: Fraction | int) -> "CohomClass":
-        if not isinstance(scalar, (int, Fraction)):
-            raise TypeError(f"coefficients must be int or Fraction, got {type(scalar).__name__}")
-        if not scalar:
-            return _class(self.genus, self.sym_index, {}, 1)
-        factor = scalar.numerator
-        return _class(
-            self.genus, self.sym_index,
-            {key: n * factor for key, n in self._numerators.items()}, self._denominator * scalar.denominator,
-        )
+        """The class times a rational: its product with that constant class."""
+        return mul_classes(monomial(self.genus, self.sym_index, 0, 0, scalar), self)
 
     def __repr__(self) -> str:
         return f"CohomClass(g={self.genus}, d={self.sym_index}, {render_class(self)!r})"
@@ -218,10 +212,12 @@ _set_denominator = CohomClass._denominator.__set__
 
 
 def _store(cls: CohomClass, genus: int, sym_index: int, numerators: dict[tuple[int, int], int],
-           denominator: int) -> CohomClass:
-    """Set ``cls`` to sum(n * x^a * theta^b) / denominator in lowest terms;
-    the numerators are nonzero and their monomials survive."""
-    common = 1 if denominator == 1 else math.gcd(denominator, *numerators.values())
+           denominator: int, common: int | None = None) -> CohomClass:
+    """Set ``cls`` to sum(n * x^a * theta^b) / denominator in lowest terms,
+    ``common`` = gcd(denominator, *numerators) if known; the numerators are
+    nonzero and their monomials survive."""
+    if common is None:
+        common = 1 if denominator == 1 else math.gcd(denominator, *numerators.values())
     if common != 1:
         numerators = {key: n // common for key, n in numerators.items()}
         denominator //= common
@@ -232,9 +228,10 @@ def _store(cls: CohomClass, genus: int, sym_index: int, numerators: dict[tuple[i
     return cls
 
 
-def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], denominator: int) -> CohomClass:
+def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], denominator: int,
+           common: int | None = None) -> CohomClass:
     """A new class, from arguments as ``_store`` takes them."""
-    return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator)
+    return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator, common)
 
 
 def _surviving(genus: int, sym_index: int, numerators: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -390,7 +387,8 @@ def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
 
     A product with a one-term factor n0 * x^a0 * theta^b0 shifts the other
     factor's monomials by (a0, b0) and scales its numerators by n0: distinct
-    monomials stay distinct, so nothing cancels and no term pair is summed.
+    monomials stay distinct, so nothing cancels and no term pair is summed;
+    when none vanishes, Henrici's rule reduces it, as ``Fraction`` does.
     Other products within the bounds above are packed (``_dense_product``);
     the rest, such as bn1 times x + theta in a class expression, multiply
     term pairs.
@@ -404,10 +402,15 @@ def mul_classes(lhs: CohomClass, rhs: CohomClass) -> CohomClass:
         # x^(a + a0) * theta^(b + b0) survives in (g, d) exactly when
         # x^a * theta^b survives in (g - b0, d - a0 - b0).
         genus_left, degree_left = genus - b0, sym_index - a0 - b0
-        return _class(genus, sym_index, {
+        shifted = {
             (a + a0, b + b0): n * n0
             for (a, b), n in other._numerators.items() if a + b <= degree_left and b <= genus_left
-        }, denominator)
+        }
+        # Henrici's rule: gcd(n0, L) * gcd(L0, *n) for n/L and n0/L0 in lowest
+        # terms, unless some n vanished and the rest share a factor with L.
+        common = (math.gcd(n0, other._denominator) * math.gcd(single._denominator, *other._numerators.values())
+                  if len(shifted) == len(other._numerators) else None)
+        return _class(genus, sym_index, shifted, denominator, common)
     pairs = len(lhs._numerators) * len(rhs._numerators)
     if pairs >= _DENSE_TERMS**2:
         left, right = _extent(lhs), _extent(rhs)
@@ -455,10 +458,10 @@ def _draws(n: int, k: int, cap: int) -> int:
     return min(count, cap)
 
 
-def _power_bits(base: CohomClass, n: int) -> int:
-    """An upper bound on the bits of base^n as stored: the bit lengths of its
-    numerators and of its denominator in all, a denominator of 1 counting
-    none; for n >= 1 it bounds every power base^k with 1 <= k <= n too.
+def _power_bits(base: CohomClass, n: int) -> tuple[int, int]:
+    """Upper bounds on the bits of base^n as stored, a pair: on its
+    numerators' bit lengths in all, and on its denominator's, 1 counting
+    none; for n >= 1 they bound every base^k, 1 <= k <= n, too.
 
     base^n has at most T monomials: those with a + b <= min(d, n*D) and
     b <= min(g, n*B), D and B the base's largest degree and theta power,
@@ -482,9 +485,9 @@ def _power_bits(base: CohomClass, n: int) -> int:
     past n = d survives."""
     numerators = base._numerators
     if not n:
-        return 1  # the unit class
+        return 1, 0  # the unit class
     if not numerators:
-        return 0
+        return 0, 0
     _, degree, _, theta = _extent(base)
     monomials = _draws(n, len(numerators), _monomials(base, n * degree, n * theta))
     total = sum(map(abs, numerators.values()))
@@ -495,16 +498,9 @@ def _power_bits(base: CohomClass, n: int) -> int:
     truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
     q = constant.denominator
     return (
-        monomials * min(n * total.bit_length() if total > 1 else 1, truncated + (k + 1).bit_length())
-        + n * _log2_bound(q) + min(n, base.sym_index) * _log2_bound(base._denominator // q)
+        monomials * min(n * total.bit_length() if total > 1 else 1, truncated + (k + 1).bit_length()),
+        n * _log2_bound(q) + min(n, base.sym_index) * _log2_bound(base._denominator // q),
     )
-
-
-def _constant_power_bits(base: CohomClass, n: int) -> int:
-    """A lower bound on the bit length of the constant term c^n of base^n: with
-    c = p/q and m = max(|p|, q), m^n >= 2^(k*n) for k = bitlen(m) - 1."""
-    constant = base.coefficient(0, 0)
-    return (max(abs(constant.numerator), constant.denominator).bit_length() - 1) * n
 
 
 def _log2_bound(value: int) -> int:
@@ -512,8 +508,8 @@ def _log2_bound(value: int) -> int:
     return value.bit_length() if value > 1 else 0
 
 
-def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
-    """An upper bound on the bits of lhs * rhs as stored, counted as
+def _product_bits(lhs: CohomClass, rhs: CohomClass) -> tuple[int, int]:
+    """Upper bounds on the bits of lhs * rhs as stored, a pair counted as
     ``_power_bits`` counts them.
 
     The product has at most T monomials: T_l * T_r, one for each term
@@ -525,27 +521,40 @@ def _product_bits(lhs: CohomClass, rhs: CohomClass) -> int:
     product of denominators."""
     left, right = lhs._numerators, rhs._numerators
     if not left or not right:
-        return 0
+        return 0, 0
     (_, left_degree, _, left_theta), (_, right_degree, _, right_theta) = _extent(lhs), _extent(rhs)
     monomials = min(len(left) * len(right), _monomials(lhs, left_degree + right_degree, left_theta + right_theta))
     bits = (
         max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
         + min(len(left), len(right)).bit_length()
     )
-    return monomials * bits + _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
+    return monomials * bits, _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
 
 
-def _sum_denom_bits(classes: Iterable[CohomClass]) -> Iterator[int]:
-    """For k = 1, 2, ... in turn, an upper bound on log2 of the denominator
-    of the sum of the first k classes: that denominator, their least common
-    multiple, divides the product of their distinct denominators."""
-    bits = 0
-    seen = set()
-    for cls in classes:
-        if cls._denominator not in seen:
-            seen.add(cls._denominator)
-            bits += _log2_bound(cls._denominator)
-        yield bits
+def _sum_bits(classes: list[CohomClass]) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Pairs (k, (N, D)) that bound the sum of the first k + 1 classes, for
+    k = 1, 2, ..., each yielded before the work it bounds is done.
+
+    A class whose denominator L_k is new first yields the bits of L, the
+    lcm so far, and of L_k: lcm(L, L_k) is L_k times the numerator of L/L_k
+    in lowest terms.  Then each class yields D, the new lcm's bits, and N,
+    the sum of bitlen(n) + bitlen(lcm/L_i) over the terms n/L_i so far."""
+    # counts: the numerators over each distinct denominator L so far, and
+    # scale_bits: the sum over them of count * bitlen(lcm/L).
+    lcm, counts, numerator_bits, scale_bits = 1, {}, 0, 0
+    for k, cls in enumerate(classes):
+        denominator, count = cls._denominator, len(cls._numerators)
+        if denominator not in counts:
+            if k:
+                yield k, (_log2_bound(lcm), _log2_bound(denominator))
+            previous, lcm = lcm, math.lcm(lcm, denominator)
+            if lcm != previous:
+                scale_bits = sum(c * _log2_bound(lcm // L) for L, c in counts.items())
+        counts[denominator] = counts.get(denominator, 0) + count
+        scale_bits += count * _log2_bound(lcm // denominator)
+        numerator_bits += sum(n.bit_length() for n in cls._numerators.values())
+        if k:
+            yield k, (numerator_bits + scale_bits, _log2_bound(lcm))
 
 
 def _pack(numerators: dict[tuple[int, int], int], low: tuple[int, int], cap: int, stride: int, kb: int) -> int:

@@ -18,6 +18,7 @@ from triplecover.classexpr import (
     _DIAGNOSTIC_MAX_DEGREE,
     _MAX_NESTING,
     _MAX_POWER_BITS,
+    _MAX_REDUCTION_WORK,
     Bn1IndexMismatch,
     ClassExprError,
     DivisionByZeroLiteral,
@@ -28,9 +29,10 @@ from triplecover.classexpr import (
 from triplecover.cohomology import (
     CohomClass,
     _draws,
+    _log2_bound,
     _power_bits,
     _product_bits,
-    _sum_denom_bits,
+    _sum_bits,
     evaluate_top,
     monomial,
     mul_classes,
@@ -316,14 +318,15 @@ def test_oversized_number_literals_are_positioned_errors(digit_limit):
 
 
 def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
-    # 2^n has more than 4300 digits for certain once 3n >= 43000.
+    # 2^n has more than 4300 digits for certain once 3n >= 43000; it is
+    # small for the bit budget, so it parses, and only printing it fails.
     first = -(-10 * digit_limit // 3)
-    assert parse(f"2^{first - 1}", 4, 3) == unit_class(4, 3).scale(2 ** (first - 1))
-    for text, position in ((f"2^{first}", 2), ("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
+    assert parse(f"2^{first}", 4, 3) == unit_class(4, 3).scale(2**first)
+    for text, position in (("(2*x+2)^100000000", 8), ("x + (1/3*theta+1/2)^1000000000", 20)):
         with pytest.raises(ClassExprError) as info:
             parse(text, 4, 3)
         assert info.value.position == position
-        assert "constant term" in str(info.value)
+        assert str(info.value).endswith(f"the power could have more than {_MAX_POWER_BITS} bits, the limit for one power")
     with pytest.raises(ClassExprError):
         parse_with_diagnostics("(2*x+2)^100000000", 4, 3)
     # Constant term 0 or +-1: coefficients grow polynomially, no bound.
@@ -332,9 +335,6 @@ def test_constant_powers_are_bounded_before_they_are_computed(digit_limit):
     assert parse("(x-1)^1000000000", 4, 3) == CohomClass(
         4, 3, {(k, 0): (-1) ** k * binomial(10**9, k) for k in range(4)}
     )
-    # A limit of 0 disables the bound.
-    sys.set_int_max_str_digits(0)
-    assert parse(f"(2*x+2)^{first}", 4, 3).terms[(0, 0)] == 2**first
 
 
 def test_unit_sum_powers_have_one_bit_numerators():
@@ -343,7 +343,7 @@ def test_unit_sum_powers_have_one_bit_numerators():
     for text, denominator_bits in (("x", 0), ("theta", 0), ("x/3", 2), ("-x", 0)):
         base = parse(text, 10**9, 10**9)
         for n in (_MAX_POWER_BITS + 1, 10**9):
-            assert _power_bits(base, n) == 1 + denominator_bits * n, (text, n)
+            assert _power_bits(base, n) == (1, denominator_bits * n), (text, n)
     n = _MAX_POWER_BITS + 1
     assert parse(f"x^{n}", 0, n) == monomial(0, n, n, 0)
     assert parse(render_class(monomial(0, n, n, 0)), 0, n) == monomial(0, n, n, 0)
@@ -361,8 +361,7 @@ def _parse_error(child_env, text: str, g: int, d: int, digit_limit: int) -> str:
 
 def test_powers_with_a_large_denominator_are_positioned_errors(child_env):
     # Their numerators are +-1, but their denominators are past the budget:
-    # (x/1000001)^8388608 ran past 20 s, and with the digit limit off, so
-    # that no constant-term check comes first, (1/3)^1000000000 would build
+    # (x/1000001)^8388608 ran past 20 s, and (1/3)^1000000000 would build
     # 3^1000000000.  (x/3)^4194304 is past it with its one numerator bit.
     for text, g, d, position in (
         ("(x/1000001)^8388608", 0, 8388608, 12), ("(1/3)^1000000000", 4, 3, 6), ("(x/3)^8388608", 0, 8388608, 6),
@@ -372,9 +371,17 @@ def test_powers_with_a_large_denominator_are_positioned_errors(child_env):
             f"triplecover.classexpr.ClassExprError: at position {position}: "
             f"the power could have more than {_MAX_POWER_BITS} bits, the limit for one power"
         )
+    # These fit the budget, 2^22 numerator bits over 2^22 denominator bits,
+    # but the gcd of 2^2097152 with 3^2097152 took 10-15 s.
+    for text, g, d, position in (("(2*x/3)^2097152", 0, 2097152, 8), ("(2/3)^2097152", 4, 3, 6)):
+        assert _parse_error(child_env, text, g, d, 0) == (
+            f"triplecover.classexpr.ClassExprError: at position {position}: "
+            f"reducing the power to lowest terms could take more than {_MAX_REDUCTION_WORK} bit operations, "
+            "the limit for one power"
+        )
     # A truncating ambient keeps one cheap: six monomials of at most
     # 5*bitlen(2*10^12) + bitlen(6) bits each, over a divisor of 2^5.
-    assert _power_bits(parse("x/2+1", 5, 5), 10**12) == 6 * (5 * 41 + 3) + 5 * 2
+    assert _power_bits(parse("x/2+1", 5, 5), 10**12) == (6 * (5 * 41 + 3), 5 * 2)
     assert parse("(x/3)^1000000000", 4, 3) == zero_class(4, 3)
 
 
@@ -382,27 +389,33 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
     # Each power's denominator is within the budget, 3^3000000 having 4.8
     # million bits, but two of them are not: unchecked, four factors of
     # (1/3)^4194304 ran for 20 s, and a sum reaches math.lcm of two such
-    # numbers.  With the digit limit on, the constant-term check refuses
-    # the first power.
-    for text, limit, message in (
-        ("*".join(["(1/3)^4194304"] * 4), 4300, "at position 6: the power's constant term would have more than"),
-        ("*".join(["(1/3)^3000000"] * 4), 0, "at position 14: the product could have more than"),
-        ("(1/3)^3000000+(1/5)^2000000", 0, "at position 14: the sum could have more than"),
+    # numbers.  (1/3)^4194304 itself, with its 1-bit numerator over a
+    # bound of 2 bits per factor, is past the budget.  The lcm of 3^2000000
+    # and 5^1300000 fits the budget but took 84 s to take, and the 201
+    # numerators of (1+x)^200 scaled by 3^4000000 peaked at 180 MB.
+    for text, g, d, limit, message in (
+        ("*".join(["(1/3)^4194304"] * 4), 4, 3, 4300, "at position 6: the power could have more than"),
+        ("*".join(["(1/3)^3000000"] * 4), 4, 3, 0, "at position 14: the product could have more than"),
+        ("(1/3)^3000000+(1/5)^2000000", 4, 3, 0, "at position 14: the sum could have more than"),
+        ("(x/3)^2000000+(x/5)^1300000", 0, 2000000, 0, "at position 14: reducing the sum to lowest terms"),
+        ("(x/3)^4000000+(1+x)^200", 0, 4000000, 0, "at position 14: the sum could have more than"),
     ):
-        assert message in _parse_error(child_env, text, 4, 3, limit), (text, limit)
+        assert message in _parse_error(child_env, text, g, d, limit), (text, limit)
     # A canonical rendering sums 861 terms whose denominators divide 30^40:
-    # counted once each, its distinct denominators stay far inside the budget.
+    # scaled to their lcm, its numerators stay far inside the budget.
     cls = parse("(x/2+theta/3+1/5)^40", 40, 40)
     assert parse(render_class(cls), 40, 40) == cls
     # The bounds are checked at the operator where they first pass the
     # budget: a product counts its numerator bits, 3 here, and both
-    # denominators; a sum counts each distinct denominator once.
+    # denominators; a sum counts its numerators scaled to the lcm of its
+    # denominators, 7 bits here, and the lcm's 7 bits.
     monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", 14)
     assert parse("(x/64)*(x/8)", 9, 9) == monomial(9, 9, 2, 0, Fraction(1, 512))
-    assert parse("1/64 + x/64 + theta/64 + x/8", 9, 9) == parse("(1 + 9*x + theta)/64", 9, 9)
+    assert parse("1/64 + x/64 + x/8", 9, 9) == parse("(1 + 9*x)/64", 9, 9)
     for text, position, what in (
         ("x/8 * (x/64) * (x/64)", 14, "product could have more than 14 bits, the limit for one product"),
         ("1/64 + x/64 + theta/729", 13, "sum could have more than 14 bits, the limit for one sum"),
+        ("1/64 + x/64 + theta/64 + x/8", 24, "sum could have more than 14 bits, the limit for one sum"),
     ):
         with pytest.raises(ClassExprError) as info:
             parse(text, 9, 9)
@@ -410,19 +423,61 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
         assert str(info.value).endswith(what)
 
 
+def test_reductions_past_the_work_limit_are_positioned_errors(monkeypatch):
+    # The work limit is checked at the operator where N * D first passes
+    # it: (x/64)*(x/8) bounds 3 numerator bits over 11 denominator bits.
+    monkeypatch.setattr(classexpr, "_MAX_REDUCTION_WORK", 3 * 11)
+    assert parse("(x/64)*(x/8)", 9, 9) == monomial(9, 9, 2, 0, Fraction(1, 512))
+    assert parse("1/64 + x/64", 9, 9) == parse("(1 + x)/64", 9, 9)
+    for text, position, what in (
+        ("(2*x/3)^3", 8, "power"),  # 6 * 6
+        ("x/8 * (x/64) * (x/8)", 14, "product"),  # 3 * 14
+        ("1/64 + x/64 + x/8", 13, "sum"),  # 7 * 7
+    ):
+        with pytest.raises(ClassExprError) as info:
+            parse(text, 9, 9)
+        assert info.value.position == position, text
+        assert str(info.value).endswith(
+            f"reducing the {what} to lowest terms could take more than 33 bit operations, the limit for one {what}"
+        )
+
+
 @given(st.data())
-def test_sum_denominator_bits_bound_every_sum(data):
+def test_sum_bits_bound_every_sum(data):
+    # The last bound yielded for a prefix of a sum is D, the bits of the
+    # prefix's lcm, and N, the sum of bitlen(n) + bitlen(lcm/L) over its
+    # terms n/L.  So it bounds the bits of the sum before and after
+    # reduction, and the work N * D of the gcd that reduces it.  A new
+    # denominator first yields the bits of the lcm so far and its own.
     first = data.draw(classes())
     terms = [first] + data.draw(st.lists(classes(first.genus, first.sym_index), max_size=4))
-    for k, bits in enumerate(_sum_denom_bits(terms), 1):
-        assert sum_classes(*terms[:k])._denominator <= 2**bits
+    bounds = {}
+    for k, bits in _sum_bits(terms):
+        denominators = [t._denominator for t in terms[:k]]
+        if k not in bounds and terms[k]._denominator not in denominators:
+            assert bits == (_log2_bound(math.lcm(*denominators)), _log2_bound(terms[k]._denominator))
+        bounds[k] = bits
+    assert sorted(bounds) == list(range(1, len(terms)))
+    for k, (numerator_bits, denominator_bits) in bounds.items():
+        lcm = math.lcm(*(t._denominator for t in terms[: k + 1]))
+        prefix = [(key, n, lcm // t._denominator) for t in terms[: k + 1] for key, n in t._numerators.items()]
+        assert (sum(n.bit_length() + _log2_bound(m) for _, n, m in prefix), _log2_bound(lcm)) == bounds[k]
+        unreduced = {}
+        for key, n, m in prefix:
+            unreduced[key] = unreduced.get(key, 0) + n * m
+        assert sum(n.bit_length() for n in unreduced.values()) <= numerator_bits
+        assert _within(_stored_bits(sum_classes(*terms[: k + 1])), bounds[k])
 
 
-def _stored_bits(cls: CohomClass) -> int:
+def _stored_bits(cls: CohomClass) -> tuple[int, int]:
     """The bits of a class as stored: its numerators' bit lengths in all,
-    plus its denominator's, a denominator of 1 counting none."""
-    numerator_bits = sum(abs(v).bit_length() for v in cls._numerators.values())
-    return numerator_bits + (cls._denominator.bit_length() if cls._denominator > 1 else 0)
+    and its denominator's, a denominator of 1 counting none."""
+    return sum(n.bit_length() for n in cls._numerators.values()), _log2_bound(cls._denominator)
+
+
+def _within(bits: tuple[int, int], bound: tuple[int, int]) -> bool:
+    """Whether numerator and denominator bits are each within a bound's."""
+    return bits[0] <= bound[0] and bits[1] <= bound[1]
 
 
 @given(classes(), st.integers(min_value=0, max_value=12))
@@ -430,8 +485,8 @@ def test_power_bits_bound_every_power(cls, n):
     # Every power cls^k with k <= n, such as those that repeated squaring
     # builds on the way to cls^n, is within the bound for cls^n.
     for k in range(n + 1):
-        assert _stored_bits(cls**k) <= _power_bits(cls, k)
-        assert k == 0 or _power_bits(cls, k) <= _power_bits(cls, n)
+        assert _within(_stored_bits(cls**k), _power_bits(cls, k))
+        assert k == 0 or _within(_power_bits(cls, k), _power_bits(cls, n))
 
 
 @given(classes(), st.integers(min_value=0, max_value=12))
@@ -444,7 +499,7 @@ def test_power_denominator_bits_bound_every_power(cls, n):
     for k in range(n + 1):
         denominator = (cls**k)._denominator
         assert (q**k * t ** min(k, cls.sym_index)) % denominator == 0
-        assert denominator <= 2 ** _power_bits(cls, k)
+        assert denominator <= 2 ** _power_bits(cls, k)[1]
 
 
 def test_power_bits_count_the_surviving_monomials():
@@ -456,15 +511,15 @@ def test_power_bits_count_the_surviving_monomials():
             for text in ("x+theta+1", "x+1"):
                 base = parse(text, g, d)
                 for n in range(1, d + 1):
-                    assert _power_bits(base, n) == 2 * n * len((base**n)._numerators), (text, g, d, n)
+                    assert _power_bits(base, n) == (2 * n * len((base**n)._numerators), 0), (text, g, d, n)
 
 
 def test_powers_past_the_bit_budget_are_positioned_errors():
     # (x+theta+1)^400 in (120, 120) stays inside the budget; in (150, 150)
     # and ^800 in (400, 400) it does not, and is refused before it is
     # computed (that power alone ran past 60 s).
-    assert _power_bits(parse("x+theta+1", 120, 120), 400) <= _MAX_POWER_BITS
-    assert _power_bits(parse("x+theta+1", 150, 150), 400) > _MAX_POWER_BITS
+    assert sum(_power_bits(parse("x+theta+1", 120, 120), 400)) <= _MAX_POWER_BITS
+    assert sum(_power_bits(parse("x+theta+1", 150, 150), 400)) > _MAX_POWER_BITS
     start = time.perf_counter()
     for text, g, d, position in (("x + (x+theta+1)^800", 400, 400, 16), ("(x+theta+1)^400", 150, 150, 12)):
         with pytest.raises(ClassExprError) as info:
@@ -474,25 +529,26 @@ def test_powers_past_the_bit_budget_are_positioned_errors():
     assert time.perf_counter() - start < 1
     # The monomial count is a closed form: a huge ambient and exponent cost nothing.
     huge = 10**30
-    assert _power_bits(parse("x+theta+1", huge, huge), huge) > _MAX_POWER_BITS
-    assert _power_bits(parse("x+theta+1", 10**7, 10**7), 16) < 10**4
+    assert sum(_power_bits(parse("x+theta+1", huge, huge), huge)) > _MAX_POWER_BITS
+    assert sum(_power_bits(parse("x+theta+1", 10**7, 10**7), 16)) < 10**4
     # A huge exponent that the ambient truncates stays cheap to bound and to compute.
-    assert _power_bits(parse("x-1", 4, 3), 10**9) < 10**3
+    assert sum(_power_bits(parse("x-1", 4, 3), 10**9)) < 10**3
 
 
 @given(st.data())
 def test_product_bits_bound_every_product(data):
     lhs = data.draw(classes())
     rhs = data.draw(classes(lhs.genus, lhs.sym_index))
-    assert _stored_bits(mul_classes(lhs, rhs)) <= _product_bits(lhs, rhs)
+    assert _within(_stored_bits(mul_classes(lhs, rhs)), _product_bits(lhs, rhs))
 
 
 def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
     # The budget is checked at each '*' of a chain, against the product so
     # far and the next factor, before they are multiplied.
     base = parse("x+theta+1", 9, 9)
-    square = _product_bits(base, base)
-    assert square == 6 * (1 + 1 + 2)  # monomials of degree <= 2, times 1 + 1 + bitlen(3) bits
+    bits = _product_bits(base, base)
+    assert bits == (6 * (1 + 1 + 2), 0)  # monomials of degree <= 2, times 1 + 1 + bitlen(3) bits
+    square = sum(bits)
     monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", square)
     assert parse("(x+theta+1)*(x+theta+1)", 9, 9) == base**2
     for text, position in (("(x+theta+1)*(x+theta+1)*(x+theta+1)", 24), ("2 + (x+theta+1) * (x+theta+1)^2", 17)):
@@ -501,7 +557,7 @@ def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
         assert info.value.position == position, text
         assert str(info.value).endswith(f"the product could have more than {square} bits, the limit for one product")
     # A product with a zero factor has no numerators at all.
-    assert _product_bits(zero_class(9, 9), base) == 0
+    assert _product_bits(zero_class(9, 9), base) == (0, 0)
 
 
 def test_sparse_products_and_powers_in_a_large_ambient_are_within_the_budget():
@@ -510,7 +566,7 @@ def test_sparse_products_and_powers_in_a_large_ambient_are_within_the_budget():
     # number 807,651, but the product has only 2 term pairs.
     g, d = 2200, 1500
     bn1, power = bn1_class(g, d), monomial(g, d, 2 * d - g - 1, 0)
-    assert _product_bits(bn1, power) <= _MAX_POWER_BITS
+    assert sum(_product_bits(bn1, power)) <= _MAX_POWER_BITS
     product = parse(f"bn1({d})*x^{2 * d - g - 1}", g, d)
     assert product == mul_classes(bn1, power)
     assert len(product._numerators) == 2

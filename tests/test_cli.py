@@ -695,20 +695,20 @@ def test_a_product_past_the_bit_budget_exits_two_at_once(child_env):
     assert proc.stderr.startswith("error: at position 16: the product could have more than")
 
 
-def test_oversized_class_coefficient_names_the_canonical_column(capsys):
-    # 2^28000 has about 8,400 digits; the class is printed before it is
-    # evaluated, so the refusal names column 'canonical' and evaluate_top
-    # is never called.
-    limit = sys.get_int_max_str_digits()
+def test_oversized_class_coefficient_names_the_canonical_column(capsys, digit_limit):
+    # 2^28000 has about 8,400 digits, and 2^14334 has 4,315; the class is
+    # printed before it is evaluated, so the refusal names column
+    # 'canonical' and evaluate_top is never called.
     with mock.patch.object(cli, "evaluate_top", wraps=cli.evaluate_top) as spy:
-        for fmt in ("table", "csv", "json"):
-            code, out, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "2^14000*2^14000", "--format", fmt)
-            assert code == 2
-            assert out == ""
-            assert err == (
-                f"error: column 'canonical' holds an integer of more than {limit} digits, "
-                "the interpreter's limit for converting integers to text\n"
-            )
+        for expr in ("2^14000*2^14000", "2^14334"):
+            for fmt in ("table", "csv", "json"):
+                code, out, err = run(capsys, "eval", "--g", "4", "--d", "3", "--expr", expr, "--format", fmt)
+                assert code == 2
+                assert out == ""
+                assert err == (
+                    f"error: column 'canonical' holds an integer of more than {digit_limit} digits, "
+                    "the interpreter's limit for converting integers to text\n"
+                )
         spy.assert_not_called()
         assert run(capsys, "eval", "--g", "4", "--d", "3", "--expr", "2^14000")[0] == 0
         spy.assert_called_once()

@@ -432,6 +432,32 @@ def test_scaling_and_adding_back_restore_the_class(a, b, q):
         assert hash(other) == hash(a)
 
 
+# Signed coefficients whose numerators and denominators share the primes 2,
+# 3 and 5, so that the gcds that reduce a scaled class are often not 1.
+_smooth_coeffs = st.builds(
+    Fraction, st.integers(min_value=-720, max_value=720), st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 36, 720])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scaled_classes_and_one_term_products_match_the_classes_built_from_fractions(data):
+    # A scaled class, and a product by one term that drops no monomial, are
+    # reduced by Henrici's two cross gcds rather than a gcd of the whole
+    # result; either must equal, in its stored form, the class that the
+    # constructor builds and reduces from the Fraction terms.
+    g = data.draw(st.integers(min_value=0, max_value=6))
+    d = data.draw(st.integers(min_value=0, max_value=6))
+    keys = monomials(g, d)
+    cls = CohomClass(g, d, {key: data.draw(_smooth_coeffs) for key in data.draw(st.lists(st.sampled_from(keys)))})
+    scalar = data.draw(_smooth_coeffs)
+    assert cls.scale(scalar) == CohomClass(g, d, {key: c * scalar for key, c in cls.terms.items()})
+    (a, b), coeff = data.draw(st.sampled_from(keys)), data.draw(_smooth_coeffs.filter(bool))
+    expected = CohomClass(g, d, {(a + a2, b + b2): coeff * c for (a2, b2), c in cls.terms.items()})
+    single = monomial(g, d, a, b, coeff)
+    assert mul_classes(single, cls) == expected == mul_classes(cls, single)
+
+
 def test_terms_are_reduced_fractions():
     cls = CohomClass(5, 5, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (0, 0): Fraction(5, 6), (2, 2): 4})
     expected = {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3), (0, 0): Fraction(5, 6), (2, 2): Fraction(4)}
