@@ -31,12 +31,12 @@ that it returns a single note saying the listing was omitted and naming the
 degree bound.  Under the interpreter's int-to-str digit limit L
 (``sys.get_int_max_str_digits()``, 0 meaning none), a number literal longer
 than L digits is rejected, and a note writes a longer number as "a number
-with more than L digits".  Each power, product of two classes and sum is
-sized before it is computed by ``cohomology`` bounds N and D on its
-numerator and denominator bits (``_power_bits``, ``_product_bits``,
-``_sum_bits``): an error at the ``^``, ``*``, ``+`` or ``-`` where N + D
-first passes ``_MAX_POWER_BITS`` (2^23), or N * D, the work of reducing
-it, ``_MAX_REDUCTION_WORK`` (2^38), reports a refusal.
+with more than L digits".  Each power, product of two classes (``/ n``
+multiplies by 1/n) and sum is sized before it is computed by bounds N and
+D on its numerator and denominator bits (``cohomology._power_bits``,
+``_product_bits``, ``_sum_bits``): an error at the ``^``, ``*``, ``/``,
+``+`` or ``-`` where N + D first passes ``_MAX_POWER_BITS`` (2^23), or
+N * D, the work of reducing it, ``_MAX_REDUCTION_WORK`` (2^38), refuses it.
 ``bn1(k)`` in a ring that keeps one of its monomials is refused at its
 position when its denominator (g-k+1)! could have more than
 ``_MAX_POWER_BITS`` bits, bounded by (g-k+1)*bitlen(g-k+1); in a ring that
@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .brill_noether import _bn1
-from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes, unit_class
+from .cohomology import CohomClass, monomial, monomial_text, mul_classes, sum_classes
 from .cohomology import _power_bits, _product_bits, _sum_bits
 
 __all__ = [
@@ -241,32 +241,28 @@ class _Parser:
 
     def parse_term(self):
         degree, first = self.parse_factor()
-        steps = []  # (the '*' position, a factor's evaluate) for '*', the Fraction 1/divisor for '/'
+        steps = []  # (the '*' or '/' position, a factor's evaluate); '/ n' multiplies by 1/n
         while self.peek().kind in ("*", "/"):
             operator = self.advance()
             if operator.kind == "*":
                 factor_degree, factor = self.parse_factor()
                 degree += factor_degree
-                steps.append((operator.position, factor))
-                continue
-            token = self.peek()
-            if token.kind != "number":
-                self.fail(("an integer literal divisor",))
-            self.advance()
-            divisor = int(token.text)
-            if divisor == 0:
-                raise DivisionByZeroLiteral(token.position)
-            steps.append(Fraction(1, divisor))
+            else:
+                token = self.peek()
+                if token.kind != "number":
+                    self.fail(("an integer literal divisor",))
+                self.advance()
+                divisor = int(token.text)
+                if divisor == 0:
+                    raise DivisionByZeroLiteral(token.position)
+                factor = lambda *ring, value=Fraction(1, divisor): monomial(*ring, 0, 0, value)
+            steps.append((operator.position, factor))
         if not steps:
             return degree, first
 
         def evaluate(*ring):
             result = first(*ring)
-            for step in steps:
-                if isinstance(step, Fraction):
-                    result = result.scale(step)
-                    continue
-                position, factor = step
+            for position, factor in steps:
                 value = factor(*ring)
                 _check_budget(position, "product", *_product_bits(result, value))
                 result = mul_classes(result, value)
@@ -308,7 +304,7 @@ class _Parser:
                 if denominator == 0:
                     raise DivisionByZeroLiteral(den_token.position)
                 value /= denominator
-            return 0, lambda *ring: unit_class(*ring).scale(value)
+            return 0, lambda *ring: monomial(*ring, 0, 0, value)
         if token.kind == "name":
             if token.text in ("x", "theta"):
                 self.advance()

@@ -510,25 +510,28 @@ def _log2_bound(value: int) -> int:
 
 def _product_bits(lhs: CohomClass, rhs: CohomClass) -> tuple[int, int]:
     """Upper bounds on the bits of lhs * rhs as stored, a pair counted as
-    ``_power_bits`` counts them.
-
-    The product has at most T monomials: T_l * T_r, one for each term
-    pair, and those counted as ``_power_bits`` counts them from the sums of
-    the factors' largest degrees and theta powers, whichever is fewer.  Over
-    the product of the factors' denominators, each numerator is a sum of at
-    most min(T_l, T_r) term pairs, so it is bounded by
-    max|n_l| * max|n_r| * min(T_l, T_r).  The denominator divides that
-    product of denominators."""
+    ``_power_bits`` counts them, over the product of the factors'
+    denominators, which the product's denominator divides.  A one-term
+    factor n0 * m shifts the other's T terms, as ``mul_classes`` does, to
+    numerators n * n0 of at most sum(bitlen(n)) + T * bitlen(n0) bits.
+    Any other product has at most T_l * T_r monomials, or those counted as
+    ``_power_bits`` counts them from the sums of the factors' largest
+    degrees and theta powers, if fewer; each numerator, a sum of at most
+    min(T_l, T_r) term pairs, is at most max|n_l| * max|n_r| * min(T_l, T_r)."""
     left, right = lhs._numerators, rhs._numerators
     if not left or not right:
         return 0, 0
+    denominator_bits = _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
+    if len(left) == 1 or len(right) == 1:
+        [n0], other = (left.values(), right) if len(left) == 1 else (right.values(), left)
+        return sum(n.bit_length() for n in other.values()) + len(other) * n0.bit_length(), denominator_bits
     (_, left_degree, _, left_theta), (_, right_degree, _, right_theta) = _extent(lhs), _extent(rhs)
     monomials = min(len(left) * len(right), _monomials(lhs, left_degree + right_degree, left_theta + right_theta))
     bits = (
         max(map(abs, left.values())).bit_length() + max(map(abs, right.values())).bit_length()
         + min(len(left), len(right)).bit_length()
     )
-    return monomials * bits, _log2_bound(lhs._denominator) + _log2_bound(rhs._denominator)
+    return monomials * bits, denominator_bits
 
 
 def _sum_bits(classes: list[CohomClass]) -> Iterator[tuple[int, tuple[int, int]]]:
@@ -700,6 +703,7 @@ def render_class(cls: CohomClass) -> str:
     coefficients are reduced fractions with unit coefficients suppressed.
     """
     denominator = cls._denominator
+    reduced = denominator == 1 or len(cls._numerators) == 1  # a one-term class is in lowest terms
     parts: list[str] = []
     theta_power = None
     for a, b, n in _canonical_terms(cls):
@@ -708,7 +712,7 @@ def render_class(cls: CohomClass) -> str:
         x = "" if not a else "x" if a == 1 else f"x^{a}"
         factors = x + "*" + theta if x and theta else x or theta
         p = -n if n < 0 else n
-        common = 1 if denominator == 1 else math.gcd(p, denominator)
+        common = 1 if reduced else math.gcd(p, denominator)
         q = denominator // common
         magnitude = str(p // common) if q == 1 else f"{p // common}/{q}"
         piece = magnitude if not factors else factors if magnitude == "1" else magnitude + "*" + factors

@@ -392,13 +392,17 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
     # numbers.  (1/3)^4194304 itself, with its 1-bit numerator over a
     # bound of 2 bits per factor, is past the budget.  The lcm of 3^2000000
     # and 5^1300000 fits the budget but took 84 s to take, and the 201
-    # numerators of (1+x)^200 scaled by 3^4000000 peaked at 180 MB.
+    # numerators of (1+x)^200 scaled by 3^4000000 peaked at 180 MB.  Each
+    # '/' by the 4,295-digit 3^9000 adds 14,265 denominator bits to a
+    # 4,000,001-bit numerator, so the fifth is refused for its work; the
+    # chain of 29 spent 3.5 s in its gcds before the renderer refused it.
     for text, g, d, limit, message in (
         ("*".join(["(1/3)^4194304"] * 4), 4, 3, 4300, "at position 6: the power could have more than"),
         ("*".join(["(1/3)^3000000"] * 4), 4, 3, 0, "at position 14: the product could have more than"),
         ("(1/3)^3000000+(1/5)^2000000", 4, 3, 0, "at position 14: the sum could have more than"),
         ("(x/3)^2000000+(x/5)^1300000", 0, 2000000, 0, "at position 14: reducing the sum to lowest terms"),
         ("(x/3)^4000000+(1+x)^200", 0, 4000000, 0, "at position 14: the sum could have more than"),
+        ("(2*x)^4000000" + f"/{3**9000}" * 6, 0, 4000000, 0, "at position 17198: reducing the product to lowest terms"),
     ):
         assert message in _parse_error(child_env, text, g, d, limit), (text, limit)
     # A canonical rendering sums 861 terms whose denominators divide 30^40:
@@ -406,14 +410,16 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
     cls = parse("(x/2+theta/3+1/5)^40", 40, 40)
     assert parse(render_class(cls), 40, 40) == cls
     # The bounds are checked at the operator where they first pass the
-    # budget: a product counts its numerator bits, 3 here, and both
+    # budget: a product counts its numerator bits, 2 here, and both
     # denominators; a sum counts its numerators scaled to the lcm of its
-    # denominators, 7 bits here, and the lcm's 7 bits.
+    # denominators, 7 bits here, and the lcm's 7 bits.  A '/' is a product
+    # by a constant class, so x/64/64 is refused at its second '/'.
     monkeypatch.setattr(classexpr, "_MAX_POWER_BITS", 14)
     assert parse("(x/64)*(x/8)", 9, 9) == monomial(9, 9, 2, 0, Fraction(1, 512))
     assert parse("1/64 + x/64 + x/8", 9, 9) == parse("(1 + 9*x)/64", 9, 9)
     for text, position, what in (
         ("x/8 * (x/64) * (x/64)", 14, "product could have more than 14 bits, the limit for one product"),
+        ("x/64/64", 5, "product could have more than 14 bits, the limit for one product"),
         ("1/64 + x/64 + theta/729", 13, "sum could have more than 14 bits, the limit for one sum"),
         ("1/64 + x/64 + theta/64 + x/8", 24, "sum could have more than 14 bits, the limit for one sum"),
     ):
@@ -425,20 +431,22 @@ def test_products_and_sums_with_a_large_denominator_are_positioned_errors(child_
 
 def test_reductions_past_the_work_limit_are_positioned_errors(monkeypatch):
     # The work limit is checked at the operator where N * D first passes
-    # it: (x/64)*(x/8) bounds 3 numerator bits over 11 denominator bits.
-    monkeypatch.setattr(classexpr, "_MAX_REDUCTION_WORK", 3 * 11)
+    # it.  A product with a one-term factor is a shift: (x/64)*(x/8) bounds
+    # 2 numerator bits over 11 denominator bits, and (1 + x)/64, a product
+    # by the constant class 1/64, bounds 2 + 2 * 1 over 7, the limit.
+    monkeypatch.setattr(classexpr, "_MAX_REDUCTION_WORK", 2 * 14)
     assert parse("(x/64)*(x/8)", 9, 9) == monomial(9, 9, 2, 0, Fraction(1, 512))
     assert parse("1/64 + x/64", 9, 9) == parse("(1 + x)/64", 9, 9)
     for text, position, what in (
         ("(2*x/3)^3", 8, "power"),  # 6 * 6
-        ("x/8 * (x/64) * (x/8)", 14, "product"),  # 3 * 14
+        ("x/8 * (x/64) * (x/16)", 14, "product"),  # 2 * 15
         ("1/64 + x/64 + x/8", 13, "sum"),  # 7 * 7
     ):
         with pytest.raises(ClassExprError) as info:
             parse(text, 9, 9)
         assert info.value.position == position, text
         assert str(info.value).endswith(
-            f"reducing the {what} to lowest terms could take more than 33 bit operations, the limit for one {what}"
+            f"reducing the {what} to lowest terms could take more than 28 bit operations, the limit for one {what}"
         )
 
 
@@ -540,6 +548,16 @@ def test_product_bits_bound_every_product(data):
     lhs = data.draw(classes())
     rhs = data.draw(classes(lhs.genus, lhs.sym_index))
     assert _within(_stored_bits(mul_classes(lhs, rhs)), _product_bits(lhs, rhs))
+    # A one-term factor n0 * m shifts the other's T terms: sum(bitlen(n))
+    # + T * bitlen(n0) numerator bits, over both denominators.
+    for single, other in ((lhs, rhs), (rhs, lhs)):
+        if len(single._numerators) == 1 and other:
+            [n0] = single._numerators.values()
+            numerator_bits = sum(n.bit_length() for n in other._numerators.values())
+            assert _product_bits(single, other) == (
+                numerator_bits + len(other._numerators) * n0.bit_length(),
+                _log2_bound(single._denominator) + _log2_bound(other._denominator),
+            )
 
 
 def test_products_past_the_bit_budget_are_positioned_errors(monkeypatch):
