@@ -618,12 +618,18 @@ def _dense_product(
     return numerators
 
 
-def top_numerator(cls: CohomClass) -> int:
-    """The top-degree value of a class times its denominator, an integer.
-    By Poincare's formula each monomial x^a * theta^b with a + b == d adds
-    its numerator times g!/(g-b)! (stored monomials have b <= g)."""
-    g, d = cls.genus, cls.sym_index
-    return sum(n * math.perm(g, b) for (a, b), n in cls._numerators.items() if a + b == d)
+def top_numerator(cls: CohomClass, x_power: int = 0) -> int:
+    """The top-degree value of cls * x^x_power times cls's denominator, an
+    integer, without building the product.  By Poincare's formula each stored
+    monomial x^a * theta^b with a + b == d - x_power adds its numerator times
+    g!/(g-b)! (stored monomials have b <= g); with x_power > d none does.
+    The product's truncation drops no such monomial, so this is the top
+    numerator of ``mul_classes(cls, monomial(g, d, x_power, 0))`` over
+    cls's denominator rather than the product's."""
+    if x_power < 0:
+        raise ValueError(f"x_power must be nonnegative, got {x_power}")
+    g, degree = cls.genus, cls.sym_index - x_power
+    return sum(n * math.perm(g, b) for (a, b), n in cls._numerators.items() if a + b == degree)
 
 
 def evaluate_top(cls: CohomClass) -> Fraction:

@@ -18,12 +18,13 @@ only sets the reported parity and e, the audit's ``residual_case`` step and
 the ``_odd`` suffix of the odd-case audit step names.
 
 ``verify_inequality`` computes the left side by two independent routes (the
-binomial closed form and a polynomial expansion evaluated by Poincare's
-formula) and insists they agree, in integers.  ``audit_proof_chain`` replays
-the whole chain of auxiliary inequalities leading to the comparison,
-reporting each verdict without judging; near the smallest admissible genus
-some links of the chain fail arithmetically, and the audit's job is to say
-so.  ``verify_inequality`` is the one-genus call of a kernel that derives
+binomial closed form, and the rank-1 locus class expanded in the x/theta
+ring and paired with x^(g-2m-3) by Poincare's formula) and insists they
+agree, in integers.  ``audit_proof_chain`` replays the whole chain of
+auxiliary inequalities leading to the comparison, reporting each verdict
+without judging; near the smallest admissible genus some links of the
+chain fail arithmetically, and the audit's job is to say so.
+``verify_inequality`` is the one-genus call of a kernel that derives
 what depends only on h once, then runs both routes for each genus of a run;
 ``sweep`` calls it once per base genus, sharded by h across forked
 processes (its docstring has the protocol), and assembles results in a
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, pencil_dimension_genus, rho
-from .cohomology import monomial, mul_classes, top_numerator
+from .cohomology import top_numerator
 
 __all__ = [
     "InequalityReport",
@@ -135,11 +136,12 @@ def _bn1_closed_form(genus: int, d: int) -> int:
 
 def _bn1_expansion(genus: int, d: int) -> tuple[int, int]:
     """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
-    ring: Poincare's top-degree numerator of the product and its denominator.
-    It takes a factorial and falling factorials but no binomial, so the two
-    routes stay independent."""
-    product = mul_classes(bn1_class(genus, d), monomial(genus, d, 2 * d - genus - 1, 0))
-    return top_numerator(product), product._denominator
+    ring: the rank-1 locus class paired with x^(2d-G-1) by Poincare's
+    formula, as a top-degree numerator over the class's denominator; the
+    product class is never built.  It takes a factorial and falling
+    factorials but no binomial, so the two routes stay independent."""
+    cls = bn1_class(genus, d)
+    return top_numerator(cls, 2 * d - genus - 1), cls._denominator
 
 
 def _pullback_degree(h: int) -> int:
@@ -171,10 +173,11 @@ def lhs_bits(h: int, g: int) -> int:
 def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     """The closed-form sides (lhs, rhs) of base genus h at each g of the
     nonempty ``genera``, each lhs checked against ``_bn1_expansion`` at the
-    critical degree d, where 2d-g-1 = g-2m-3.  What depends only on h is
+    critical degree d: the rank-1 locus class paired with x^(g-2m-3) by
+    Poincare's formula, since 2d-g-1 = g-2m-3.  What depends only on h is
     derived once, and admissibility checked at the least g.  The expansion
-    is lhs exactly when its numerator is lhs times its denominator; a
-    ``Fraction`` is built only to report a disagreement."""
+    is lhs exactly when its numerator is lhs times the class's denominator;
+    a ``Fraction`` is built only to report a disagreement."""
     m = _checked_half_bracket(h, genera[0])
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1

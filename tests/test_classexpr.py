@@ -352,10 +352,15 @@ def test_unit_sum_powers_have_one_bit_numerators():
 def _parse_error(child_env, text: str, g: int, d: int, digit_limit: int) -> str:
     """The last stderr line of ``parse(text, g, d)`` in a child process under
     the digit limit ``digit_limit``; a child that runs past 5 s fails the
-    test instead of stalling it."""
+    test instead of stalling it, and one whose ``parse`` succeeds fails it
+    with an assertion naming the input."""
     code = f"import sys; from triplecover.classexpr import parse; sys.set_int_max_str_digits({digit_limit}); " \
         f"parse({text!r}, {g}, {d})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=5)
+    shown = text if len(text) <= 80 else text[:80] + "..."
+    assert proc.returncode != 0 and proc.stderr.strip(), (
+        f"parse({shown!r}, {g}, {d}) raised no error (exit {proc.returncode})"
+    )
     return proc.stderr.strip().splitlines()[-1]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from triplecover import cohomology
 from triplecover.arith import binomial
+from triplecover.brill_noether import bn1_class
 from triplecover.classexpr import parse
 from triplecover.cohomology import (
     _DENSE_TERMS,
@@ -29,6 +30,7 @@ from triplecover.cohomology import (
     x_class,
     zero_class,
 )
+from triplecover.existence import critical_degree, genus_bound
 
 
 def falling(g: int, b: int) -> int:
@@ -549,6 +551,40 @@ def test_top_numerator_of_the_zero_class_and_of_a_scaled_class():
     # (1/2)*24 + (1/3)*12 = 16, stored as (3*24 + 2*12)/6.
     assert (top_numerator(half), half._denominator) == (96, 6)
     assert evaluate_top(half) == 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairing_with_an_x_power_is_the_top_value_of_the_product(data):
+    # Poincare's pairing with x^j, over the class's own denominator, is the
+    # top-degree value of the product class; past j = d both read 0.
+    cls = data.draw(classes())
+    g, d = cls.genus, cls.sym_index
+    j = data.draw(st.integers(min_value=0, max_value=d + 2))
+    numerator = top_numerator(cls, j)
+    assert type(numerator) is int
+    assert Fraction(numerator, cls._denominator) == evaluate_top(mul_classes(cls, monomial(g, d, j, 0)))
+    if j > d:
+        assert numerator == 0
+
+
+def test_pairing_matches_the_product_on_the_verifiers_shapes():
+    # The rank-1 locus class at the critical degree d = g-m-1, paired with
+    # x^(g-2m-3), at the first and last genus of each base genus of the
+    # acceptance sweep (h in [1, 8], margin 300).
+    for h in range(1, 9):
+        m = (3 * h + 1) // 2
+        for g in (genus_bound(h), genus_bound(h) + 300):
+            d, j = critical_degree(h, g), g - 2 * m - 3
+            cls = bn1_class(g, d)
+            pairing = Fraction(top_numerator(cls, j), cls._denominator)
+            assert pairing == evaluate_top(mul_classes(cls, monomial(g, d, j, 0)))
+            assert pairing == binomial(g, d - 1) - binomial(g, d)
+
+
+def test_pairing_with_a_negative_x_power_is_refused():
+    with pytest.raises(ValueError, match="x_power must be nonnegative, got -1"):
+        top_numerator(monomial(3, 2, 1, 0), -1)
 
 
 def test_theta_power_beyond_genus_evaluates_to_zero():

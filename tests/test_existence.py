@@ -103,8 +103,8 @@ def test_verify_large_genus_memory_stays_bounded():
 
 def test_verify_route_disagreement_is_fatal(monkeypatch):
     # The kernel compares Poincare's top-degree numerator with the closed
-    # form times the product's denominator; -denominator reads as -1.
-    monkeypatch.setattr(existence, "top_numerator", lambda cls: -cls._denominator)
+    # form times the class's denominator; -denominator reads as -1.
+    monkeypatch.setattr(existence, "top_numerator", lambda cls, x_power=0: -cls._denominator)
     with pytest.raises(ArithmeticError) as raised:
         verify_inequality(2, 28)
     assert str(raised.value) == "internal consistency failure at (h=2, g=28): closed form 77805 != expansion -1"
@@ -366,25 +366,27 @@ def test_sweep_reports_equal_single_verifications_field_by_field():
         assert type(report.strict) is bool
 
 
-def test_serial_sweep_builds_one_expansion_product_per_case(monkeypatch):
+def test_serial_sweep_expands_and_pairs_one_class_per_case(monkeypatch):
     # The two-route rule: every case of the acceptance sweep still expands
-    # the rank-1 locus class and multiplies it in the x/theta ring.
-    products, numerators = [], []
-    real_mul, real_top = existence.mul_classes, existence.top_numerator
+    # the rank-1 locus class in the x/theta ring and pairs it with
+    # x^(g-2m-3) by Poincare's formula.
+    expansions, pairings = [], []
+    real_bn1, real_top = existence.bn1_class, existence.top_numerator
 
-    def count_mul(lhs, rhs):
-        products.append((lhs.genus, lhs.sym_index))
-        return real_mul(lhs, rhs)
+    def count_bn1(g, d):
+        expansions.append((g, d))
+        return real_bn1(g, d)
 
-    def count_top(cls):
-        numerators.append((cls.genus, cls.sym_index))
-        return real_top(cls)
+    def count_top(cls, x_power=0):
+        pairings.append((cls.genus, cls.sym_index, x_power))
+        return real_top(cls, x_power)
 
-    monkeypatch.setattr(existence, "mul_classes", count_mul)
+    monkeypatch.setattr(existence, "bn1_class", count_bn1)
     monkeypatch.setattr(existence, "top_numerator", count_top)
     reports = sweep((1, 8), 300, workers=1)
-    assert len(reports) == len(products) == 2408
-    assert products == numerators == [(r.g, r.critical_degree) for r in reports]
+    assert len(reports) == len(expansions) == len(pairings) == 2408
+    assert expansions == [(r.g, r.critical_degree) for r in reports]
+    assert pairings == [(r.g, r.critical_degree, r.g - 2 * ((3 * r.h + 1) // 2) - 3) for r in reports]
 
 
 def _assert_no_child_left():
@@ -487,8 +489,8 @@ def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
     bad_g = genus_bound(h) + 1
     real = existence.top_numerator
 
-    def disagree(cls):
-        return -cls._denominator if cls.genus == bad_g else real(cls)
+    def disagree(cls, x_power=0):
+        return -cls._denominator if cls.genus == bad_g else real(cls, x_power)
 
     monkeypatch.setattr(existence, "top_numerator", disagree)
     with pytest.raises(ArithmeticError) as serial:
