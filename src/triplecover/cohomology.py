@@ -58,6 +58,7 @@ __all__ = [
     "sum_classes",
     "mul_classes",
     "top_numerator",
+    "top_numerators",
     "evaluate_top",
     "pushforward_B",
     "pushforward_bits",
@@ -618,6 +619,36 @@ def _dense_product(
     return numerators
 
 
+def top_numerators(cls: CohomClass, x_power: int, genera: range) -> list[int]:
+    """``top_numerator`` of cls's stored form placed on the ambient
+    (G, d + G - g) and paired with x^(x_power + G - g), for each G of
+    ``genera``, (g, d) being cls's ambient.  Every stored monomial survives
+    there (b <= g <= G and a + b <= d <= d + G - g), and the paired degree
+    d - x_power is the same at every G, so its terms are selected once and
+    each G costs one falling factorial G!/(G-b)! per term.  A range that
+    reaches below g is refused."""
+    if x_power < 0:
+        raise ValueError(f"x_power must be nonnegative, got {x_power}")
+    genus = cls.genus
+    if genera and (genera[0] < genus or genera[-1] < genus):
+        raise ValueError(f"genera must be at least the class's genus {genus}, got {min(genera[0], genera[-1])}")
+    degree, perm = cls.sym_index - x_power, math.perm
+    terms = []
+    for (a, b), n in cls._numerators.items():
+        if a + b == degree:
+            terms.append((b, n))
+    # Plain loops, not comprehensions: on CPython 3.11 each comprehension
+    # costs a function call, which doubles the one-genus call's time or the
+    # time per genus of a run.
+    numerators = []
+    for G in genera:
+        total = 0
+        for b, n in terms:
+            total += n * perm(G, b)
+        numerators.append(total)
+    return numerators
+
+
 def top_numerator(cls: CohomClass, x_power: int = 0) -> int:
     """The top-degree value of cls * x^x_power times cls's denominator, an
     integer, without building the product.  By Poincare's formula each stored
@@ -625,11 +656,9 @@ def top_numerator(cls: CohomClass, x_power: int = 0) -> int:
     g!/(g-b)! (stored monomials have b <= g); with x_power > d none does.
     The product's truncation drops no such monomial, so this is the top
     numerator of ``mul_classes(cls, monomial(g, d, x_power, 0))`` over
-    cls's denominator rather than the product's."""
-    if x_power < 0:
-        raise ValueError(f"x_power must be nonnegative, got {x_power}")
-    g, degree = cls.genus, cls.sym_index - x_power
-    return sum(n * math.perm(g, b) for (a, b), n in cls._numerators.items() if a + b == degree)
+    cls's denominator rather than the product's.  It is the one-genus case
+    of ``top_numerators``."""
+    return top_numerators(cls, x_power, range(cls.genus, cls.genus + 1))[0]
 
 
 def evaluate_top(cls: CohomClass) -> Fraction:

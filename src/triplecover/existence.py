@@ -25,10 +25,12 @@ auxiliary inequalities leading to the comparison, reporting each verdict
 without judging; near the smallest admissible genus some links of the
 chain fail arithmetically, and the audit's job is to say so.
 ``verify_inequality`` is the one-genus call of a kernel that derives
-what depends only on h once, then runs both routes for each genus of a run;
-``sweep`` calls it once per base genus, sharded by h across forked
-processes (its docstring has the protocol), and assembles results in a
-deterministic order regardless of worker count.
+what depends only on h once, then runs both routes for each genus of a
+run: the rank-1 class is built once per base genus and paired at each g by
+Poincare's formula, and each pairing is checked against the closed form at
+its own g.  ``sweep`` calls the kernel once per base genus, sharded by h
+across forked processes (its docstring has the protocol), and assembles
+results in a deterministic order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, pencil_dimension_genus, rho
-from .cohomology import top_numerator
+from .cohomology import top_numerator, top_numerators
 
 __all__ = [
     "InequalityReport",
@@ -139,7 +141,10 @@ def _bn1_expansion(genus: int, d: int) -> tuple[int, int]:
     ring: the rank-1 locus class paired with x^(2d-G-1) by Poincare's
     formula, as a top-degree numerator over the class's denominator; the
     product class is never built.  It takes a factorial and falling
-    factorials but no binomial, so the two routes stay independent."""
+    factorials but no binomial, so the two routes stay independent.  This
+    is the one-case form, which the audit's ``castelnuovo_pairing`` step
+    uses; ``_genus_sides`` builds the rank-1 class once per base genus and
+    pairs it at each g by Poincare's formula."""
     cls = bn1_class(genus, d)
     return top_numerator(cls, 2 * d - genus - 1), cls._denominator
 
@@ -172,21 +177,26 @@ def lhs_bits(h: int, g: int) -> int:
 
 def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     """The closed-form sides (lhs, rhs) of base genus h at each g of the
-    nonempty ``genera``, each lhs checked against ``_bn1_expansion`` at the
+    nonempty ``genera``, each lhs checked against the expansion route at the
     critical degree d: the rank-1 locus class paired with x^(g-2m-3) by
     Poincare's formula, since 2d-g-1 = g-2m-3.  What depends only on h is
-    derived once, and admissibility checked at the least g.  The expansion
-    is lhs exactly when its numerator is lhs times the class's denominator;
-    a ``Fraction`` is built only to report a disagreement."""
-    m = _checked_half_bracket(h, genera[0])
+    derived once, and admissibility checked at the least g.  That includes
+    the rank-1 class: it depends on (g, d) only through k = g - d = m + 1
+    and the survival tests k+1 <= d and k <= g, which hold for g >= 2m+4,
+    so the rank-1 class is built once per base genus, at the least g, and
+    paired at each g by Poincare's formula (``top_numerators``).  The
+    expansion is lhs exactly when its numerator is lhs times the class's
+    denominator; a ``Fraction`` is built only to report a disagreement."""
+    g0 = genera[0]
+    m = _checked_half_bracket(h, g0)
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1
     base_pairing = _bn1_closed_form(h, pullback)
+    cls = bn1_class(g0, g0 - m - 1)
+    denominator = cls._denominator
     sides = []
-    for g in genera:
-        d = g - m - 1  # the critical degree
-        lhs = _bn1_closed_form(g, d)
-        numerator, denominator = _bn1_expansion(g, d)
+    for g, numerator in zip(genera, top_numerators(cls, g0 - 2 * m - 3, genera)):
+        lhs = _bn1_closed_form(g, g - m - 1)  # at the critical degree
         if numerator != lhs * denominator:
             raise ArithmeticError(
                 f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "

@@ -26,6 +26,7 @@ from triplecover.cohomology import (
     render_class,
     theta_class,
     top_numerator,
+    top_numerators,
     unit_class,
     x_class,
     zero_class,
@@ -585,6 +586,36 @@ def test_pairing_matches_the_product_on_the_verifiers_shapes():
 def test_pairing_with_a_negative_x_power_is_refused():
     with pytest.raises(ValueError, match="x_power must be nonnegative, got -1"):
         top_numerator(monomial(3, 2, 1, 0), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_pairings_place_the_class_on_each_larger_ambient(data):
+    # Entry i pairs the class's terms, placed on (g+i, d+i), with x^(j+i):
+    # every stored monomial survives there, and the paired degree d - j
+    # stays fixed.
+    cls = data.draw(classes())
+    g, d = cls.genus, cls.sym_index
+    j = data.draw(st.integers(min_value=0, max_value=d + 2))
+    numerators = top_numerators(cls, j, range(g, g + 4))
+    assert len(numerators) == 4
+    for i, numerator in enumerate(numerators):
+        placed = CohomClass(g + i, d + i, cls.terms)
+        assert placed._denominator == cls._denominator
+        assert numerator == top_numerator(placed, j + i)
+    assert numerators[0] == top_numerator(cls, j)
+
+
+def test_batched_pairings_refuse_what_the_one_genus_call_refuses():
+    cls = monomial(3, 2, 1, 0)
+    with pytest.raises(ValueError, match="x_power must be nonnegative, got -1"):
+        top_numerators(cls, -1, range(3, 6))
+    with pytest.raises(ValueError, match="genera must be at least the class's genus 3, got 2"):
+        top_numerators(cls, 1, range(2, 6))
+    with pytest.raises(ValueError, match="genera must be at least the class's genus 3, got 2"):
+        top_numerators(cls, 1, range(5, 1, -1))
+    assert top_numerators(cls, 1, range(3, 3)) == []
+    assert top_numerators(cls, 1, range(3, 5)) == [1, 1]
 
 
 def test_theta_power_beyond_genus_evaluates_to_zero():

@@ -104,7 +104,9 @@ def test_verify_large_genus_memory_stays_bounded():
 def test_verify_route_disagreement_is_fatal(monkeypatch):
     # The kernel compares Poincare's top-degree numerator with the closed
     # form times the class's denominator; -denominator reads as -1.
-    monkeypatch.setattr(existence, "top_numerator", lambda cls, x_power=0: -cls._denominator)
+    monkeypatch.setattr(
+        existence, "top_numerators", lambda cls, x_power, genera: [-cls._denominator for _ in genera]
+    )
     with pytest.raises(ArithmeticError) as raised:
         verify_inequality(2, 28)
     assert str(raised.value) == "internal consistency failure at (h=2, g=28): closed form 77805 != expansion -1"
@@ -136,6 +138,10 @@ def test_expansion_route_needs_no_binomials(monkeypatch):
     grid = [(g, d) for g in range(0, 14) for d in range((g + 2) // 2, g + 4) if d >= 1]
     grid += [(g, critical_degree(h, g)) for h in range(1, 9) for g in range(genus_bound(h), genus_bound(h) + 5)]
     expected = {(g, d): existence._bn1_closed_form(g, d) for g, d in grid}
+    # The sweep's form: one class per acceptance run (h in [1, 8], margin
+    # 300), paired at every genus of the run.
+    runs = {h: range(genus_bound(h), genus_bound(h) + 301) for h in range(1, 9)}
+    run_values = {h: [existence._bn1_closed_form(g, critical_degree(h, g)) for g in run] for h, run in runs.items()}
 
     def refuse(*args):
         raise AssertionError("the expansion route used a binomial")
@@ -144,6 +150,11 @@ def test_expansion_route_needs_no_binomials(monkeypatch):
     monkeypatch.setattr(cohomology, "binomial", refuse)
     for (g, d), value in expected.items():
         assert Fraction(*existence._bn1_expansion(g, d)) == value
+    for h, run in runs.items():
+        g0, m = run[0], (3 * h + 1) // 2
+        cls = bn1_class(g0, critical_degree(h, g0))
+        numerators = cohomology.top_numerators(cls, g0 - 2 * m - 3, run)
+        assert numerators == [value * cls._denominator for value in run_values[h]], h
 
 
 def test_verifier_multiplies_term_pairs(monkeypatch):
@@ -355,6 +366,33 @@ def test_sweep_kernel_equals_the_one_genus_call():
         assert existence._sweep_sides((h, 20)) == one_genus, h
 
 
+def test_rank1_class_is_the_same_stored_form_at_every_genus_of_a_run():
+    # The kernel builds the critical rank-1 class once per base genus, at the
+    # run's least genus: with k = g - d = m + 1 at every g, the stored
+    # numerators and denominator cannot depend on g.  Every acceptance and
+    # wide-sweep run (h in [1, 24], margin 300) ...
+    def same_form(h, genera):
+        first = bn1_class(genera[0], critical_degree(h, genera[0]))
+        for g in genera:
+            cls = bn1_class(g, critical_degree(h, g))
+            assert (cls._numerators, cls._denominator) == (first._numerators, first._denominator), (h, g)
+
+    for h in range(1, 25):
+        same_form(h, range(genus_bound(h), genus_bound(h) + 301))
+    # ... and, from the least admissible genus 2m+4 on, every run up to
+    # h = 40 (margin 100).
+    for h in range(1, 41):
+        same_form(h, range(2 * ((3 * h + 1) // 2) + 4, genus_bound(h) + 101))
+
+
+def test_each_batched_pairing_is_the_one_genus_pairing_of_its_own_class():
+    for h in range(1, 25):
+        m, g0 = (3 * h + 1) // 2, genus_bound(h)
+        run = range(g0, g0 + 301)
+        batched = cohomology.top_numerators(bn1_class(g0, g0 - m - 1), g0 - 2 * m - 3, run)
+        assert batched == [cohomology.top_numerator(bn1_class(g, g - m - 1), g - 2 * m - 3) for g in run], h
+
+
 def test_sweep_reports_equal_single_verifications_field_by_field():
     for report in sweep((1, 6), 12, workers=1):
         single = verify_inequality(report.h, report.g)
@@ -366,27 +404,35 @@ def test_sweep_reports_equal_single_verifications_field_by_field():
         assert type(report.strict) is bool
 
 
-def test_serial_sweep_expands_and_pairs_one_class_per_case(monkeypatch):
-    # The two-route rule: every case of the acceptance sweep still expands
-    # the rank-1 locus class in the x/theta ring and pairs it with
-    # x^(g-2m-3) by Poincare's formula.
-    expansions, pairings = [], []
-    real_bn1, real_top = existence.bn1_class, existence.top_numerator
+def test_serial_sweep_expands_one_class_per_base_genus_and_pairs_it_per_case(monkeypatch):
+    # The two-route rule: the rank-1 locus class is expanded in the x/theta
+    # ring once per base genus, at the run's least genus, and paired with
+    # x^(g-2m-3) by Poincare's formula at every genus of the run.
+    expansions, pairings, numerators = [], [], []
+    real_bn1, real_tops = existence.bn1_class, existence.top_numerators
 
     def count_bn1(g, d):
         expansions.append((g, d))
         return real_bn1(g, d)
 
-    def count_top(cls, x_power=0):
-        pairings.append((cls.genus, cls.sym_index, x_power))
-        return real_top(cls, x_power)
+    def count_tops(cls, x_power, genera):
+        pairings.append((cls.genus, cls.sym_index, x_power, genera))
+        values = real_tops(cls, x_power, genera)
+        numerators.extend(values)
+        return values
 
     monkeypatch.setattr(existence, "bn1_class", count_bn1)
-    monkeypatch.setattr(existence, "top_numerator", count_top)
+    monkeypatch.setattr(existence, "top_numerators", count_tops)
     reports = sweep((1, 8), 300, workers=1)
-    assert len(reports) == len(expansions) == len(pairings) == 2408
-    assert expansions == [(r.g, r.critical_degree) for r in reports]
-    assert pairings == [(r.g, r.critical_degree, r.g - 2 * ((3 * r.h + 1) // 2) - 3) for r in reports]
+    assert len(reports) == len(numerators) == 2408
+    bases = {h: genus_bound(h) for h in range(1, 9)}
+    assert expansions == [(g0, critical_degree(h, g0)) for h, g0 in bases.items()]
+    assert pairings == [
+        (g0, critical_degree(h, g0), g0 - 2 * ((3 * h + 1) // 2) - 3, range(g0, g0 + 301)) for h, g0 in bases.items()
+    ]
+    # Report order, each numerator the closed form times the class's denominator.
+    denominators = {h: real_bn1(g0, critical_degree(h, g0))._denominator for h, g0 in bases.items()}
+    assert numerators == [r.lhs.numerator * denominators[r.h] for r in reports]
 
 
 def _assert_no_child_left():
@@ -487,12 +533,12 @@ def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
     # With 2 workers over h in [1, 5] the caller verifies h = 1, 3, 5 and one
     # child h = 2, 4.  The patch is in place before the child forks.
     bad_g = genus_bound(h) + 1
-    real = existence.top_numerator
+    real = existence.top_numerators
 
-    def disagree(cls, x_power=0):
-        return -cls._denominator if cls.genus == bad_g else real(cls, x_power)
+    def disagree(cls, x_power, genera):
+        return [-cls._denominator if g == bad_g else n for g, n in zip(genera, real(cls, x_power, genera))]
 
-    monkeypatch.setattr(existence, "top_numerator", disagree)
+    monkeypatch.setattr(existence, "top_numerators", disagree)
     with pytest.raises(ArithmeticError) as serial:
         sweep((1, 5), 3, workers=1)
     with pytest.raises(ArithmeticError) as pooled:
