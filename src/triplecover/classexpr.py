@@ -220,6 +220,13 @@ class _Parser:
         found = "end of input" if token.kind == "end" else repr(token.text)
         raise ExprSyntaxError(token.position, found, expected)
 
+    def expect(self, kind: str, expected: str) -> _Token:
+        """Consume and return the next token if it is of ``kind``; else fail,
+        expecting ``expected``."""
+        if self.peek().kind != kind:
+            self.fail((expected,))
+        return self.advance()
+
     def parse_expr(self):
         degree, first = self.parse_term()
         rest = []  # (the '+' or '-' token, a term's evaluate)
@@ -248,10 +255,7 @@ class _Parser:
                 factor_degree, factor = self.parse_factor()
                 degree += factor_degree
             else:
-                token = self.peek()
-                if token.kind != "number":
-                    self.fail(("an integer literal divisor",))
-                self.advance()
+                token = self.expect("number", "an integer literal divisor")
                 divisor = int(token.text)
                 if divisor == 0:
                     raise DivisionByZeroLiteral(token.position)
@@ -279,11 +283,7 @@ class _Parser:
         if self.peek().kind != "^":
             return degree, base
         caret = self.advance()
-        token = self.peek()
-        if token.kind != "number":
-            self.fail(("a nonnegative integer exponent",))
-        self.advance()
-        exponent = int(token.text)
+        exponent = int(self.expect("number", "a nonnegative integer exponent").text)
 
         def evaluate(*ring):
             value = base(*ring)
@@ -312,20 +312,13 @@ class _Parser:
                 return 1, lambda *ring: monomial(*ring, *powers)
             if token.text == "bn1":
                 self.advance()
-                if self.peek().kind != "(":
-                    self.fail(("'('",))
-                self.advance()
+                self.expect("(", "'('")
                 sign = 1
                 if self.peek().kind == "-":
                     self.advance()
                     sign = -1
-                index_token = self.peek()
-                if index_token.kind != "number":
-                    self.fail(("an integer bn1 index",))
-                self.advance()
-                if self.peek().kind != ")":
-                    self.fail(("')'",))
-                self.advance()
+                index_token = self.expect("number", "an integer bn1 index")
+                self.expect(")", "')'")
                 index, g, d = sign * int(index_token.text), self.g, self.d
 
                 def evaluate(*ring):
@@ -348,9 +341,7 @@ class _Parser:
         if token.kind == "(":
             self.enter(self.advance())
             rule = self.parse_expr()
-            if self.peek().kind != ")":
-                self.fail(("')'",))
-            self.advance()
+            self.expect(")", "')'")
             self.depth -= 1
             return rule
         self.fail(("a rational literal", "'x'", "'theta'", "'bn1'", "'('"))

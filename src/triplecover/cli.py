@@ -48,7 +48,7 @@ from .brill_noether import (
     rho,
 )
 from .classexpr import parse, parse_with_diagnostics
-from .cohomology import evaluate_top, pushforward_B, pushforward_bits
+from .cohomology import evaluate_top, evaluate_top_bits, pushforward_B, pushforward_bits
 from .cyclic_cover import (
     CyclicCoverProfile,
     Feasibility,
@@ -191,9 +191,13 @@ def _cmd_eval(args):
             print(f"note: {note}", file=sys.stderr)
     else:
         cls = parse(args.expr, args.g, args.d)
-    # The class is printed before it is evaluated: a class too long to print
-    # is refused before evaluate_top builds its value.
-    return _echo(args, canonical=_cell("canonical", cls), value=evaluate_top(cls))
+    # The class is printed before it is evaluated, and a value too long to
+    # print is refused before evaluate_top builds it: theta^3000000 in
+    # (10^7, 3*10^6) spent 81 s in Poincare's formula before the renderer
+    # refused it.
+    canonical = _cell("canonical", cls)
+    _refuse_unprintable("value", evaluate_top_bits(cls))
+    return _echo(args, canonical=canonical, value=evaluate_top(cls))
 
 
 def _cmd_pushpull(args):

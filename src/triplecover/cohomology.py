@@ -60,6 +60,7 @@ __all__ = [
     "top_numerator",
     "top_numerators",
     "evaluate_top",
+    "evaluate_top_bits",
     "pushforward_B",
     "pushforward_bits",
     "pair_via_pushforward",
@@ -262,14 +263,14 @@ def monomial(genus: int, sym_index: int, x_power: int, theta_power: int, coeff: 
     """The single monomial coeff * x^a * theta^b in the given ambient.
 
     Valid input is built directly in the stored form, without the
-    constructor's validating pass; invalid input raises the constructor's
-    errors.
+    constructor's validating pass; whether the monomial survives is
+    ``_surviving``'s test, and one that does not is the zero class over 1.
+    Invalid input raises the constructor's errors.
     """
     if min(genus, sym_index, x_power, theta_power) < 0 or not isinstance(coeff, (int, Fraction)):
         return CohomClass(genus, sym_index, {(x_power, theta_power): coeff})
-    if coeff and x_power + theta_power <= sym_index and theta_power <= genus:
-        return _class(genus, sym_index, {(x_power, theta_power): coeff.numerator}, coeff.denominator)
-    return _class(genus, sym_index, {}, 1)
+    numerators = _surviving(genus, sym_index, {(x_power, theta_power): coeff.numerator})
+    return _class(genus, sym_index, numerators, coeff.denominator if numerators else 1)
 
 
 def unit_class(genus: int, sym_index: int) -> CohomClass:
@@ -704,6 +705,27 @@ def pushforward_bits(k: int, cls: CohomClass) -> int:
     _require_pushable(k, cls)
     bits = max((binomial_bits(a, min(k, a - k)) for a, _ in cls._numerators if a >= k), default=0)
     return bits - cls._denominator.bit_length()
+
+
+def evaluate_top_bits(cls: CohomClass) -> int:
+    """An integer j such that evaluate_top(cls) has magnitude at least 2**j
+    when j > 0, found without a factorial.  Let n_b be the numerators of the
+    top-degree terms x^(d-b) * theta^b, b* the largest such b, r = g-b*+1,
+    S the sum of |n_b| over b < b* and P = g!/(g-b*)!.  Each g!/(g-b)! with
+    b < b* is at most P/r, so when |n_b*|*r > S the value is at least
+    P/(r*L), L the denominator; otherwise j is 0.  P is a product of b*
+    factors from r to g, so P >= r^b* and P >= (g-c+1)^c, c = b*//2."""
+    g, d = cls.genus, cls.sym_index
+    top = {b: n for (a, b), n in cls._numerators.items() if a + b == d}
+    if not top:
+        return 0
+    b_top = max(top)
+    r = g - b_top + 1
+    if abs(top[b_top]) * r <= sum(abs(n) for b, n in top.items() if b != b_top):
+        return 0
+    c = b_top // 2
+    bits = max(b_top * (r.bit_length() - 1), c * ((g - c + 1).bit_length() - 1))
+    return bits - r.bit_length() - cls._denominator.bit_length()
 
 
 def pair_via_pushforward(small: CohomClass, k: int, x_power: int) -> Fraction:

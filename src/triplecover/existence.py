@@ -17,17 +17,18 @@ is C(g-2m-3, 2p-h-1) times this at (h, p), p = floor((h+3)/2).  Parity
 only sets the reported parity and e, the audit's ``residual_case`` step and
 the ``_odd`` suffix of the odd-case audit step names.
 
-``verify_inequality`` computes the left side by two independent routes (the
-binomial closed form, and the rank-1 locus class expanded in the x/theta
-ring and paired with x^(g-2m-3) by Poincare's formula) and insists they
-agree, in integers.  ``audit_proof_chain`` replays the whole chain of
-auxiliary inequalities leading to the comparison, reporting each verdict
-without judging; near the smallest admissible genus some links of the
-chain fail arithmetically, and the audit's job is to say so.
+``verify_inequality`` computes the left side by two independent routes,
+``_bn1_closed_form`` (the binomial closed form) and ``_bn1_expansions`` (the
+rank-1 locus class expanded in the x/theta ring and paired with x^(g-2m-3)
+by Poincare's formula), and insists they agree, in integers.
+``audit_proof_chain`` replays the whole chain of auxiliary inequalities
+leading to the comparison, reporting each verdict without judging; near the
+smallest admissible genus some links of the chain fail arithmetically, and
+the audit's job is to say so.
 ``verify_inequality`` is the one-genus call of a kernel that derives
 what depends only on h once, then runs both routes for each genus of a
-run: the rank-1 class is built once per base genus and paired at each g by
-Poincare's formula, and each pairing is checked against the closed form at
+run: ``_bn1_expansions`` builds the rank-1 class once per base genus and
+pairs it at each g, and each pairing is checked against the closed form at
 its own g.  ``sweep`` calls the kernel once per base genus, sharded by h
 across forked processes (its docstring has the protocol), and assembles
 results in a deterministic order regardless of worker count.
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
 from .brill_noether import bn1_class, pencil_dimension_genus, rho
-from .cohomology import top_numerator, top_numerators
+from .cohomology import top_numerators
 
 __all__ = [
     "InequalityReport",
@@ -136,17 +137,17 @@ def _bn1_closed_form(genus: int, d: int) -> int:
     return binomial(genus, d - 1) - binomial(genus, d)
 
 
-def _bn1_expansion(genus: int, d: int) -> tuple[int, int]:
+def _bn1_expansions(genus: int, d: int, genera: range) -> tuple[list[int], int]:
     """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
-    ring: the rank-1 locus class paired with x^(2d-G-1) by Poincare's
-    formula, as a top-degree numerator over the class's denominator; the
+    ring: the rank-1 locus class at (genus, d) paired with x^(2d-G-1) by
+    Poincare's formula, as top-degree numerators over the class's
+    denominator, one for each G of ``genera`` (``top_numerators``); the
     product class is never built.  It takes a factorial and falling
-    factorials but no binomial, so the two routes stay independent.  This
-    is the one-case form, which the audit's ``castelnuovo_pairing`` step
-    uses; ``_genus_sides`` builds the rank-1 class once per base genus and
-    pairs it at each g by Poincare's formula."""
+    factorials but no binomial, so the two routes stay independent.
+    ``_genus_sides`` pairs one class at every genus of a run, and the
+    audit's ``castelnuovo_pairing`` step at its base genus alone."""
     cls = bn1_class(genus, d)
-    return top_numerator(cls, 2 * d - genus - 1), cls._denominator
+    return top_numerators(cls, 2 * d - genus - 1, genera), cls._denominator
 
 
 def _pullback_degree(h: int) -> int:
@@ -183,8 +184,8 @@ def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     derived once, and admissibility checked at the least g.  That includes
     the rank-1 class: it depends on (g, d) only through k = g - d = m + 1
     and the survival tests k+1 <= d and k <= g, which hold for g >= 2m+4,
-    so the rank-1 class is built once per base genus, at the least g, and
-    paired at each g by Poincare's formula (``top_numerators``).  The
+    so the expansion route, ``_bn1_expansions``, builds the rank-1 class
+    once per base genus, at the least g, and pairs it at each g.  The
     expansion is lhs exactly when its numerator is lhs times the class's
     denominator; a ``Fraction`` is built only to report a disagreement."""
     g0 = genera[0]
@@ -192,10 +193,9 @@ def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1
     base_pairing = _bn1_closed_form(h, pullback)
-    cls = bn1_class(g0, g0 - m - 1)
-    denominator = cls._denominator
+    numerators, denominator = _bn1_expansions(g0, g0 - m - 1, genera)
     sides = []
-    for g, numerator in zip(genera, top_numerators(cls, g0 - 2 * m - 3, genera)):
+    for g, numerator in zip(genera, numerators):
         lhs = _bn1_closed_form(g, g - m - 1)  # at the critical degree
         if numerator != lhs * denominator:
             raise ArithmeticError(
@@ -285,6 +285,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     residual_cap, residual_text, sfx = (g - 7, "g-7", "") if parity == "even" else (g - 15, "g-15", "_odd")
     beta_cap = 3 * m + 4
     report = verify_inequality(h, g)
+    (numerator,), denominator = _bn1_expansions(h, pullback, range(h, h + 1))
 
     chain = [
         ("cs_window", f"pencils of degree n+1 = {n + 1} fall inside the Castelnuovo-Severi "
@@ -304,7 +305,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
         ("mm_vs_cs", "the Martens-Mumford cap fits inside the Castelnuovo-Severi "
          f"window: {beta_cap} <= (g-3h)/2", beta_cap, "<=", window),
         ("castelnuovo_pairing", "pairing the rank-1 locus class on the base curve reproduces the "
-         "Castelnuovo count", Fraction(*_bn1_expansion(h, pullback)), "==", _bn1_closed_form(h, pullback)),
+         "Castelnuovo count", Fraction(numerator, denominator), "==", _bn1_closed_form(h, pullback)),
         ("final_strict", "the rank-1 locus pairs strictly above the pulled-back pencil "
          "contribution at the critical degree", report.lhs, ">", report.rhs),
     ]

@@ -695,6 +695,25 @@ def test_a_product_past_the_bit_budget_exits_two_at_once(child_env):
     assert proc.stderr.startswith("error: at position 16: the product could have more than")
 
 
+def test_unprintable_value_is_refused_before_it_is_computed(child_env, digit_limit):
+    # theta^3000000 in (10^7, 3*10^6) spent 81 s in Poincare's formula
+    # before the renderer refused its value; the bound refuses it first.
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplecover", "eval", "--g", "10000000", "--d", "3000000",
+         "--expr", "theta^3000000"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        f"error: column 'value' holds an integer of more than {digit_limit} digits, "
+        "the interpreter's limit for converting integers to text\n",
+    )
+
+
 def test_oversized_class_coefficient_names_the_canonical_column(capsys, digit_limit):
     # 2^28000 has about 8,400 digits, and 2^14334 has 4,315; the class is
     # printed before it is evaluated, so the refusal names column

@@ -19,6 +19,7 @@ from triplecover.cohomology import (
     CohomClass,
     MixedMonomialError,
     evaluate_top,
+    evaluate_top_bits,
     monomial,
     mul_classes,
     pair_via_pushforward,
@@ -552,6 +553,55 @@ def test_top_numerator_of_the_zero_class_and_of_a_scaled_class():
     # (1/2)*24 + (1/3)*12 = 16, stored as (3*24 + 2*12)/6.
     assert (top_numerator(half), half._denominator) == (96, 6)
     assert evaluate_top(half) == 16
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_top_bits_bounds_the_value(data):
+    # The bound's contract: |evaluate_top(cls)| >= 2**j whenever j > 0.  A
+    # few top-degree terms are added to each class, so that the bound is
+    # often positive and the leading term sometimes cancels.
+    g = data.draw(st.integers(min_value=0, max_value=40))
+    d = data.draw(st.integers(min_value=0, max_value=40))
+    top = data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=min(g, d)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        max_size=3,
+    ))
+    cls = data.draw(classes(g, d)) + CohomClass(g, d, {(d - b, b): coeff for b, coeff in top.items()})
+    bits = evaluate_top_bits(cls)
+    assert type(bits) is int
+    if bits > 0:
+        assert abs(evaluate_top(cls)) >= 2**bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_top_bits_bounds_a_nearly_cancelled_value(data):
+    # n*theta^b - (n*r - k)*x*theta^(b-1), r = g-b+1, pairs to k*g!/(g-b)!/r,
+    # which meets the bound's P/(r*L) at k = 1 over L = 1.
+    g = data.draw(st.integers(min_value=1, max_value=60))
+    b = data.draw(st.integers(min_value=1, max_value=g))
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    scale = data.draw(st.fractions(min_value=Fraction(1, 12), max_value=9, max_denominator=12))
+    r = g - b + 1
+    cls = CohomClass(g, b, {(0, b): n * scale, (1, b - 1): -(n * r - k) * scale})
+    bits = evaluate_top_bits(cls)
+    if bits > 0:
+        assert abs(evaluate_top(cls)) >= 2**bits
+
+
+def test_evaluate_top_bits_examples():
+    # theta^b* in (10^7, b*): r = 10^7 - b* + 1, and r^b* sets the bound.
+    assert evaluate_top_bits(monomial(10**7, 3 * 10**6, 0, 3 * 10**6)) == 3 * 10**6 * 22 - 23 - 1
+    assert evaluate_top_bits(monomial(10**7, 10**6, 0, 10**6)) == 10**6 * 23 - 24 - 1
+    # No top-degree term, or a leading term that the others may cancel:
+    # theta^3 - x*theta^2 in (3, 3) is 6 - 6.
+    assert evaluate_top_bits(zero_class(5, 4)) == 0
+    assert evaluate_top_bits(x_class(5, 4)) == 0
+    cancelling = CohomClass(3, 3, {(0, 3): 1, (1, 2): -1})
+    assert evaluate_top_bits(cancelling) == 0 == evaluate_top(cancelling)
 
 
 @settings(max_examples=200, deadline=None)

@@ -149,12 +149,29 @@ def test_expansion_route_needs_no_binomials(monkeypatch):
     monkeypatch.setattr(existence, "binomial", refuse)
     monkeypatch.setattr(cohomology, "binomial", refuse)
     for (g, d), value in expected.items():
-        assert Fraction(*existence._bn1_expansion(g, d)) == value
+        (numerator,), denominator = existence._bn1_expansions(g, d, range(g, g + 1))
+        assert Fraction(numerator, denominator) == value
     for h, run in runs.items():
         g0, m = run[0], (3 * h + 1) // 2
         cls = bn1_class(g0, critical_degree(h, g0))
         numerators = cohomology.top_numerators(cls, g0 - 2 * m - 3, run)
         assert numerators == [value * cls._denominator for value in run_values[h]], h
+
+
+def test_last_case_of_a_sweep_has_its_largest_left_side():
+    # theorem-a --h-range refuses an unprintable sweep from the left side of
+    # its last case alone, before it sweeps.  That case has the largest left
+    # side: at margins 0, 1 and 300 the left side at (h, genus_bound(h) + M)
+    # strictly increases with h, and for each h it increases with g.
+    reports = sweep((1, 40), 300, workers=1)
+    lhs = {(r.h, r.g): r.lhs for r in reports}
+    for margin in (0, 1, 300):
+        sides = [lhs[h, genus_bound(h) + margin] for h in range(1, 41)]
+        assert all(a < b for a, b in zip(sides, sides[1:])), margin
+    for h in range(1, 41):
+        base = genus_bound(h)
+        sides = [lhs[h, g] for g in range(base, base + 301)]
+        assert all(a < b for a, b in zip(sides, sides[1:])), h
 
 
 def test_verifier_multiplies_term_pairs(monkeypatch):
