@@ -124,8 +124,10 @@ def _bn1(genus: int, sym_index: int, g: int, d: int, max_bits: int | None = None
         return _class(genus, sym_index, {(0, 0): 1}, 1)
     if max_bits is not None and (k + 1) * (k + 1).bit_length() > max_bits:
         raise OverflowError(f"({k + 1})! could have more than {max_bits} bits")
-    numerators = {(1, k): -(k + 1)} if k == genus else {(0, k + 1): 1, (1, k): -(k + 1)}
-    return _class(genus, sym_index, numerators, factorial(k + 1))
+    if k == genus:
+        return _class(genus, sym_index, {(1, k): -(k + 1)}, factorial(k + 1))
+    # theta^(k+1)'s numerator 1 makes the two-term class lowest terms as built.
+    return _class(genus, sym_index, {(0, k + 1): 1, (1, k): -(k + 1)}, factorial(k + 1), 1)
 
 
 def bn1_class(g: int, d: int) -> CohomClass:

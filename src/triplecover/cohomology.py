@@ -625,27 +625,49 @@ def top_numerators(cls: CohomClass, x_power: int, genera: range) -> list[int]:
     (G, d + G - g) and paired with x^(x_power + G - g), for each G of
     ``genera``, (g, d) being cls's ambient.  Every stored monomial survives
     there (b <= g <= G and a + b <= d <= d + G - g), and the paired degree
-    d - x_power is the same at every G, so its terms are selected once and
-    each G costs one falling factorial G!/(G-b)! per term.  A range that
-    reaches below g is refused."""
+    d - x_power is the same at every G, so its terms are selected once, with
+    the falling factorial G0!/(G0-b)! of each at the first genus G0.  Each
+    later G costs a step of the previous G's value per term: one
+    multiplication and one exact division by small ints,
+
+        G!/(G-b)! = (G-1)!/(G-1-b)! * G / (G-b),
+
+    where G - b >= G - g >= 1.  A range whose step is not 1 is read off the
+    unit-step range that spans it.  A range that reaches below g is refused."""
     if x_power < 0:
         raise ValueError(f"x_power must be nonnegative, got {x_power}")
     genus = cls.genus
-    if genera and (genera[0] < genus or genera[-1] < genus):
-        raise ValueError(f"genera must be at least the class's genus {genus}, got {min(genera[0], genera[-1])}")
-    degree, perm = cls.sym_index - x_power, math.perm
-    terms = []
-    for (a, b), n in cls._numerators.items():
-        if a + b == degree:
-            terms.append((b, n))
+    if not genera:
+        return []
+    first, last = genera[0], genera[-1]
+    if first < genus or last < genus:
+        raise ValueError(f"genera must be at least the class's genus {genus}, got {min(first, last)}")
+    if genera.step != 1:
+        low = min(first, last)
+        span = top_numerators(cls, x_power, range(low, max(first, last) + 1))
+        return [span[G - low] for G in genera]
     # Plain loops, not comprehensions: on CPython 3.11 each comprehension
     # costs a function call, which doubles the one-genus call's time or the
     # time per genus of a run.
-    numerators = []
-    for G in genera:
+    degree, perm = cls.sym_index - x_power, math.perm
+    terms = []
+    total = 0
+    for (a, b), n in cls._numerators.items():
+        if a + b == degree:
+            falling = perm(first, b)
+            terms.append((b, n, falling))
+            total += n * falling
+    if first == last:
+        return [total]
+    numerators = [total]
+    for G in range(first + 1, last + 1):
         total = 0
-        for b, n in terms:
-            total += n * perm(G, b)
+        stepped = []
+        for b, n, falling in terms:
+            falling = falling * G // (G - b)
+            stepped.append((b, n, falling))
+            total += n * falling
+        terms = stepped
         numerators.append(total)
     return numerators
 

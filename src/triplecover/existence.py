@@ -26,12 +26,17 @@ leading to the comparison, reporting each verdict without judging; near the
 smallest admissible genus some links of the chain fail arithmetically, and
 the audit's job is to say so.
 ``verify_inequality`` is the one-genus call of a kernel that derives
-what depends only on h once, then runs both routes for each genus of a
-run: ``_bn1_expansions`` builds the rank-1 class once per base genus and
-pairs it at each g, and each pairing is checked against the closed form at
-its own g.  ``sweep`` calls the kernel once per base genus, sharded by h
-across forked processes (its docstring has the protocol), and assembles
-results in a deterministic order regardless of worker count.
+what depends only on h once, then runs both routes along the genera of a
+run, each stepping its own value from one g to the next:
+``_bn1_closed_forms`` takes the binomials at the run's least genus and
+steps the closed form, and ``_bn1_expansions`` builds the rank-1 class
+once per base genus and pairs it at each g, stepping each falling
+factorial of Poincare's formula (``top_numerators``).  Each g costs one
+multiplication and one exact division by small ints per stepped value, and
+each pairing is checked against the closed form at its own g.  ``sweep``
+calls the kernel once per base genus, sharded by h across forked processes
+(its docstring has the protocol), and assembles results in a deterministic
+order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -137,6 +142,28 @@ def _bn1_closed_form(genus: int, d: int) -> int:
     return binomial(genus, d - 1) - binomial(genus, d)
 
 
+def _bn1_closed_forms(genus: int, d: int, count: int) -> list[int]:
+    """``_bn1_closed_form`` at (G, d + G - genus) for the ``count`` >= 1
+    genera G from ``genus`` on, 2d >= genus + 2 (the sweep's runs).  The
+    binomials are taken at the first genus only.  With k = genus - d fixed,
+    L(G) = C(G, k+1) - C(G, k) = C(G, k)(G-2k-1)/(k+1), so each later genus
+    costs one multiplication and one exact division by small ints:
+
+        L(G+1) = L(G) * (G+1)(G-2k) / ((G+1-k)(G-2k-1)),
+
+    whose divisor is positive for G >= 2k+2, that is 2d >= genus + 2.
+    """
+    value = _bn1_closed_form(genus, d)
+    if count == 1:
+        return [value]
+    k = genus - d
+    values = [value]
+    for G in range(genus, genus + count - 1):
+        value = value * ((G + 1) * (G - 2 * k)) // ((G + 1 - k) * (G - 2 * k - 1))
+        values.append(value)
+    return values
+
+
 def _bn1_expansions(genus: int, d: int, genera: range) -> tuple[list[int], int]:
     """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
     ring: the rank-1 locus class at (genus, d) paired with x^(2d-G-1) by
@@ -178,7 +205,8 @@ def lhs_bits(h: int, g: int) -> int:
 
 def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     """The closed-form sides (lhs, rhs) of base genus h at each g of the
-    nonempty ``genera``, each lhs checked against the expansion route at the
+    nonempty unit-step ``genera``, the lhs stepped along g from the least
+    (``_bn1_closed_forms``), each checked against the expansion route at the
     critical degree d: the rank-1 locus class paired with x^(g-2m-3) by
     Poincare's formula, since 2d-g-1 = g-2m-3.  What depends only on h is
     derived once, and admissibility checked at the least g.  That includes
@@ -193,10 +221,10 @@ def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1
     base_pairing = _bn1_closed_form(h, pullback)
+    closed_forms = _bn1_closed_forms(g0, g0 - m - 1, len(genera))  # at the critical degree
     numerators, denominator = _bn1_expansions(g0, g0 - m - 1, genera)
     sides = []
-    for g, numerator in zip(genera, numerators):
-        lhs = _bn1_closed_form(g, g - m - 1)  # at the critical degree
+    for g, lhs, numerator in zip(genera, closed_forms, numerators):
         if numerator != lhs * denominator:
             raise ArithmeticError(
                 f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "

@@ -28,9 +28,11 @@ from triplecover import (
     VanishingMargins,
     cli,
 )
+from triplecover.arith import exceeds_str_digits
 from triplecover.classexpr import _Token
 from triplecover.cli import main
 from triplecover.cohomology import CohomClass
+from triplecover.existence import genus_bound, lhs_bits, sweep
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -596,6 +598,51 @@ def test_unprintable_left_side_is_refused_before_it_is_computed(child_env):
         assert proc.stdout.startswith("h,g,") if code == 0 else proc.stdout == "", argv
 
 
+def test_sweep_past_the_digit_limit_is_refused_before_it_sweeps(child_env):
+    # lhs_bits gives 14,322 bits for this sweep's last case, too few for the
+    # early check to refuse, but that left side has 16,671 bits and 5,019
+    # digits: the sweep ran for 78 s before the renderer refused it.  Its
+    # last case is now computed alone and refused before the sweep.
+    limit = sys.get_int_max_str_digits()
+    proc = subprocess.run(
+        [sys.executable, "-m", "triplecover", "theorem-a", "--h-range", "770", "868", "--g-margin", "1000",
+         "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        f"error: column 'lhs' holds an integer of more than {limit} digits, "
+        "the interpreter's limit for converting integers to text\n",
+    )
+
+
+def test_sweep_refusal_is_exact_at_the_digit_limit(capsys, monkeypatch, digit_limit):
+    # At margin 0 the left side has 4,304 digits at h = 756 and 4,299 at
+    # h = 755, and lhs_bits lets both through; the renderer's own digit
+    # check on the last case refuses the first without sweeping and passes
+    # the second.
+    assert not exceeds_str_digits(lhs_bits(756, genus_bound(756)))
+    real = cli.sweep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unprintable sweep was run")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    assert run(capsys, "theorem-a", "--h-range", "756", "756", "--format", "csv") == (
+        2,
+        "",
+        f"error: column 'lhs' holds an integer of more than {digit_limit} digits, "
+        "the interpreter's limit for converting integers to text\n",
+    )
+    monkeypatch.setattr(cli, "sweep", real)
+    code, out, err = run(capsys, "theorem-a", "--h-range", "755", "755", "--format", "csv")
+    assert (code, err, len(out.splitlines())) == (0, "", 2)
+
+
 def test_outputs_past_the_row_limit_are_refused_before_a_row_is_built(child_env):
     # At g = 10^30, miranda --all and lemma21 --per-delta ended in an
     # OverflowError traceback, and the sweep had not finished after 10 s.
@@ -864,6 +911,33 @@ def test_renderer_names_the_first_unprintable_column_in_row_order():
     for fmt in ("table", "csv", "json"):
         assert _rendered(cli._render, ["a", "b", "c"], rows, fmt) == expected
         assert _rendered(_reference_render, ["a", "b", "c"], rows, fmt) == expected
+
+
+def test_renderer_converts_each_fraction_object_once(monkeypatch):
+    # A sweep report's lhs and lhs_via_expansion are one Fraction, converted
+    # to text once; equal but distinct objects are converted apart.  The
+    # bytes are the reference renderer's.
+    shared, equal = Fraction(7**500, 3), Fraction(7**500, 3)
+    keys = ["a", "b", "c", "d"]
+    rows = [{"a": shared, "b": 1, "c": shared, "d": equal}, {"a": shared, "b": 2, "c": Fraction(1, 2), "d": None}]
+    reports = cli._records(InequalityReport, sweep((1, 2), 3, workers=1))[:2]
+    formats = ("table", "csv", "json")
+    expected = {fmt: (_reference_render(keys, rows, fmt), _reference_render(*reports, fmt)) for fmt in formats}
+    converted = []
+    real = Fraction.__str__
+
+    def counting(self):
+        converted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counting)
+    for fmt in formats:
+        converted.clear()
+        assert cli._render(keys, rows, fmt) == expected[fmt][0], fmt
+        assert len(converted) == 3, fmt
+        converted.clear()
+        assert cli._render(*reports, fmt) == expected[fmt][1], fmt
+        assert len(converted) == 2 * len(reports[1]) == 16, fmt
 
 
 def test_oversized_literals_and_constant_powers_exit_two_quickly(capsys):

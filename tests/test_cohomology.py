@@ -668,6 +668,30 @@ def test_batched_pairings_refuse_what_the_one_genus_call_refuses():
     assert top_numerators(cls, 1, range(3, 5)) == [1, 1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stepped_pairings_equal_the_class_rebuilt_at_each_genus(data):
+    # top_numerators takes falling factorials at the run's first genus G0
+    # only and steps them along G; each entry must still be the pairing of
+    # the class rebuilt on (G, d + G - g), whatever G0 and the run's length.
+    cls = data.draw(classes())
+    g, d = cls.genus, cls.sym_index
+    j = data.draw(st.integers(min_value=0, max_value=d + 2))
+    first = data.draw(st.integers(min_value=g, max_value=g + 30))
+
+    def rebuilt(G: int) -> int:
+        placed = CohomClass(G, d + G - g, cls.terms)
+        assert placed._denominator == cls._denominator
+        return top_numerator(placed, j + G - g)
+
+    for count in (0, 1, 2, 50):
+        genera = range(first, first + count)
+        assert top_numerators(cls, j, genera) == [rebuilt(G) for G in genera], count
+    # A range of another step is read off the unit-step range spanning it.
+    for genera in (range(first + 9, first - 1, -1), range(first, first + 40, 3), range(first + 20, first - 1, -7)):
+        assert top_numerators(cls, j, genera) == [rebuilt(G) for G in genera], genera
+
+
 def test_theta_power_beyond_genus_evaluates_to_zero():
     assert evaluate_top(monomial(2, 5, 2, 3)) == 0
     assert monomial(2, 5, 2, 3) == zero_class(2, 5)

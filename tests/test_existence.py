@@ -127,9 +127,31 @@ def test_report_sides_are_fractions_and_the_verdict_a_bool():
 
 
 def test_verify_closed_form_disagreement_is_fatal(monkeypatch):
+    # The sweep's stepped closed form seeds from _bn1_closed_form, so the
+    # patch reaches every run of a sweep too.
     monkeypatch.setattr(existence, "_bn1_closed_form", lambda genus, d: -1)
     with pytest.raises(ArithmeticError):
         verify_inequality(2, 28)
+    with pytest.raises(ArithmeticError):
+        sweep((2, 3), 5, workers=1)
+
+
+def test_stepped_closed_forms_equal_the_closed_form_at_each_genus():
+    # _bn1_closed_forms takes binomials at the run's first genus only and
+    # steps along G; every entry must be the closed form at its own genus,
+    # from genus_bound(h) and from the least admissible genus 2m+4 on.
+    def runs():
+        for h in range(1, 61):
+            m = (3 * h + 1) // 2
+            yield h, genus_bound(h), 301
+            yield h, 2 * m + 4, 40
+        yield 700, genus_bound(700), 301
+
+    for h, g0, count in runs():
+        d = critical_degree(h, g0)
+        expected = [existence._bn1_closed_form(G, d + G - g0) for G in range(g0, g0 + count)]
+        assert existence._bn1_closed_forms(g0, d, count) == expected, (h, g0)
+        assert existence._bn1_closed_forms(g0, d, 1) == expected[:1], (h, g0)
 
 
 def test_expansion_route_needs_no_binomials(monkeypatch):
