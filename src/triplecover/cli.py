@@ -130,24 +130,27 @@ def _too_many_digits(key: str) -> ValueError:
 
 
 def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
-    # A Fraction object is converted once, however many cells hold it: a
-    # sweep report's lhs and lhs_via_expansion are one Fraction, of some
-    # 4,000 digits at h = 700.  The rows keep every value alive, so no two
-    # of them share an id.
-    texts: dict[int, str] = {}
-    cells = []
+    # A cell holding the object of the cell above it, or of the earlier cell
+    # of its row that holds it in the first row, reuses that cell's text: a
+    # report's lhs_via_expansion is its lhs, some 4,000 digits at h = 700,
+    # and lemma21 --per-delta repeats one Fraction down a column.
+    first = rows[0] if rows else dict.fromkeys(keys)
+    index: dict[int, int] = {}
+    earlier = [index.setdefault(id(first[key]), i) for i, key in enumerate(keys)]
+    cells, above, above_line = [], first, None
     for row in rows:
         line = []
-        for key in keys:
+        for i, key in enumerate(keys):
             value = row[key]
-            if type(value) is Fraction:
-                text = texts.get(id(value))
-                if text is None:
-                    text = texts[id(value)] = _cell(key, value)
+            j = earlier[i]
+            if above_line is not None and value is above[key]:
+                line.append(above_line[i])
+            elif j < i and value is row[keys[j]]:
+                line.append(line[j])
             else:
-                text = _cell(key, value)
-            line.append(text)
+                line.append(_cell(key, value))
         cells.append(line)
+        above, above_line = row, line
     if fmt == "json":
         # json.dumps(rows, indent=2), from the cell texts (module docstring).
         names = [f"    {encode_basestring_ascii(key)}: " for key in keys]

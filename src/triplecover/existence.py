@@ -45,6 +45,7 @@ import marshal
 import operator
 import os
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
@@ -65,16 +66,16 @@ __all__ = [
 
 
 class InequalityReport(NamedTuple):
-    """Outcome of the critical-degree comparison for one (h, g)."""
+    """Outcome of the critical-degree comparison for one (h, g), in ints."""
 
     h: int
     g: int
     e: int
     parity: str
     critical_degree: int
-    lhs: Fraction
-    rhs: Fraction
-    lhs_via_expansion: Fraction
+    lhs: int
+    rhs: int
+    lhs_via_expansion: int
     strict: bool
 
 
@@ -219,7 +220,7 @@ def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
     g0 = genera[0]
     m = _checked_half_bracket(h, g0)
     pullback = _pullback_degree(h)
-    draws = 2 * pullback - h - 1
+    draws = 2 * pullback - h - 1  # 1 or 2, and g-2m-3 >= 1: math.comb needs no range check
     base_pairing = _bn1_closed_form(h, pullback)
     closed_forms = _bn1_closed_forms(g0, g0 - m - 1, len(genera))  # at the critical degree
     numerators, denominator = _bn1_expansions(g0, g0 - m - 1, genera)
@@ -230,23 +231,22 @@ def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
                 f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
                 f"!= expansion {Fraction(numerator, denominator)}"
             )
-        sides.append((lhs, binomial(g - 2 * m - 3, draws) * base_pairing))
+        sides.append((lhs, comb(g - 2 * m - 3, draws) * base_pairing))
     return sides
 
 
 def _reports(h: int, g_lo: int, sides: list[tuple[int, int]]) -> list[InequalityReport]:
-    """The reports of base genus h from g = g_lo on, from the sides that
-    ``_genus_sides`` computed; the two routes agreed, so the expansion's
-    value is the closed form's."""
+    """The reports of base genus h from g = g_lo on, from the int sides that
+    ``_genus_sides`` computed; the two routes agreed, so each report's
+    ``lhs_via_expansion`` is its ``lhs`` object."""
     parity, e = _parity_e(h)
     offset = _half_bracket(h) + 1
-    reports = []
-    for g, (lhs, rhs) in enumerate(sides, g_lo):
-        lhs_value = Fraction(lhs)
-        # Positional arguments, in field order: keywords cost the serial
-        # sweep about 0.4 us per report.
-        reports.append(InequalityReport(h, g, e, parity, g - offset, lhs_value, Fraction(rhs), lhs_value, lhs > rhs))
-    return reports
+    # Positional arguments, in field order: keywords cost the serial sweep
+    # about 0.4 us per report.
+    return [
+        InequalityReport(h, g, e, parity, g - offset, lhs, rhs, lhs, lhs > rhs)
+        for g, (lhs, rhs) in enumerate(sides, g_lo)
+    ]
 
 
 def verify_inequality(h: int, g: int) -> InequalityReport:
@@ -259,9 +259,7 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     routes is a fatal internal error, not a reportable verdict.  The right
     side is C(g-2m-3, 2p-h-1) times the same closed form on the base curve
     at the pull-back degree p = floor((h+3)/2), the Castelnuovo count of the
-    pulled-back pencils; no formula depends on the parity of h.  The sides
-    stay ints until the report: comparing ints is cheaper than comparing
-    Fractions.
+    pulled-back pencils; no formula depends on the parity of h.
     """
     return _reports(h, g, _genus_sides(h, range(g, g + 1)))[0]
 

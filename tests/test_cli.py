@@ -913,31 +913,40 @@ def test_renderer_names_the_first_unprintable_column_in_row_order():
         assert _rendered(_reference_render, ["a", "b", "c"], rows, fmt) == expected
 
 
-def test_renderer_converts_each_fraction_object_once(monkeypatch):
-    # A sweep report's lhs and lhs_via_expansion are one Fraction, converted
-    # to text once; equal but distinct objects are converted apart.  The
-    # bytes are the reference renderer's.
-    shared, equal = Fraction(7**500, 3), Fraction(7**500, 3)
+def test_renderer_converts_each_shared_object_once(monkeypatch):
+    # A sweep report's lhs_via_expansion is its lhs, one int converted to
+    # text once.  A cell holding the object of the cell above it, like the
+    # one Fraction a lemma21 --per-delta column repeats, reuses that text
+    # too.  Equal but distinct objects are converted apart.  The bytes are
+    # the reference renderer's.
+    shared, equal, fraction = 7**500, 7**500, Fraction(7**500, 3)
     keys = ["a", "b", "c", "d"]
-    rows = [{"a": shared, "b": 1, "c": shared, "d": equal}, {"a": shared, "b": 2, "c": Fraction(1, 2), "d": None}]
+    rows = [
+        {"a": shared, "b": 1, "c": shared, "d": equal},
+        {"a": shared, "b": fraction, "c": 2, "d": equal},
+        {"a": 3, "b": fraction, "c": 4, "d": None},
+    ]
     reports = cli._records(InequalityReport, sweep((1, 2), 3, workers=1))[:2]
     formats = ("table", "csv", "json")
     expected = {fmt: (_reference_render(keys, rows, fmt), _reference_render(*reports, fmt)) for fmt in formats}
     converted = []
-    real = Fraction.__str__
+    real = cli._cell
 
-    def counting(self):
-        converted.append(self)
-        return real(self)
+    def counting(key, value):
+        converted.append(value)
+        return real(key, value)
 
-    monkeypatch.setattr(Fraction, "__str__", counting)
+    monkeypatch.setattr(cli, "_cell", counting)
     for fmt in formats:
         converted.clear()
         assert cli._render(keys, rows, fmt) == expected[fmt][0], fmt
-        assert len(converted) == 3, fmt
+        assert [sum(value is obj for value in converted) for obj in (shared, equal, fraction)] == [1, 1, 1], fmt
         converted.clear()
         assert cli._render(*reports, fmt) == expected[fmt][1], fmt
-        assert len(converted) == 2 * len(reports[1]) == 16, fmt
+        for report in reports[1]:
+            assert type(report["lhs"]) is int and report["lhs_via_expansion"] is report["lhs"]
+            assert sum(value is report["lhs"] for value in converted) == 1, fmt
+        assert len(reports[1]) == 8
 
 
 def test_oversized_literals_and_constant_powers_exit_two_quickly(capsys):

@@ -112,18 +112,21 @@ def test_verify_route_disagreement_is_fatal(monkeypatch):
     assert str(raised.value) == "internal consistency failure at (h=2, g=28): closed form 77805 != expansion -1"
 
 
-def test_report_sides_are_fractions_and_the_verdict_a_bool():
+def test_report_sides_are_ints_and_the_verdict_a_bool():
     grid = [(1, 15), (2, 28), (2, 29), (3, 66), (4, 91), (5, 200), (60, 16471)]
     for h, g in grid:
         report = verify_inequality(h, g)
-        assert type(report.lhs) is Fraction
-        assert type(report.rhs) is Fraction
-        assert type(report.lhs_via_expansion) is Fraction
+        assert type(report.lhs) is int
+        assert type(report.rhs) is int
+        assert report.lhs_via_expansion is report.lhs
         assert type(report.strict) is bool
-        assert report.lhs.denominator == report.rhs.denominator == 1
-        assert report.lhs_via_expansion == report.lhs
         assert report.strict is (report.lhs > report.rhs)
-    assert verify_inequality(60, 16471).lhs.numerator.bit_length() == 817
+        # The audit's final step carries the same sides as Fractions.
+        final = audit_proof_chain(h, g).steps[-1]
+        assert final.name.startswith("final_strict")
+        assert type(final.lhs) is type(final.rhs) is Fraction
+        assert (final.lhs, final.rhs) == (report.lhs, report.rhs)
+    assert verify_inequality(60, 16471).lhs.bit_length() == 817
 
 
 def test_verify_closed_form_disagreement_is_fatal(monkeypatch):
@@ -383,7 +386,8 @@ def test_pooled_sweep_equals_serial(workers):
         assert len(serial) == cases
         assert pooled == serial
         for report in pooled:
-            assert type(report.lhs) is type(report.rhs) is type(report.lhs_via_expansion) is Fraction
+            assert type(report.lhs) is type(report.rhs) is int
+            assert report.lhs_via_expansion is report.lhs
             assert type(report.strict) is bool
 
 
@@ -439,7 +443,8 @@ def test_sweep_reports_equal_single_verifications_field_by_field():
             value, expected = getattr(report, field), getattr(single, field)
             assert type(value) is type(expected), field
             assert value == expected, field
-        assert type(report.lhs) is type(report.rhs) is type(report.lhs_via_expansion) is Fraction
+        assert type(report.lhs) is type(report.rhs) is int
+        assert report.lhs_via_expansion is report.lhs
         assert type(report.strict) is bool
 
 
