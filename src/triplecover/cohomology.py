@@ -15,7 +15,8 @@ uses Poincare's formula
 
     (x^(d-b) * theta^b) = g! / (g-b)!
 
-extended linearly over the exact rational coefficients.
+extended linearly over the exact rational coefficients; ``top_numerators``
+steps it along the ambients (G, d + G - g) from the class's own genus g on.
 
 A product with many term pairs per packed slot is one big-integer
 multiplication by Kronecker substitution (Harvey, "Faster polynomial
@@ -620,32 +621,23 @@ def _dense_product(
     return numerators
 
 
-def top_numerators(cls: CohomClass, x_power: int, genera: range) -> list[int]:
-    """``top_numerator`` of cls's stored form placed on the ambient
-    (G, d + G - g) and paired with x^(x_power + G - g), for each G of
-    ``genera``, (g, d) being cls's ambient.  Every stored monomial survives
+def top_numerators(cls: CohomClass, x_power: int, count: int) -> list[int]:
+    """``top_numerator`` of cls's stored form placed on (G, d + G - g) and
+    paired with x^(x_power + G - g), at the ``count`` genera G from cls's
+    genus g on, (g, d) being cls's ambient.  Every stored monomial survives
     there (b <= g <= G and a + b <= d <= d + G - g), and the paired degree
     d - x_power is the same at every G, so its terms are selected once, with
-    the falling factorial G0!/(G0-b)! of each at the first genus G0.  Each
-    later G costs a step of the previous G's value per term: one
-    multiplication and one exact division by small ints,
+    the falling factorial g!/(g-b)! of each.  Each later G steps each term's
+    value by one multiplication and one exact division by small ints,
 
         G!/(G-b)! = (G-1)!/(G-1-b)! * G / (G-b),
 
-    where G - b >= G - g >= 1.  A range whose step is not 1 is read off the
-    unit-step range that spans it.  A range that reaches below g is refused."""
+    where G - b >= G - g >= 1."""
     if x_power < 0:
         raise ValueError(f"x_power must be nonnegative, got {x_power}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     genus = cls.genus
-    if not genera:
-        return []
-    first, last = genera[0], genera[-1]
-    if first < genus or last < genus:
-        raise ValueError(f"genera must be at least the class's genus {genus}, got {min(first, last)}")
-    if genera.step != 1:
-        low = min(first, last)
-        span = top_numerators(cls, x_power, range(low, max(first, last) + 1))
-        return [span[G - low] for G in genera]
     # Plain loops, not comprehensions: on CPython 3.11 each comprehension
     # costs a function call, which doubles the one-genus call's time or the
     # time per genus of a run.
@@ -654,13 +646,11 @@ def top_numerators(cls: CohomClass, x_power: int, genera: range) -> list[int]:
     total = 0
     for (a, b), n in cls._numerators.items():
         if a + b == degree:
-            falling = perm(first, b)
+            falling = perm(genus, b)
             terms.append((b, n, falling))
             total += n * falling
-    if first == last:
-        return [total]
     numerators = [total]
-    for G in range(first + 1, last + 1):
+    for G in range(genus + 1, genus + count):
         total = 0
         stepped = []
         for b, n, falling in terms:
@@ -681,7 +671,7 @@ def top_numerator(cls: CohomClass, x_power: int = 0) -> int:
     numerator of ``mul_classes(cls, monomial(g, d, x_power, 0))`` over
     cls's denominator rather than the product's.  It is the one-genus case
     of ``top_numerators``."""
-    return top_numerators(cls, x_power, range(cls.genus, cls.genus + 1))[0]
+    return top_numerators(cls, x_power, 1)[0]
 
 
 def evaluate_top(cls: CohomClass) -> Fraction:

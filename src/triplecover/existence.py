@@ -25,18 +25,14 @@ by Poincare's formula), and insists they agree, in integers.
 leading to the comparison, reporting each verdict without judging; near the
 smallest admissible genus some links of the chain fail arithmetically, and
 the audit's job is to say so.
-``verify_inequality`` is the one-genus call of a kernel that derives
-what depends only on h once, then runs both routes along the genera of a
-run, each stepping its own value from one g to the next:
-``_bn1_closed_forms`` takes the binomials at the run's least genus and
-steps the closed form, and ``_bn1_expansions`` builds the rank-1 class
-once per base genus and pairs it at each g, stepping each falling
-factorial of Poincare's formula (``top_numerators``).  Each g costs one
-multiplication and one exact division by small ints per stepped value, and
-each pairing is checked against the closed form at its own g.  ``sweep``
-calls the kernel once per base genus, sharded by h across forked processes
-(its docstring has the protocol), and assembles results in a deterministic
-order regardless of worker count.
+``verify_inequality`` is the one-genus case of a kernel, ``_genus_sides``,
+that derives what depends only on a base genus h once, then runs both routes
+along a run g = g0, g0+1, ...: each takes its binomials or falling factorials
+at g0 and steps them from one g to the next by one multiplication and one
+exact division by small ints (``_bn1_closed_forms``; ``top_numerators``
+under ``_bn1_expansions``).  ``sweep`` runs the kernel once per base genus h
+from genus_bound(h), sharded by h across forked processes, and assembles
+results in a deterministic order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -155,8 +151,6 @@ def _bn1_closed_forms(genus: int, d: int, count: int) -> list[int]:
     whose divisor is positive for G >= 2k+2, that is 2d >= genus + 2.
     """
     value = _bn1_closed_form(genus, d)
-    if count == 1:
-        return [value]
     k = genus - d
     values = [value]
     for G in range(genus, genus + count - 1):
@@ -165,17 +159,18 @@ def _bn1_closed_forms(genus: int, d: int, count: int) -> list[int]:
     return values
 
 
-def _bn1_expansions(genus: int, d: int, genera: range) -> tuple[list[int], int]:
-    """The same pairing as ``_bn1_closed_form``, expanded in the x/theta
-    ring: the rank-1 locus class at (genus, d) paired with x^(2d-G-1) by
-    Poincare's formula, as top-degree numerators over the class's
-    denominator, one for each G of ``genera`` (``top_numerators``); the
-    product class is never built.  It takes a factorial and falling
-    factorials but no binomial, so the two routes stay independent.
-    ``_genus_sides`` pairs one class at every genus of a run, and the
-    audit's ``castelnuovo_pairing`` step at its base genus alone."""
+def _bn1_expansions(genus: int, d: int, count: int) -> tuple[list[int], int]:
+    """``_bn1_closed_form`` at (G, d + G - genus) for the ``count`` genera G
+    from ``genus`` on, expanded in the x/theta ring: the rank-1 locus class
+    at (genus, d), placed on each (G, d') with d' = d + G - genus and paired
+    with x^(2d'-G-1) by Poincare's formula (``top_numerators``), as
+    top-degree numerators over the class's denominator; the product class is
+    never built.  It takes a factorial and falling factorials but no
+    binomial, so the two routes stay independent.  ``_genus_sides`` pairs one
+    class at every genus of a run, and the audit's ``castelnuovo_pairing``
+    step at its base genus alone."""
     cls = bn1_class(genus, d)
-    return top_numerators(cls, 2 * d - genus - 1, genera), cls._denominator
+    return top_numerators(cls, 2 * d - genus - 1, count), cls._denominator
 
 
 def _pullback_degree(h: int) -> int:
@@ -204,28 +199,27 @@ def lhs_bits(h: int, g: int) -> int:
     return binomial_bits(g, m + 1) - (m + 2).bit_length()
 
 
-def _genus_sides(h: int, genera: range) -> list[tuple[int, int]]:
-    """The closed-form sides (lhs, rhs) of base genus h at each g of the
-    nonempty unit-step ``genera``, the lhs stepped along g from the least
-    (``_bn1_closed_forms``), each checked against the expansion route at the
-    critical degree d: the rank-1 locus class paired with x^(g-2m-3) by
+def _genus_sides(h: int, g0: int, count: int) -> list[tuple[int, int]]:
+    """The closed-form sides (lhs, rhs) of base genus h at the ``count``
+    genera g from g0 on, the lhs stepped along g (``_bn1_closed_forms``) and
+    checked at each g against the expansion route at the critical degree d
+    (``_bn1_expansions``): the rank-1 locus class paired with x^(g-2m-3) by
     Poincare's formula, since 2d-g-1 = g-2m-3.  What depends only on h is
-    derived once, and admissibility checked at the least g.  That includes
-    the rank-1 class: it depends on (g, d) only through k = g - d = m + 1
-    and the survival tests k+1 <= d and k <= g, which hold for g >= 2m+4,
-    so the expansion route, ``_bn1_expansions``, builds the rank-1 class
-    once per base genus, at the least g, and pairs it at each g.  The
-    expansion is lhs exactly when its numerator is lhs times the class's
-    denominator; a ``Fraction`` is built only to report a disagreement."""
-    g0 = genera[0]
+    derived once, and admissibility checked at g0.  That includes the rank-1
+    class: it depends on (g, d) only through k = g - d = m + 1 and the
+    survival tests k+1 <= d and k <= g, which hold for g >= 2m+4, so it is
+    built once, at g0.  The expansion is lhs exactly when its numerator is
+    lhs times the class's denominator; a ``Fraction`` is built only to report
+    a disagreement."""
     m = _checked_half_bracket(h, g0)
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1  # 1 or 2, and g-2m-3 >= 1: math.comb needs no range check
     base_pairing = _bn1_closed_form(h, pullback)
-    closed_forms = _bn1_closed_forms(g0, g0 - m - 1, len(genera))  # at the critical degree
-    numerators, denominator = _bn1_expansions(g0, g0 - m - 1, genera)
+    d = g0 - m - 1  # the critical degree
+    closed_forms = _bn1_closed_forms(g0, d, count)
+    numerators, denominator = _bn1_expansions(g0, d, count)
     sides = []
-    for g, lhs, numerator in zip(genera, closed_forms, numerators):
+    for g, lhs, numerator in zip(range(g0, g0 + count), closed_forms, numerators):
         if numerator != lhs * denominator:
             raise ArithmeticError(
                 f"internal consistency failure at (h={h}, g={g}): closed form {lhs} "
@@ -261,7 +255,7 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     at the pull-back degree p = floor((h+3)/2), the Castelnuovo count of the
     pulled-back pencils; no formula depends on the parity of h.
     """
-    return _reports(h, g, _genus_sides(h, range(g, g + 1)))[0]
+    return _reports(h, g, _genus_sides(h, g, 1))[0]
 
 
 def _step(name: str, detail: str, lhs: Fraction | int, relation: str, rhs: Fraction | int) -> AuditStep:
@@ -311,7 +305,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     residual_cap, residual_text, sfx = (g - 7, "g-7", "") if parity == "even" else (g - 15, "g-15", "_odd")
     beta_cap = 3 * m + 4
     report = verify_inequality(h, g)
-    (numerator,), denominator = _bn1_expansions(h, pullback, range(h, h + 1))
+    (numerator,), denominator = _bn1_expansions(h, pullback, 1)
 
     chain = [
         ("cs_window", f"pencils of degree n+1 = {n + 1} fall inside the Castelnuovo-Severi "
@@ -339,21 +333,12 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     return ProofAudit(h=h, g=g, e=e, parity=parity, steps=steps)
 
 
-def _sweep_sides(args: tuple[int, int]) -> list[tuple[int, int]]:
-    """The (lhs, rhs) ints of base genus h at g = genus_bound(h) ..
-    genus_bound(h) + g_margin.  A forked child sends these, which marshal
-    cheaply, unlike the reports."""
-    h, g_margin = args
-    base = genus_bound(h)
-    return _genus_sides(h, range(base, base + g_margin + 1))
-
-
-def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
-    """Fork a child for ``share`` (see ``sweep``); return its pid and the
-    read end of its pipe.  The child writes its payload and exits 0, or
-    writes its pickled exception and exits 1.  It leaves through
-    ``os._exit``, so it never returns into the caller's stack and never
-    flushes the stdio buffers it inherited."""
+def _fork_share(share: range, count: int) -> tuple[int, int]:
+    """Fork a child that runs ``_genus_sides`` for each base genus of
+    ``share`` (see ``sweep``); return its pid and the read end of its pipe.
+    The child writes the int sides marshalled and exits 0, or its pickled
+    exception and exits 1, through ``os._exit``: it never returns into the
+    caller's stack and never flushes the stdio buffers it inherited."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -366,7 +351,7 @@ def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
         try:
             os.close(read_end)
             try:
-                payload, done = marshal.dumps([_sweep_sides(task) for task in share]), 0
+                payload, done = marshal.dumps([_genus_sides(h, genus_bound(h), count) for h in share]), 0
             except BaseException as exc:
                 import pickle
 
@@ -380,7 +365,7 @@ def _fork_share(share: list[tuple[int, int]]) -> tuple[int, int]:
     return pid, read_end
 
 
-def _received(share: list[tuple[int, int]], status: int, payload: bytes) -> list[list[tuple[int, int]]]:
+def _received(share: range, status: int, payload: bytes) -> list[list[tuple[int, int]]]:
     """The int pairs a reaped child sent for ``share``, given its wait status;
     re-raises the child's exception, and refuses a payload it did not finish."""
     if status == 0:
@@ -389,7 +374,7 @@ def _received(share: list[tuple[int, int]], status: int, payload: bytes) -> list
         import pickle
 
         raise pickle.loads(payload)
-    genera = ", ".join(str(h) for h, _ in share)
+    genera = ", ".join(map(str, share))
     raise ChildProcessError(
         f"the sweep process for base genera {genera} ended without its result (wait status {status})"
     )
@@ -401,29 +386,28 @@ def sweep(
     """Verify the comparison for every h in h_range (inclusive) and every
     g from genus_bound(h) to genus_bound(h) + g_margin.
 
-    Work is sharded by h, one task per base genus; the result order (h
-    ascending, then g ascending) is independent of the worker count W, which
-    defaults to the number of processors this process may run on.  With
-    P = min(W, the number of tasks) processes, the calling process forks
-    P - 1 children (``os.fork``), each with its own pipe, and verifies every
-    P-th base genus from the first itself while child i = 1, 2, ... computes
-    the integer sides of every P-th from the (i+1)-th on and sends them back
-    marshalled.  The caller builds the reports of its own share, then reads
-    each child's pairs, reaps it and builds its reports.  The serial sweep is
-    this path with P = 1: W < 2, a single task, or no ``os.fork`` forks no
-    child.  Each task is one call of the per-base-genus kernel, which runs
-    both left-side routes and checks them against each other, in integers,
-    for every case.  A child's exception is raised again with its type and
-    message; a child that ends without its result raises
-    ``ChildProcessError``; if the caller's own share raises, every child is
-    killed and reaped first.
+    Work is sharded by h, one task per base genus: a run of ``_genus_sides``
+    from genus_bound(h), which checks both left-side routes against each
+    other at every case.  The result order (h ascending, then g ascending) is
+    independent of the worker count W, which defaults to the number of
+    processors this process may run on.  With P = min(W, the number of
+    tasks) processes, the calling process forks P - 1 children (``os.fork``),
+    each with its own pipe, and verifies every P-th base genus from the first
+    itself while child i = 1, 2, ... computes the integer sides of every P-th
+    from the (i+1)-th on and sends them back marshalled.  The caller builds
+    the reports of its own share, then reads each child's pairs, reaps it and
+    builds its reports.  The serial sweep is this path with P = 1: W < 2, a
+    single task, or no ``os.fork`` forks no child.  A child's exception is
+    raised again with its type and message; a child that ends without its
+    result raises ``ChildProcessError``; if the caller's own share raises,
+    every child is killed and reaped first.
     """
-    h_lo, h_hi = h_range
     if g_margin < 0:
         raise ValueError(f"g_margin must be nonnegative, got {g_margin}")
-    if h_lo <= h_hi:
-        _require_base_genus(h_lo)  # before one task is built for each h
-    tasks = [(h, g_margin) for h in range(h_lo, h_hi + 1)]
+    tasks = range(h_range[0], h_range[1] + 1)
+    if tasks:
+        _require_base_genus(tasks[0])  # before any child is forked
+    count = g_margin + 1
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     processes = max(1, min(workers, len(tasks))) if hasattr(os, "fork") else 1
@@ -432,8 +416,9 @@ def sweep(
     statuses = []
     try:
         for share in shares:
-            children.append(_fork_share(share))
-        chunks = {h: _reports(h, genus_bound(h), _sweep_sides((h, g_margin))) for h, _ in tasks[::processes]}
+            children.append(_fork_share(share, count))
+        chunks = {h: _reports(h, genus_bound(h), _genus_sides(h, genus_bound(h), count))
+                  for h in tasks[::processes]}
         payloads = []
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
@@ -449,6 +434,6 @@ def sweep(
             os.close(read_end)
             statuses.append(os.waitpid(pid, 0)[1])
     for share, status, payload in zip(shares, statuses, payloads):
-        for (h, _), sides in zip(share, _received(share, status, payload)):
+        for h, sides in zip(share, _received(share, status, payload)):
             chunks[h] = _reports(h, genus_bound(h), sides)
-    return [report for h in range(h_lo, h_hi + 1) for report in chunks[h]]
+    return [report for h in tasks for report in chunks[h]]

@@ -105,7 +105,7 @@ def test_verify_route_disagreement_is_fatal(monkeypatch):
     # The kernel compares Poincare's top-degree numerator with the closed
     # form times the class's denominator; -denominator reads as -1.
     monkeypatch.setattr(
-        existence, "top_numerators", lambda cls, x_power, genera: [-cls._denominator for _ in genera]
+        existence, "top_numerators", lambda cls, x_power, count: [-cls._denominator] * count
     )
     with pytest.raises(ArithmeticError) as raised:
         verify_inequality(2, 28)
@@ -174,12 +174,12 @@ def test_expansion_route_needs_no_binomials(monkeypatch):
     monkeypatch.setattr(existence, "binomial", refuse)
     monkeypatch.setattr(cohomology, "binomial", refuse)
     for (g, d), value in expected.items():
-        (numerator,), denominator = existence._bn1_expansions(g, d, range(g, g + 1))
+        (numerator,), denominator = existence._bn1_expansions(g, d, 1)
         assert Fraction(numerator, denominator) == value
     for h, run in runs.items():
         g0, m = run[0], (3 * h + 1) // 2
         cls = bn1_class(g0, critical_degree(h, g0))
-        numerators = cohomology.top_numerators(cls, g0 - 2 * m - 3, run)
+        numerators = cohomology.top_numerators(cls, g0 - 2 * m - 3, len(run))
         assert numerators == [value * cls._denominator for value in run_values[h]], h
 
 
@@ -392,7 +392,7 @@ def test_pooled_sweep_equals_serial(workers):
 
 
 def test_pool_worker_task_returns_integer_sides():
-    pairs = existence._sweep_sides((3, 4))
+    pairs = existence._genus_sides(3, genus_bound(3), 5)
     assert type(pairs) is list
     assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
     assert all(type(side) is int for pair in pairs for side in pair)
@@ -405,8 +405,8 @@ def test_sweep_kernel_equals_the_one_genus_call():
     # derives from scratch.
     for h in range(1, 25):
         base = genus_bound(h)
-        one_genus = [existence._genus_sides(h, range(g, g + 1))[0] for g in range(base, base + 21)]
-        assert existence._sweep_sides((h, 20)) == one_genus, h
+        one_genus = [existence._genus_sides(h, g, 1)[0] for g in range(base, base + 21)]
+        assert existence._genus_sides(h, base, 21) == one_genus, h
 
 
 def test_rank1_class_is_the_same_stored_form_at_every_genus_of_a_run():
@@ -432,7 +432,7 @@ def test_each_batched_pairing_is_the_one_genus_pairing_of_its_own_class():
     for h in range(1, 25):
         m, g0 = (3 * h + 1) // 2, genus_bound(h)
         run = range(g0, g0 + 301)
-        batched = cohomology.top_numerators(bn1_class(g0, g0 - m - 1), g0 - 2 * m - 3, run)
+        batched = cohomology.top_numerators(bn1_class(g0, g0 - m - 1), g0 - 2 * m - 3, len(run))
         assert batched == [cohomology.top_numerator(bn1_class(g, g - m - 1), g - 2 * m - 3) for g in run], h
 
 
@@ -459,9 +459,9 @@ def test_serial_sweep_expands_one_class_per_base_genus_and_pairs_it_per_case(mon
         expansions.append((g, d))
         return real_bn1(g, d)
 
-    def count_tops(cls, x_power, genera):
-        pairings.append((cls.genus, cls.sym_index, x_power, genera))
-        values = real_tops(cls, x_power, genera)
+    def count_tops(cls, x_power, count):
+        pairings.append((cls.genus, cls.sym_index, x_power, count))
+        values = real_tops(cls, x_power, count)
         numerators.extend(values)
         return values
 
@@ -472,7 +472,7 @@ def test_serial_sweep_expands_one_class_per_base_genus_and_pairs_it_per_case(mon
     bases = {h: genus_bound(h) for h in range(1, 9)}
     assert expansions == [(g0, critical_degree(h, g0)) for h, g0 in bases.items()]
     assert pairings == [
-        (g0, critical_degree(h, g0), g0 - 2 * ((3 * h + 1) // 2) - 3, range(g0, g0 + 301)) for h, g0 in bases.items()
+        (g0, critical_degree(h, g0), g0 - 2 * ((3 * h + 1) // 2) - 3, 301) for h, g0 in bases.items()
     ]
     # Report order, each numerator the closed form times the class's denominator.
     denominators = {h: real_bn1(g0, critical_degree(h, g0))._denominator for h, g0 in bases.items()}
@@ -520,9 +520,9 @@ def test_each_child_takes_every_wth_base_genus(monkeypatch):
     shares = []
     real = existence._fork_share
 
-    def spy(share):
-        shares.append([h for h, _ in share])
-        return real(share)
+    def spy(share, count):
+        shares.append(list(share))
+        return real(share, count)
 
     monkeypatch.setattr(existence, "_fork_share", spy)
     expected = {
@@ -544,9 +544,9 @@ def test_worker_counts_below_one_sweep_in_the_caller(monkeypatch, workers):
     shares = []
     real = existence._fork_share
 
-    def spy(share):
+    def spy(share, count):
         shares.append(share)
-        return real(share)
+        return real(share, count)
 
     monkeypatch.setattr(existence, "_fork_share", spy)
     assert sweep((1, 8), 5, workers=workers) == sweep((1, 8), 5, workers=1)
@@ -579,8 +579,9 @@ def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
     bad_g = genus_bound(h) + 1
     real = existence.top_numerators
 
-    def disagree(cls, x_power, genera):
-        return [-cls._denominator if g == bad_g else n for g, n in zip(genera, real(cls, x_power, genera))]
+    def disagree(cls, x_power, count):
+        values = real(cls, x_power, count)
+        return [-cls._denominator if g == bad_g else n for g, n in enumerate(values, cls.genus)]
 
     monkeypatch.setattr(existence, "top_numerators", disagree)
     with pytest.raises(ArithmeticError) as serial:
@@ -597,14 +598,14 @@ def test_pooled_route_disagreement_surfaces_the_serial_error(monkeypatch, h):
 def test_killed_child_raises_child_process_error_naming_its_base_genera(monkeypatch):
     # With 3 workers over h in [1, 5] the caller verifies h = 1, 4, the first
     # child h = 2, 5 and the second h = 3.  The first child kills itself.
-    real = existence._sweep_sides
+    real = existence._genus_sides
 
-    def die_at_h5(task):
-        if task[0] == 5:
+    def die_at_h5(h, g0, count):
+        if h == 5:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(task)
+        return real(h, g0, count)
 
-    monkeypatch.setattr(existence, "_sweep_sides", die_at_h5)
+    monkeypatch.setattr(existence, "_genus_sides", die_at_h5)
     with pytest.raises(ChildProcessError) as killed:
         sweep((1, 5), 2, workers=3)
     message = str(killed.value)
@@ -619,16 +620,60 @@ def test_caller_error_kills_a_stuck_child_at_once(monkeypatch):
     # a minute, and is killed and reaped instead of awaited.
     caller = os.getpid()
 
-    def stuck_or_fail(task):
+    def stuck_or_fail(h, g0, count):
         if os.getpid() == caller:
             raise ArithmeticError("the caller's share failed")
         time.sleep(60)
 
-    monkeypatch.setattr(existence, "_sweep_sides", stuck_or_fail)
+    monkeypatch.setattr(existence, "_genus_sides", stuck_or_fail)
     start = time.monotonic()
     with pytest.raises(ArithmeticError, match="the caller's share failed"):
         sweep((1, 2), 0, workers=2)
     assert time.monotonic() - start < 5
+    _assert_no_child_left()
+
+
+@_needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to list open descriptors")
+def test_forked_sweeps_leave_no_descriptor_open(monkeypatch):
+    # Every pipe end the sweep opens is closed again, whether the sweep
+    # succeeds, a child raises, a child is killed or the caller's share
+    # raises.
+    real_tops, real_sides = existence.top_numerators, existence._genus_sides
+    caller = os.getpid()
+
+    def child_disagrees(cls, x_power, count):
+        # With 2 workers over h in [1, 5] the child takes h = 2, 4.
+        return [-cls._denominator] * count if cls.genus == genus_bound(2) else real_tops(cls, x_power, count)
+
+    def die_at_h5(h, g0, count):
+        if h == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_sides(h, g0, count)
+
+    def stuck_or_fail(h, g0, count):
+        if os.getpid() == caller:
+            raise ArithmeticError("the caller's share failed")
+        time.sleep(60)
+
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    for workers in (2, 3, 8):
+        before = open_fds()
+        assert len(sweep((1, 8), 5, workers=workers)) == 48
+        assert open_fds() == before, workers
+    for name, patch, error, workers in (
+        ("top_numerators", child_disagrees, ArithmeticError, 2),
+        ("_genus_sides", die_at_h5, ChildProcessError, 3),
+        ("_genus_sides", stuck_or_fail, ArithmeticError, 2),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(existence, name, patch)
+            before = open_fds()
+            with pytest.raises(error):
+                sweep((1, 5), 2, workers=workers)
+            assert open_fds() == before, patch.__name__
     _assert_no_child_left()
 
 
