@@ -2,13 +2,15 @@
 
 Every subcommand prints a flat record stream in one of three formats
 (``--format table|csv|json``, default table) to standard output or to a
-file given with ``--out``.  One pass turns each value into text once
-(``_cell``): rationals are ``p/q`` and big integers decimal strings, never
-floats.  CSV writes those texts under a mandatory header row; the table pads
-them, right-aligning a column of ints and Fractions only; JSON is the layout
-of ``json.dumps(rows, indent=2)``, a single array of objects with identical
-key sets, built from the texts quoted by the C escaper that ``json.dumps``
-uses, with None and booleans as JSON literals.
+file given with ``--out``.  A row is a tuple aligned with the column names,
+most often a library result record itself.  One pass turns each value into
+text once (``_cell``): rationals are ``p/q`` and big integers decimal
+strings, never floats.  CSV writes those texts under a mandatory header row;
+the table pads them, right-aligning a column of ints and Fractions only;
+JSON is the layout of ``json.dumps(objects, indent=2)``, a single array of
+one object per row, keyed by the column names, built from the texts quoted
+by the C escaper that ``json.dumps`` uses, with None and booleans as JSON
+literals.
 
 The parser tree is built once per process.  A call whose first argument
 names a subcommand is parsed in one argparse pass, by that subcommand's
@@ -129,34 +131,33 @@ def _too_many_digits(key: str) -> ValueError:
     )
 
 
-def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
-    # A cell holding the object of the cell above it, or of the earlier cell
-    # of its row that holds it in the first row, reuses that cell's text: a
-    # report's lhs_via_expansion is its lhs, some 4,000 digits at h = 700,
-    # and lemma21 --per-delta repeats one Fraction down a column.
-    first = rows[0] if rows else dict.fromkeys(keys)
+def _render(keys: list[str], rows: Sequence[tuple], fmt: str) -> str:
+    # A row is a tuple aligned with keys.  A cell holding the object of the
+    # cell above it, or of the earlier cell of its row that holds it in the
+    # first row, reuses that cell's text: a report's lhs_via_expansion is its
+    # lhs, some 4,000 digits at h = 700, and lemma21 --per-delta repeats one
+    # Fraction down a column.
     index: dict[int, int] = {}
-    earlier = [index.setdefault(id(first[key]), i) for i, key in enumerate(keys)]
-    cells, above, above_line = [], first, None
+    earlier = [index.setdefault(id(value), i) for i, value in enumerate(rows[0])] if rows else []
+    cells, above, above_line = [], None, None
     for row in rows:
         line = []
-        for i, key in enumerate(keys):
-            value = row[key]
+        for i, value in enumerate(row):
             j = earlier[i]
-            if above_line is not None and value is above[key]:
+            if above_line is not None and value is above[i]:
                 line.append(above_line[i])
-            elif j < i and value is row[keys[j]]:
+            elif j < i and value is row[j]:
                 line.append(line[j])
             else:
-                line.append(_cell(key, value))
+                line.append(_cell(keys[i], value))
         cells.append(line)
         above, above_line = row, line
     if fmt == "json":
-        # json.dumps(rows, indent=2), from the cell texts (module docstring).
+        # json.dumps(objects, indent=2), from the cell texts (module docstring).
         names = [f"    {encode_basestring_ascii(key)}: " for key in keys]
         objects = ["  {\n" + ",\n".join([
-            name + ("null" if row[key] is None else text if type(row[key]) is bool else encode_basestring_ascii(text))
-            for name, key, text in zip(names, keys, line)
+            name + ("null" if value is None else text if type(value) is bool else encode_basestring_ascii(text))
+            for name, value, text in zip(names, row, line)
         ]) + "\n  }" for row, line in zip(rows, cells)]
         return "[\n" + ",\n".join(objects) + "\n]\n" if rows else "[]\n"
     if fmt == "csv":
@@ -167,10 +168,7 @@ def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
         return buffer.getvalue()
     # table: a column of ints and Fractions only is right-aligned
     widths = [max([len(key), *(len(line[i]) for line in cells)]) for i, key in enumerate(keys)]
-    pads = [
-        str.rjust if rows and all(type(row[key]) in (int, Fraction) for row in rows) else str.ljust
-        for key in keys
-    ]
+    pads = [str.rjust if all(type(value) in (int, Fraction) for value in column) else str.ljust for column in zip(*rows)]
     lines = ["  ".join(key.ljust(width) for key, width in zip(keys, widths)).rstrip()]
     for line in cells:
         lines.append("  ".join([pad(cell, width) for pad, cell, width in zip(pads, line, widths)]).rstrip())
@@ -186,22 +184,20 @@ def _write(text: str, out: str | None) -> None:
 
 
 # ----------------------------------------------------------------------
-# handlers: each returns (keys, rows, violated).  The columns are the fields
-# of a library result record (_records) or the required flags followed by
-# library values (_echo); no handler does arithmetic on a result.
+# handlers: each returns (keys, rows, violated), every row a tuple aligned
+# with keys: a library result record itself (_records), an audit's scalar
+# fields followed by one step's (_cmd_audit), or the required flags followed
+# by library values (_echo); no handler does arithmetic on a result.
 
-def _records(cls, records, violated: bool = False) -> tuple[list[str], list[dict], bool]:
-    """Rows whose columns are the fields of the record type ``cls``, in field order."""
-    keys = list(cls._fields)
-    return keys, [record._asdict() for record in records], violated
+def _records(cls, records: list[tuple], violated: bool = False) -> tuple[list[str], list[tuple], bool]:
+    """The records of type ``cls`` as rows, under its field names."""
+    return list(cls._fields), records, violated
 
 
-def _echo(args, **computed) -> tuple[list[str], list[dict], bool]:
+def _echo(args, **computed) -> tuple[list[str], list[tuple], bool]:
     """One row: the subcommand's required flags in declaration order, then ``computed``."""
-    flags = _COMMANDS[args.command][1]
-    row = {flag[2:]: getattr(args, flag[2:]) for flag, _, kwargs in flags if kwargs.get("required")}
-    row.update(computed)
-    return list(row), [row], False
+    flags = [flag[2:] for flag, _, kwargs in _COMMANDS[args.command][1] if kwargs.get("required")]
+    return [*flags, *computed], [(*[getattr(args, flag) for flag in flags], *computed.values())], False
 
 
 def _cmd_eval(args):
@@ -281,15 +277,12 @@ def _cmd_theorem_a(args):
 
 
 def _cmd_audit(args):
-    # One row per step: the audit's scalar fields, then the step's fields,
-    # with the step's name in a column called "step".
+    # One row per step: the audit's scalar fields (all but the last, steps),
+    # then the step's fields, its name in a column called "step".
     _refuse_unprintable("lhs", lhs_bits(args.h, args.g))
     audit = audit_proof_chain(args.h, args.g)
-    head_keys, (head,), _ = _records(ProofAudit, [audit])
-    step_keys, steps, _ = _records(AuditStep, audit.steps)
-    keys = [key for key in head_keys if key != "steps"]
-    keys += ["step" if key == "name" else key for key in step_keys]
-    return keys, [{**head, **step, "step": step["name"]} for step in steps], not audit.all_hold
+    keys = [*ProofAudit._fields[:-1], "step", *AuditStep._fields[1:]]
+    return keys, [audit[:-1] + step for step in audit.steps], not audit.all_hold
 
 
 def _cmd_miranda(args):

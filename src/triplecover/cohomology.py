@@ -58,7 +58,6 @@ __all__ = [
     "theta_class",
     "sum_classes",
     "mul_classes",
-    "top_numerator",
     "top_numerators",
     "evaluate_top",
     "evaluate_top_bits",
@@ -622,17 +621,24 @@ def _dense_product(
 
 
 def top_numerators(cls: CohomClass, x_power: int, count: int) -> list[int]:
-    """``top_numerator`` of cls's stored form placed on (G, d + G - g) and
-    paired with x^(x_power + G - g), at the ``count`` genera G from cls's
-    genus g on, (g, d) being cls's ambient.  Every stored monomial survives
-    there (b <= g <= G and a + b <= d <= d + G - g), and the paired degree
+    """The top-degree values of cls * x^x_power times cls's denominator,
+    integers, without building the product, with cls's stored form placed on
+    (G, d + G - g) and paired with x^(x_power + G - g), at the ``count``
+    genera G from cls's genus g on, (g, d) being cls's ambient.  By
+    Poincare's formula each stored monomial x^a * theta^b with
+    a + b == d - x_power adds its numerator times G!/(G-b)!; with
+    x_power > d none does.  Every stored monomial survives at each G
+    (b <= g <= G and a + b <= d <= d + G - g), and the paired degree
     d - x_power is the same at every G, so its terms are selected once, with
     the falling factorial g!/(g-b)! of each.  Each later G steps each term's
     value by one multiplication and one exact division by small ints,
 
         G!/(G-b)! = (G-1)!/(G-1-b)! * G / (G-b),
 
-    where G - b >= G - g >= 1."""
+    where G - b >= G - g >= 1.  At G = g the product's truncation drops no
+    such monomial, so the first value is the top numerator of
+    ``mul_classes(cls, monomial(g, d, x_power, 0))`` over cls's denominator
+    rather than the product's."""
     if x_power < 0:
         raise ValueError(f"x_power must be nonnegative, got {x_power}")
     if count < 1:
@@ -662,22 +668,10 @@ def top_numerators(cls: CohomClass, x_power: int, count: int) -> list[int]:
     return numerators
 
 
-def top_numerator(cls: CohomClass, x_power: int = 0) -> int:
-    """The top-degree value of cls * x^x_power times cls's denominator, an
-    integer, without building the product.  By Poincare's formula each stored
-    monomial x^a * theta^b with a + b == d - x_power adds its numerator times
-    g!/(g-b)! (stored monomials have b <= g); with x_power > d none does.
-    The product's truncation drops no such monomial, so this is the top
-    numerator of ``mul_classes(cls, monomial(g, d, x_power, 0))`` over
-    cls's denominator rather than the product's.  It is the one-genus case
-    of ``top_numerators``."""
-    return top_numerators(cls, x_power, 1)[0]
-
-
 def evaluate_top(cls: CohomClass) -> Fraction:
     """Evaluate the top-degree part of a class against the fundamental class
-    (``top_numerator`` over the class's denominator)."""
-    return Fraction(top_numerator(cls), cls._denominator)
+    (``top_numerators`` over the class's denominator)."""
+    return Fraction(top_numerators(cls, 0, 1)[0], cls._denominator)
 
 
 def _require_pushable(k: int, cls: CohomClass) -> None:

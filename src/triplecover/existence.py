@@ -76,12 +76,14 @@ class InequalityReport(NamedTuple):
 
 
 class AuditStep(NamedTuple):
-    """One named inequality in the replayed chain, with exact sides."""
+    """One named inequality in the replayed chain, with exact sides: ints,
+    except the Castelnuovo-Severi window (g-3h)/2 and the expanded
+    base-curve pairing, which are Fractions."""
 
     name: str
-    lhs: Fraction
+    lhs: int | Fraction
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
     holds: bool
     detail: str
 
@@ -258,12 +260,6 @@ def verify_inequality(h: int, g: int) -> InequalityReport:
     return _reports(h, g, _genus_sides(h, g, 1))[0]
 
 
-def _step(name: str, detail: str, lhs: Fraction | int, relation: str, rhs: Fraction | int) -> AuditStep:
-    lhs = lhs if isinstance(lhs, Fraction) else Fraction(lhs)
-    rhs = rhs if isinstance(rhs, Fraction) else Fraction(rhs)
-    return AuditStep(name, lhs, relation, rhs, _RELATIONS[relation](lhs, rhs), detail)
-
-
 def audit_proof_chain(h: int, g: int) -> ProofAudit:
     """Replay every inequality in the chain behind the existence bound.
 
@@ -329,7 +325,10 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
         ("final_strict", "the rank-1 locus pairs strictly above the pulled-back pencil "
          "contribution at the critical degree", report.lhs, ">", report.rhs),
     ]
-    steps = tuple(_step(name + sfx, *sides) for name, *sides in chain)
+    steps = tuple(
+        AuditStep(name + sfx, lhs, relation, rhs, _RELATIONS[relation](lhs, rhs), detail)
+        for name, detail, lhs, relation, rhs in chain
+    )
     return ProofAudit(h=h, g=g, e=e, parity=parity, steps=steps)
 
 
@@ -410,7 +409,8 @@ def sweep(
     count = g_margin + 1
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = max(1, min(workers, len(tasks))) if hasattr(os, "fork") else 1
+    # A slice of a range is measured where len(tasks) would overflow.
+    processes = max(1, len(tasks[:max(workers, 1)])) if hasattr(os, "fork") else 1
     shares = [tasks[i::processes] for i in range(1, processes)]
     children = []  # (pid, read end) of each child forked so far
     statuses = []

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from triplecover.arith import factorial
 from triplecover.brill_noether import (
+    _bn1,
     bn1_class,
     castelnuovo_count,
     castelnuovo_count_bits,
@@ -158,6 +159,12 @@ def test_bn1_class_equals_its_terms_placed_through_the_constructor():
     assert bn1_class(5, 6) == unit_class(5, 6)
     assert not bn1_class(5, 7) and bn1_class(5, 7)._denominator == 1
     assert not bn1_class(9, 2) and bn1_class(9, 2)._denominator == 1
+
+
+def test_bn1_placed_where_only_the_x_term_survives():
+    # k = g - d = 3 is the ring's genus, so theta^(k+1) vanishes there and
+    # -(k+1)*x*theta^k/(k+1)! = -x*theta^3/6 is left.
+    assert _bn1(3, 5, 7, 4) == CohomClass(3, 5, {(1, 3): Fraction(-1, 6)})
 
 
 def test_bn1_class_validates_inputs():

@@ -838,6 +838,12 @@ def _reference_render(keys: list[str], rows: list[dict], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(keys: list[str], rows: list[dict], fmt: str) -> str:
+    """``cli._render`` of the reference renderer's dict rows, each passed as
+    the tuple of its values aligned with ``keys``, the objects themselves."""
+    return cli._render(keys, [tuple(row[key] for key in keys) for row in rows], fmt)
+
+
 def _rendered(render, keys, rows, fmt) -> str:
     """The renderer's text, or its refusal as ``error: <message>``."""
     try:
@@ -879,7 +885,7 @@ def _tables(draw):
 @given(_tables(), st.sampled_from(["table", "csv", "json"]))
 def test_renderer_matches_the_reference(table, fmt):
     keys, rows = table
-    assert _rendered(cli._render, keys, rows, fmt) == _rendered(_reference_render, keys, rows, fmt)
+    assert _rendered(_render, keys, rows, fmt) == _rendered(_reference_render, keys, rows, fmt)
 
 
 def test_renderer_edge_shapes_match_the_reference():
@@ -888,13 +894,13 @@ def test_renderer_edge_shapes_match_the_reference():
     one = [{"n": True, "s": 'a "b" \\ \u00e9\n'}]
     for rows in ([], one, mixed, numbers):
         for fmt in ("table", "csv", "json"):
-            assert cli._render(["n", "s"], rows, fmt) == _reference_render(["n", "s"], rows, fmt)
-    assert cli._render(["n", "s"], [], "json") == "[]\n"
-    assert json.loads(cli._render(["n", "s"], one, "json")) == [{"n": True, "s": 'a "b" \\ \u00e9\n'}]
+            assert _render(["n", "s"], rows, fmt) == _reference_render(["n", "s"], rows, fmt)
+    assert _render(["n", "s"], [], "json") == "[]\n"
+    assert json.loads(_render(["n", "s"], one, "json")) == [{"n": True, "s": 'a "b" \\ \u00e9\n'}]
     # A column that mixes ints and strings is left-aligned; one of ints and
     # Fractions only is right-aligned.
-    assert cli._render(["n", "s"], mixed, "table").splitlines()[1] == "7      x"
-    assert cli._render(["n", "s"], numbers, "table").splitlines()[1:] == [
+    assert _render(["n", "s"], mixed, "table").splitlines()[1] == "7      x"
+    assert _render(["n", "s"], numbers, "table").splitlines()[1:] == [
         "-12  " + "5/2".rjust(31),
         "  3  1" + "0" * 30,
     ]
@@ -909,7 +915,7 @@ def test_renderer_names_the_first_unprintable_column_in_row_order():
         "the interpreter's limit for converting integers to text"
     )
     for fmt in ("table", "csv", "json"):
-        assert _rendered(cli._render, ["a", "b", "c"], rows, fmt) == expected
+        assert _rendered(_render, ["a", "b", "c"], rows, fmt) == expected
         assert _rendered(_reference_render, ["a", "b", "c"], rows, fmt) == expected
 
 
@@ -926,9 +932,12 @@ def test_renderer_converts_each_shared_object_once(monkeypatch):
         {"a": shared, "b": fraction, "c": 2, "d": equal},
         {"a": 3, "b": fraction, "c": 4, "d": None},
     ]
-    reports = cli._records(InequalityReport, sweep((1, 2), 3, workers=1))[:2]
+    report_keys, reports, _ = cli._records(InequalityReport, sweep((1, 2), 3, workers=1))
+    report_rows = [report._asdict() for report in reports]
     formats = ("table", "csv", "json")
-    expected = {fmt: (_reference_render(keys, rows, fmt), _reference_render(*reports, fmt)) for fmt in formats}
+    expected = {
+        fmt: (_reference_render(keys, rows, fmt), _reference_render(report_keys, report_rows, fmt)) for fmt in formats
+    }
     converted = []
     real = cli._cell
 
@@ -939,14 +948,15 @@ def test_renderer_converts_each_shared_object_once(monkeypatch):
     monkeypatch.setattr(cli, "_cell", counting)
     for fmt in formats:
         converted.clear()
-        assert cli._render(keys, rows, fmt) == expected[fmt][0], fmt
+        assert _render(keys, rows, fmt) == expected[fmt][0], fmt
         assert [sum(value is obj for value in converted) for obj in (shared, equal, fraction)] == [1, 1, 1], fmt
         converted.clear()
-        assert cli._render(*reports, fmt) == expected[fmt][1], fmt
-        for report in reports[1]:
-            assert type(report["lhs"]) is int and report["lhs_via_expansion"] is report["lhs"]
-            assert sum(value is report["lhs"] for value in converted) == 1, fmt
-        assert len(reports[1]) == 8
+        # The records themselves are the rows, as the CLI passes them.
+        assert cli._render(report_keys, reports, fmt) == expected[fmt][1], fmt
+        for report in reports:
+            assert type(report.lhs) is int and report.lhs_via_expansion is report.lhs
+            assert sum(value is report.lhs for value in converted) == 1, fmt
+        assert len(reports) == 8
 
 
 def test_oversized_literals_and_constant_powers_exit_two_quickly(capsys):

@@ -112,7 +112,7 @@ def test_verify_route_disagreement_is_fatal(monkeypatch):
     assert str(raised.value) == "internal consistency failure at (h=2, g=28): closed form 77805 != expansion -1"
 
 
-def test_report_sides_are_ints_and_the_verdict_a_bool():
+def test_report_sides_are_ints_and_the_verdict_a_bool(monkeypatch):
     grid = [(1, 15), (2, 28), (2, 29), (3, 66), (4, 91), (5, 200), (60, 16471)]
     for h, g in grid:
         report = verify_inequality(h, g)
@@ -121,11 +121,12 @@ def test_report_sides_are_ints_and_the_verdict_a_bool():
         assert report.lhs_via_expansion is report.lhs
         assert type(report.strict) is bool
         assert report.strict is (report.lhs > report.rhs)
-        # The audit's final step carries the same sides as Fractions.
+        # The audit's final step carries the sides of the report it
+        # computed, handed here this report: its int objects themselves.
+        monkeypatch.setattr(existence, "verify_inequality", lambda *case: {(h, g): report}[case])
         final = audit_proof_chain(h, g).steps[-1]
         assert final.name.startswith("final_strict")
-        assert type(final.lhs) is type(final.rhs) is Fraction
-        assert (final.lhs, final.rhs) == (report.lhs, report.rhs)
+        assert final.lhs is report.lhs and final.rhs is report.rhs
     assert verify_inequality(60, 16471).lhs.bit_length() == 817
 
 
@@ -279,17 +280,18 @@ def test_odd_rhs_class_route_matches_closed_form():
 #   mm_vs_cs             13 <= 11                     FAILS
 #   castelnuovo_pairing  1 == 1                       holds
 #   final_strict         77805 > 19                   holds
+# Sides are ints, except the window (g-3h)/2 and the expanded pairing.
 EXPECTED_2_28 = {
-    "cs_window": (Fraction(6), "<=", Fraction(11), True),
-    "pullback_rho": (Fraction(0), ">=", Fraction(0), True),
-    "composed_dim": (Fraction(0), "<", Fraction(1), True),
-    "equidim_genus": (Fraction(28), ">=", Fraction(28), True),
-    "bpfpt_chain": (Fraction(3), ">=", Fraction(3), True),
-    "residual_case": (Fraction(12), "<", Fraction(21), True),
-    "martens_mumford": (Fraction(15), "<=", Fraction(15), True),
-    "mm_vs_cs": (Fraction(13), "<=", Fraction(11), False),
-    "castelnuovo_pairing": (Fraction(1), "==", Fraction(1), True),
-    "final_strict": (Fraction(77805), ">", Fraction(19), True),
+    "cs_window": (6, "<=", Fraction(11), True),
+    "pullback_rho": (0, ">=", 0, True),
+    "composed_dim": (0, "<", 1, True),
+    "equidim_genus": (28, ">=", 28, True),
+    "bpfpt_chain": (3, ">=", 3, True),
+    "residual_case": (12, "<", 21, True),
+    "martens_mumford": (15, "<=", 15, True),
+    "mm_vs_cs": (13, "<=", Fraction(11), False),
+    "castelnuovo_pairing": (Fraction(1), "==", 1, True),
+    "final_strict": (77805, ">", 19, True),
 }
 
 
@@ -299,6 +301,7 @@ def test_audit_2_28_flags_exactly_the_window_step():
     for step in audit.steps:
         lhs, relation, rhs, holds = EXPECTED_2_28[step.name]
         assert (step.lhs, step.relation, step.rhs, step.holds) == (lhs, relation, rhs, holds)
+        assert (type(step.lhs), type(step.rhs), type(step.holds)) == (type(lhs), type(rhs), bool), step.name
     assert [step.name for step in audit.failures()] == ["mm_vs_cs"]
     assert audit.all_hold is False
 
@@ -376,6 +379,24 @@ def test_sweep_validates_before_it_allocates():
     assert sweep((0, -1)) == []
 
 
+class _Sentinel(Exception):
+    """Raised by a patched kernel; module-level so that a child can pickle it."""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_over_more_base_genera_than_sys_maxsize(monkeypatch, workers):
+    # 10^30 base genera are more than len() can count: the process count is
+    # taken from a slice, and the first task's error arrives, not an
+    # OverflowError, with no child left behind.
+    def fail(h, g0, count):
+        raise _Sentinel(h)
+
+    monkeypatch.setattr(existence, "_genus_sides", fail)
+    with pytest.raises(_Sentinel):
+        sweep((1, 10**30), 0, workers=workers)
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_pooled_sweep_equals_serial(workers):
     # (1, 5) with margin 3 is 5 tasks, split unevenly between the caller
@@ -433,7 +454,7 @@ def test_each_batched_pairing_is_the_one_genus_pairing_of_its_own_class():
         m, g0 = (3 * h + 1) // 2, genus_bound(h)
         run = range(g0, g0 + 301)
         batched = cohomology.top_numerators(bn1_class(g0, g0 - m - 1), g0 - 2 * m - 3, len(run))
-        assert batched == [cohomology.top_numerator(bn1_class(g, g - m - 1), g - 2 * m - 3) for g in run], h
+        assert batched == [cohomology.top_numerators(bn1_class(g, g - m - 1), g - 2 * m - 3, 1)[0] for g in run], h
 
 
 def test_sweep_reports_equal_single_verifications_field_by_field():
