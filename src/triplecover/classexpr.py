@@ -7,12 +7,14 @@ since an expression lives on a single symmetric product.
 Grammar (whitespace between tokens is ignored)::
 
     expr     := term (('+' | '-') term)*
-    term     := factor (('*' | '/') factor)*   # '/' needs an integer-literal
-                                               # right operand (nonzero)
+    term     := factor ('*' factor | '/' posnat)*   # '/ n' multiplies by 1/n
     factor   := ['-'] atom ('^' nat)?          # unary minus, so canonical
                                                # renderings re-parse
-    atom     := rational | 'x' | 'theta' | 'bn1' '(' int ')' | '(' expr ')'
-    rational := nat ('/' posnat)?
+    atom     := nat | 'x' | 'theta' | 'bn1' '(' int ')' | '(' expr ')'
+
+A fraction ``p/q`` is the integer p divided by q through the term's ``/``
+step, like ``x/q``: ``3/4/5`` is 3/20, and ``2/3^2`` is a syntax error at
+the ``^``, like ``x/3^2``.
 
 Each grammar rule's parse method returns the rule's degree bound and a
 function that evaluates the rule in a given ring; there is no syntax tree.
@@ -295,15 +297,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            value = Fraction(int(token.text))
-            # Greedy rational literal: NUMBER '/' NUMBER.
-            if self.peek().kind == "/" and self.tokens[self.pos + 1].kind == "number":
-                self.advance()
-                den_token = self.advance()
-                denominator = int(den_token.text)
-                if denominator == 0:
-                    raise DivisionByZeroLiteral(den_token.position)
-                value /= denominator
+            value = int(token.text)
             return 0, lambda *ring: monomial(*ring, 0, 0, value)
         if token.kind == "name":
             if token.text in ("x", "theta"):

@@ -195,6 +195,8 @@ def test_cs_max_degree_examples():
 def test_cs_max_degree_domain():
     with pytest.raises(ValueError):
         cs_max_degree(5, 2)
+    with pytest.raises(ValueError, match="base genus must be nonnegative, got -1"):
+        cs_max_degree(5, -1)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=80))

@@ -73,6 +73,8 @@ def test_parse_rational_literals():
     assert parse("3/4", 2, 2) == unit_class(2, 2).scale(Fraction(3, 4))
     assert parse("6/2", 2, 2) == unit_class(2, 2).scale(3)
     assert parse("2", 2, 2) == unit_class(2, 2).scale(2)
+    assert parse("3/4/5", 2, 2) == unit_class(2, 2).scale(Fraction(3, 20))
+    assert parse("-3/5*x*theta", 4, 3) == monomial(4, 3, 1, 1, Fraction(-3, 5))
 
 
 def test_precedence_and_associativity():
@@ -108,6 +110,18 @@ def test_division_requires_integer_literal():
         parse("x/theta", 4, 3)
     with pytest.raises(ExprSyntaxError):
         parse("x/(2)", 4, 3)
+
+
+def test_a_power_after_a_division_is_a_syntax_error_whatever_the_dividend():
+    # '/' reads one integer literal, so '^' cannot follow it: p/q is not a
+    # literal that '^' could raise.
+    errors = {}
+    for text, position in (("x/3^2", 4), ("2/3^2", 4), ("-3/4^2", 5)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text, 4, 3)
+        assert info.value.position == position, text
+        errors[text] = info.value.expected
+    assert errors["2/3^2"] == errors["-3/4^2"] == errors["x/3^2"]
 
 
 def test_bn1_that_the_ring_kills_computes_no_factorial():

@@ -1090,6 +1090,8 @@ def test_class_operators_and_their_rejections():
     with pytest.raises(TypeError):
         a + 3
     with pytest.raises(TypeError):
+        a - 3
+    with pytest.raises(TypeError):
         a * "a"
     assert (a == 3) is False
     for exponent in (-1, 1.5):
