@@ -13,6 +13,7 @@ which ``CohomClass`` stores a class.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arith import binomial, factorial
@@ -141,9 +142,15 @@ def bn1_class(g: int, d: int) -> CohomClass:
     return _bn1(g, d, g, d)
 
 
+def _cs_window(g: int, h: int) -> Fraction:
+    """The Castelnuovo-Severi window (g - 3h)/2, unchecked: ``cs_max_degree``
+    floors it, and the audit prints it at any (h, g)."""
+    return Fraction(g - 3 * h, 2)
+
+
 def cs_max_degree(g: int, h: int) -> int:
     """Largest pencil degree forced to factor through a triple cover of a
-    genus-h curve by the Castelnuovo-Severi inequality: floor((g - 3h)/2).
+    genus-h curve by the Castelnuovo-Severi inequality: ``_cs_window`` floored.
     """
     if h < 0:
         raise ValueError(f"base genus must be nonnegative, got {h}")
@@ -151,7 +158,7 @@ def cs_max_degree(g: int, h: int) -> int:
         raise ValueError(
             f"Castelnuovo-Severi window needs g >= 3h, got g = {g}, h = {h}"
         )
-    return (g - 3 * h) // 2
+    return math.floor(_cs_window(g, h))
 
 
 def pencil_dimension_genus(n: int) -> int:

@@ -338,7 +338,7 @@ class _Parser:
             self.expect(")", "')'")
             self.depth -= 1
             return rule
-        self.fail(("a rational literal", "'x'", "'theta'", "'bn1'", "'('"))
+        self.fail(("an integer literal", "'x'", "'theta'", "'bn1'", "'('"))
 
 
 def _parse(text: str, g: int, d: int):

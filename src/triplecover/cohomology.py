@@ -83,8 +83,10 @@ class CohomClass:
     """An exact-rational polynomial in x and theta on a fixed ambient (g, d).
 
     Instances are immutable.  ``terms`` maps or lists ((x power, theta power),
-    coefficient) pairs; coefficients must be ``int`` or ``Fraction``.
-    Repeated monomials are summed; zero sums and vanishing monomials dropped.
+    coefficient) pairs; coefficients must be ``int`` or ``Fraction``.  Each
+    term, once checked, is a ``monomial``, and the class is their
+    ``sum_classes``: repeated monomials summed, zero sums and vanishing
+    monomials dropped.
     """
 
     __slots__ = ("genus", "sym_index", "_numerators", "_denominator")
@@ -97,19 +99,15 @@ class CohomClass:
     ):
         if genus < 0 or sym_index < 0:
             raise ValueError(f"ambient requires genus >= 0 and sym_index >= 0, got ({genus}, {sym_index})")
-        pairs = []
-        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            a, b = key
+        summands = [_class(genus, sym_index, {}, 1)]
+        for (a, b), coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if a < 0 or b < 0:
                 raise ValueError(f"monomial exponents must be nonnegative, got x^{a}*theta^{b}")
             if not isinstance(coeff, (int, Fraction)):
                 raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
-            pairs.append((key, coeff))
-        denominator = math.lcm(*(coeff.denominator for _, coeff in pairs))
-        sums: dict[tuple[int, int], int] = {}
-        for key, coeff in pairs:
-            sums[key] = sums.get(key, 0) + coeff.numerator * (denominator // coeff.denominator)
-        _store(self, genus, sym_index, _surviving(genus, sym_index, sums), denominator)
+            summands.append(monomial(genus, sym_index, a, b, coeff))
+        total = sum_classes(*summands)
+        _store(self, genus, sym_index, total._numerators, total._denominator, 1)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("CohomClass is immutable")
@@ -236,12 +234,6 @@ def _class(genus: int, sym_index: int, numerators: dict[tuple[int, int], int], d
     return _store(object.__new__(CohomClass), genus, sym_index, numerators, denominator, common)
 
 
-def _surviving(genus: int, sym_index: int, numerators: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """The nonzero numerators whose monomials survive in the ambient (genus,
-    sym_index): x^a * theta^b vanishes when a + b > sym_index or b > genus."""
-    return {(a, b): n for (a, b), n in numerators.items() if n and a + b <= sym_index and b <= genus}
-
-
 def _canonical_terms(cls: CohomClass) -> list[tuple[int, int, int]]:
     """The stored (x power, theta power, numerator) triples in canonical order:
     descending theta power, then descending x power.  A stored monomial has
@@ -263,14 +255,15 @@ def monomial(genus: int, sym_index: int, x_power: int, theta_power: int, coeff: 
     """The single monomial coeff * x^a * theta^b in the given ambient.
 
     Valid input is built directly in the stored form, without the
-    constructor's validating pass; whether the monomial survives is
-    ``_surviving``'s test, and one that does not is the zero class over 1.
+    constructor's validating pass; a zero coefficient, or a monomial that
+    vanishes in the ambient (a + b > d or b > g), gives the zero class over 1.
     Invalid input raises the constructor's errors.
     """
     if min(genus, sym_index, x_power, theta_power) < 0 or not isinstance(coeff, (int, Fraction)):
         return CohomClass(genus, sym_index, {(x_power, theta_power): coeff})
-    numerators = _surviving(genus, sym_index, {(x_power, theta_power): coeff.numerator})
-    return _class(genus, sym_index, numerators, coeff.denominator if numerators else 1)
+    if not coeff or x_power + theta_power > sym_index or theta_power > genus:
+        return _class(genus, sym_index, {}, 1)
+    return _class(genus, sym_index, {(x_power, theta_power): coeff.numerator}, coeff.denominator)
 
 
 def unit_class(genus: int, sym_index: int) -> CohomClass:
@@ -497,7 +490,7 @@ def _power_bits(base: CohomClass, n: int) -> tuple[int, int]:
     constant = base.coefficient(0, 0)
     m = max(abs(constant.numerator), constant.denominator)
     k = min(n, base.sym_index) if rest else 0
-    truncated = (n * m.bit_length() if m > 1 else 0) + k * (n * base._denominator * rest).bit_length()
+    truncated = n * _log2_bound(m) + k * (n * base._denominator * rest).bit_length()
     q = constant.denominator
     return (
         monomials * min(n * total.bit_length() if total > 1 else 1, truncated + (k + 1).bit_length()),

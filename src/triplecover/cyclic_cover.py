@@ -112,8 +112,7 @@ def derive_profile(g: int, h: int, t: int) -> CyclicCoverProfile:
     branch_count = _validate_t(g, h, t)
     k1 = (2 * g - 2 - t) // 3
     k2 = (2 * g - 2 - (branch_count - t)) // 3
-    dim_h1 = k1 - h + 1 if k1 > 2 * h - 2 else None
-    dim_h2 = k2 - h + 1 if k2 > 2 * h - 2 else None
+    dim_h1, dim_h2 = (k - h + 1 if k > 2 * h - 2 else None for k in (k1, k2))
     return CyclicCoverProfile(
         g=g,
         h=h,
@@ -139,15 +138,16 @@ def normalize_t(g: int, h: int, t: int) -> int:
 
 
 def pencil_gap_report(g: int, h: int, t: int) -> PencilGapReport:
-    """Threshold comparison for a normalized t (2t >= g - 3h + 2 required):
+    """Threshold comparison for a t that ``normalize_t`` leaves as it is:
     the Castelnuovo-Severi bound, the composed-pencil threshold, the
     guaranteed-existence degree, and the critical degree of the main
     existence statement."""
     branch_count = _validate_t(g, h, t)
-    if 2 * t < branch_count:
+    normalized = normalize_t(g, h, t)
+    if normalized != t:
         raise ValueError(
             f"t = {t} is not normalized (needs 2t >= {branch_count}); "
-            f"the same cover has t = {branch_count - t}"
+            f"the same cover has t = {normalized}"
         )
     return PencilGapReport(
         g=g,

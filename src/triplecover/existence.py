@@ -45,7 +45,7 @@ from math import comb
 from typing import NamedTuple
 
 from .arith import binomial, binomial_bits
-from .brill_noether import bn1_class, pencil_dimension_genus, rho
+from .brill_noether import _cs_window, bn1_class, pencil_dimension_genus, rho
 from .cohomology import top_numerators
 
 __all__ = [
@@ -217,7 +217,7 @@ def _genus_sides(h: int, g0: int, count: int) -> list[tuple[int, int]]:
     pullback = _pullback_degree(h)
     draws = 2 * pullback - h - 1  # 1 or 2, and g-2m-3 >= 1: math.comb needs no range check
     base_pairing = _bn1_closed_form(h, pullback)
-    d = g0 - m - 1  # the critical degree
+    d = critical_degree(h, g0)
     closed_forms = _bn1_closed_forms(g0, d, count)
     numerators, denominator = _bn1_expansions(g0, d, count)
     sides = []
@@ -236,7 +236,7 @@ def _reports(h: int, g_lo: int, sides: list[tuple[int, int]]) -> list[Inequality
     ``_genus_sides`` computed; the two routes agreed, so each report's
     ``lhs_via_expansion`` is its ``lhs`` object."""
     parity, e = _parity_e(h)
-    offset = _half_bracket(h) + 1
+    offset = g_lo - critical_degree(h, g_lo)  # g minus its critical degree, the same at every g
     # Positional arguments, in field order: keywords cost the serial sweep
     # about 0.4 us per report.
     return [
@@ -248,14 +248,14 @@ def _reports(h: int, g_lo: int, sides: list[tuple[int, int]]) -> list[Inequality
 def verify_inequality(h: int, g: int) -> InequalityReport:
     """Compute both sides of the critical-degree comparison for (h, g).
 
-    With m = floor((3h+1)/2) and d = g-m-1, the left side pairs the rank-1
-    locus class at (g, d) against x^(g-2m-3), evaluated twice: by the
-    binomial closed form C(g, d-1) - C(g, d) = C(g, m+2) - C(g, m+1) and by
-    expanding the class in the x/theta ring.  Disagreement between the two
-    routes is a fatal internal error, not a reportable verdict.  The right
-    side is C(g-2m-3, 2p-h-1) times the same closed form on the base curve
-    at the pull-back degree p = floor((h+3)/2), the Castelnuovo count of the
-    pulled-back pencils; no formula depends on the parity of h.
+    With m = floor((3h+1)/2) and d = ``critical_degree(h, g)``, the left
+    side pairs the rank-1 locus class at (g, d) against x^(g-2m-3), twice:
+    by the binomial closed form C(g, d-1) - C(g, d) = C(g, m+2) - C(g, m+1)
+    and by expanding the class in the x/theta ring.  Disagreement between
+    the two routes is a fatal internal error, not a reportable verdict.  The
+    right side is C(g-2m-3, 2p-h-1) times the same closed form on the base
+    curve at the pull-back degree p = floor((h+3)/2), the Castelnuovo count
+    of the pulled-back pencils; no formula depends on the parity of h.
     """
     return _reports(h, g, _genus_sides(h, g, 1))[0]
 
@@ -268,7 +268,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     n = m + 2 (odd-case steps carry an ``_odd`` suffix):
 
     1. cs_window            the auxiliary pencil degree n+1 sits inside the
-                            Castelnuovo-Severi window (g-3h)/2
+                            Castelnuovo-Severi window (``_cs_window``)
     2. pullback_rho         the base-curve pencils being pulled back move in
                             a family of nonnegative expected dimension
     3. composed_dim         every degree-(n+1) pencil composed with the cover
@@ -293,7 +293,7 @@ def audit_proof_chain(h: int, g: int) -> ProofAudit:
     m = _half_bracket(h)
     n = m + 2
     pullback = _pullback_degree(h)
-    window = Fraction(g - 3 * h, 2)
+    window = _cs_window(g, h)
     m_hi = (n + 1) // 3  # largest base degree a composed pencil allows
     composed_dim = (n - pullback - h - 1) if pullback <= m_hi else -1
     beta_min = m + 3

@@ -109,14 +109,14 @@ def _require_cover(g: int, h: int) -> None:
 
 
 def derive_geometry(g: int, h: int, delta: int) -> TripleCoverGeometry:
-    """Populate the full ledger for (g, h, delta), validating parity and the
-    Nagata/irreducibility window for delta."""
-    _require_cover(g, h)
+    """Populate the full ledger for (g, h, delta), validating parity, then the
+    Nagata/irreducibility window for delta as ``admissible_deltas`` states it."""
+    deltas = admissible_deltas(g, h)
     if (delta - (g - 3 * h)) % 2 != 0:
         raise DeltaParityError(
             f"delta = {delta} must have the parity of g - 3h = {g - 3 * h}"
         )
-    if delta < -h or 3 * delta > g - 3 * h + 2:
+    if not deltas.start <= delta < deltas.stop:  # as delta has their parity; O(1) for a float too
         raise DeltaWindowError(
             f"delta = {delta} outside the window [-h, (g-3h+2)/3] = "
             f"[{-h}, {Fraction(g - 3 * h + 2, 3)}]"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -1120,3 +1121,36 @@ def test_importing_the_cli_loads_no_dataclasses(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _grid_calls():
+    """The argument lists of the byte-pinned grid: the audit near each base
+    genus's bound, and every ledger subcommand at small (h, g), with every
+    branch split t, valid or not, in [0, g - 3h + 2]."""
+    for h in range(1, 9):
+        for g in range(genus_bound(h) - 2, genus_bound(h) + 3):
+            yield ["audit", "--h", str(h), "--g", str(g), "--format", "csv"]
+    for h in range(1, 5):
+        for g in range(3 * h, 3 * h + 10):
+            flags = ["--g", str(g), "--h", str(h)]
+            yield ["cs-bound", *flags]
+            yield ["miranda", *flags, "--all"]
+            yield ["lemma21", *flags, "--per-delta"]
+            for t in range(g - 3 * h + 3):
+                yield ["cyclic", *flags, "--t", str(t)]
+                yield ["gap", *flags, "--t", str(t)]
+
+
+def test_grid_of_calls_keeps_its_bytes():
+    # One sha256 over the argv, exit code, stdout and stderr of every call:
+    # a change to how a formula is stated must leave all of them as they were.
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in _grid_calls():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(f"$ {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}[stderr]\n{err.getvalue()}".encode())
+        calls += 1
+    assert calls == 760
+    assert digest.hexdigest() == "0ba96b6ab01a71e2710c7f3eeaca2ae402e9a4677cef29055a537553367bfcf2"

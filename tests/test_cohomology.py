@@ -395,6 +395,73 @@ def test_monomial_keeps_the_constructor_errors():
         assert str(raised.value) == message
 
 
+def reference_construct(genus, sym_index, terms) -> tuple[dict[tuple[int, int], int], int]:
+    """Independent oracle for the constructor: its earlier body, which put
+    every coefficient over the lcm of their denominators and summed the
+    numerators in a plain dict, then dropped zero sums and vanishing
+    monomials and reduced to lowest terms.  Returns (numerators, denominator)."""
+    if genus < 0 or sym_index < 0:
+        raise ValueError(f"ambient requires genus >= 0 and sym_index >= 0, got ({genus}, {sym_index})")
+    pairs = []
+    for key, coeff in terms.items() if isinstance(terms, dict) else terms:
+        a, b = key
+        if a < 0 or b < 0:
+            raise ValueError(f"monomial exponents must be nonnegative, got x^{a}*theta^{b}")
+        if not isinstance(coeff, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
+        pairs.append((key, coeff))
+    denominator = math.lcm(*(coeff.denominator for _, coeff in pairs))
+    sums: dict[tuple[int, int], int] = {}
+    for key, coeff in pairs:
+        sums[key] = sums.get(key, 0) + coeff.numerator * (denominator // coeff.denominator)
+    numerators = {(a, b): n for (a, b), n in sums.items() if n and a + b <= sym_index and b <= genus}
+    common = math.gcd(denominator, *numerators.values())
+    return {key: n // common for key, n in numerators.items()}, denominator // common
+
+
+@st.composite
+def term_lists(draw):
+    """An ambient, now and then a negative one, and a term list or map over
+    a few monomials, some of them repeated and some vanishing in it, with
+    int and Fraction coefficients, terms that cancel earlier ones, and now
+    and then a negative exponent or a coefficient that is no number."""
+    genus, sym_index = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
+    keys = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coeffs = st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=60))
+    terms = draw(st.lists(st.tuples(keys, coeffs), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        if terms:
+            key, coeff = draw(st.sampled_from(terms))
+            terms.append((key, -coeff))
+    negative = st.one_of(st.tuples(st.integers(-3, -1), st.integers(0, 6)), st.tuples(st.integers(0, 6), st.integers(-3, -1)))
+    not_numbers = st.sampled_from([0.5, 1.0, "1", None, complex(1, 0), Fraction(1, 2) + 0.0])
+    bad = st.one_of(st.tuples(negative, coeffs), st.tuples(keys, not_numbers), st.tuples(negative, not_numbers))
+    for _ in range(draw(st.integers(0, 2))):
+        terms.insert(draw(st.integers(0, len(terms))), draw(bad))
+    if draw(st.booleans()):
+        return genus, sym_index, terms
+    mapped: dict[tuple[int, int], Fraction | int] = {}
+    for key, coeff in terms:
+        mapped[key] = coeff  # a map holds one coefficient per monomial
+    return genus, sym_index, mapped
+
+
+@settings(max_examples=500, deadline=None)
+@given(term_lists())
+def test_constructor_matches_the_reference_sum_of_its_terms(drawn):
+    genus, sym_index, terms = drawn
+    try:
+        expected = reference_construct(genus, sym_index, terms)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            CohomClass(genus, sym_index, terms)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    cls = CohomClass(genus, sym_index, terms)
+    assert (cls._numerators, cls._denominator) == expected
+    assert all(type(n) is int for n in cls._numerators.values())
+
+
 def test_equality_is_structural_on_normalized_maps():
     lhs = CohomClass(4, 3, {(1, 1): Fraction(2, 4), (3, 3): 5})
     rhs = CohomClass(4, 3, {(1, 1): Fraction(1, 2)})

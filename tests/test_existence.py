@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import operator
 import os
 import signal
@@ -13,7 +14,7 @@ import pytest
 
 from triplecover import cohomology, existence
 from triplecover.arith import binomial, factorial
-from triplecover.brill_noether import bn1_class, castelnuovo_count, pencil_dimension_hypothesis, rho
+from triplecover.brill_noether import bn1_class, castelnuovo_count, cs_max_degree, pencil_dimension_hypothesis, rho
 from triplecover.cohomology import evaluate_top, monomial, mul_classes, pair_via_pushforward
 from triplecover.existence import (
     InequalityReport,
@@ -340,6 +341,29 @@ def test_audit_odd_steps_carry_suffix():
     names = [step.name for step in audit_proof_chain(3, 66).steps]
     assert all(name.endswith("_odd") for name in names)
     assert "mm_vs_cs_odd" in names
+
+
+def test_the_audit_prints_the_window_that_cs_max_degree_floors():
+    for h in range(1, 6):
+        for g in range(genus_bound(h) - 1, genus_bound(h) + 4):
+            steps = {step.name.removesuffix("_odd"): step for step in audit_proof_chain(h, g).steps}
+            window = steps["cs_window"].rhs
+            assert type(window) is Fraction and window == Fraction(g - 3 * h, 2)
+            assert steps["mm_vs_cs"].rhs == window
+            assert math.floor(window) == cs_max_degree(g, h)
+
+
+def test_audit_below_3h_raises_the_verifiers_error_not_a_window_error():
+    # Below g = 3h the window (g-3h)/2 is negative: the audit states it
+    # unchecked, and the caller sees the verifier's refusal, while
+    # cs_max_degree keeps its own.
+    for h, g, parity, low in ((2, 5, "even", 10), (1, 2, "odd", 8)):
+        with pytest.raises(ValueError) as raised:
+            audit_proof_chain(h, g)
+        assert str(raised.value) == f"genus {g} too small for the {parity}-case arithmetic (needs g >= {low})"
+        with pytest.raises(ValueError) as raised:
+            cs_max_degree(g, h)
+        assert str(raised.value) == f"Castelnuovo-Severi window needs g >= 3h, got g = {g}, h = {h}"
 
 
 def test_sweep_single_pair_matches_verify():

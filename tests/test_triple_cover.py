@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,37 @@ def test_derive_geometry_window_errors():
         derive_geometry(28, 2, 10)  # above (g-3h+2)/3 = 8
     with pytest.raises(DeltaWindowError):
         derive_geometry(28, 2, -4)  # below -h
+
+
+def test_derive_geometry_accepts_exactly_the_admissible_deltas():
+    # The parity test first, then the window as admissible_deltas states it,
+    # each with its own error type and message.
+    for h in range(1, 6):
+        for g in range(3 * h, 3 * h + 25):
+            admissible = set(admissible_deltas(g, h))
+            for delta in range(-h - 3, g):
+                try:
+                    derive_geometry(g, h, delta)
+                except DeltaParityError as exc:
+                    assert (delta - (g - 3 * h)) % 2
+                    assert str(exc) == f"delta = {delta} must have the parity of g - 3h = {g - 3 * h}"
+                except DeltaWindowError as exc:
+                    assert delta not in admissible and not (delta - (g - 3 * h)) % 2
+                    assert str(exc) == (
+                        f"delta = {delta} outside the window [-h, (g-3h+2)/3] = [{-h}, {Fraction(g - 3 * h + 2, 3)}]"
+                    )
+                else:
+                    assert delta in admissible
+
+
+def test_derive_geometry_decides_the_window_at_once_for_an_integral_fraction():
+    # A range tests a non-int for membership by scanning it; the window is
+    # decided from the ends of admissible_deltas instead.
+    g = 10**8
+    started = time.perf_counter()
+    with pytest.raises(DeltaWindowError):
+        derive_geometry(g, 1, Fraction(g - 3))
+    assert time.perf_counter() - started < 0.5
 
 
 def test_derive_geometry_domain():
